@@ -51,13 +51,12 @@ def _cmd_trace(args) -> int:
     spec = WorkloadSpec(args.workload, args.seed, args.scale, _parse_params(args.param))
     raw = generate(spec, path=args.output)
     print(f"workload={spec.name} seed={spec.seed} scale={spec.scale} "
-          f"events={len(raw.events)} file={args.output}")
+          f"events={len(raw)} file={args.output}")
     return 0
 
 
 def _cmd_process(args) -> int:
-    raw = read_raw_trace(args.raw)
-    trace = process(raw)
+    trace = process(read_raw_trace(args.raw))
     write_processed(trace, args.output)
     c = trace.counts
     print(f"events={c.events} creates={c.creates} reads={c.reads} writes={c.writes} "
@@ -132,8 +131,7 @@ def _cmd_pipeline(args) -> int:
     from .refmap import RefMap
 
     spec = WorkloadSpec(args.workload, args.seed, args.scale, _parse_params(args.param))
-    raw = generate(spec)
-    trace = process(raw)
+    trace = process(generate(spec))
     # Abort before benchmarking anything if replay fidelity is off.
     ReplaySession(trace).replay(RefMap, "validating")
     variants = [(args.impl, dic) for dic in _parse_dic_list(args.dic)]

@@ -1,11 +1,18 @@
 """In-process tracing of map operations behind the adapter interface.
 
 A TraceSession hands out TracedMap wrappers that delegate to RefMap and
-append one RawEvent per operation: operation kind, map identity, canonical
-key identity, 32-bit hash, and a hit/miss outcome bit. Values are never
-recorded. Equal-but-not-identical keys are collapsed onto one canonical
-key id per map, so replay can use identity-equality mockup keys while
-reproducing the exact hash/bucket control flow.
+record one fixed-width record per operation: operation kind, map identity,
+canonical key identity, 32-bit hash, and a hit/miss outcome bit. Values are
+never recorded. Equal-but-not-identical keys are collapsed onto one
+canonical key id per map, so replay can use identity-equality mockup keys
+while reproducing the exact hash/bucket control flow.
+
+Records are packed straight into per-thread-slot byte buffers in the MRT1
+record layout below; no Python object is kept per event. A RawTrace is a
+columnar view of those bytes: a read-only numpy structured array in
+RAW_DTYPE, one row per event. Reading a raw file maps its body onto that
+dtype without copying. `RawTrace.events` materializes RawEvent objects on
+demand for tests and debugging only.
 
 Raw trace file format (little-endian):
 
@@ -33,7 +40,9 @@ import threading
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, Iterable
+
+import numpy as np
 
 from .errors import TraceFormatError
 from .refmap import DEFAULT_CONFIG, MapConfig, RefMap, View, hash32_of
@@ -45,7 +54,19 @@ _RECORD = struct.Struct("<QBQQiQB2x")
 _SENTINEL_COUNT = 0xFFFFFFFFFFFFFFFF
 ABSENT_U64 = 0xFFFFFFFFFFFFFFFF
 ABSENT_HASH = -1
-_ABSENT_OUTCOME = 0xFF
+ABSENT_OUTCOME = 0xFF
+
+_FIELDS = ("thread_id", "op", "map_id", "key_id", "hash", "aux", "outcome")
+#: One MRT1 record as a numpy row. The pad bytes are a field too, so the
+#: dtype has no holes and numpy copies whole records, pad included.
+RAW_DTYPE = np.dtype(
+    {
+        "names": [*_FIELDS, "pad"],
+        "formats": ["<u8", "u1", "<u8", "<u8", "<i4", "<u8", "u1", "V2"],
+        "offsets": [0, 8, 9, 17, 25, 29, 37, 38],
+        "itemsize": _RECORD.size,
+    }
+)
 
 _SLOT_SHIFT = 40  # ids are (thread slot << 40) | per-slot counter
 
@@ -66,13 +87,10 @@ class RawOpKind(IntEnum):
     FREE_ITER = 12
 
 
-MUTATING_OPS = frozenset(
-    (RawOpKind.PUT, RawOpKind.REMOVE, RawOpKind.CLEAR, RawOpKind.ITER_REMOVE)
-)
-
-
 @dataclass(frozen=True, slots=True)
 class RawEvent:
+    """One raw event as Python values: the test and debug view of a record."""
+
     thread_id: int
     op: RawOpKind
     map_id: int  # iterator id for ITER_ADVANCE / ITER_REMOVE / FREE_ITER
@@ -82,14 +100,55 @@ class RawEvent:
     outcome: int | None = None
 
 
-@dataclass(slots=True)
 class RawTrace:
-    """Serialized-order event stream, before or after sanitization."""
+    """Serialized-order event stream, before or after sanitization.
 
-    events: list[RawEvent]
+    `records` is a read-only, contiguous RAW_DTYPE array laid out exactly
+    like the MRT1 body. The constructor also accepts an iterable of
+    RawEvent, which it packs into records.
+    """
+
+    __slots__ = ("records",)
+
+    def __init__(self, records: np.ndarray | Iterable[RawEvent] = ()):
+        if isinstance(records, np.ndarray):
+            if records.dtype != RAW_DTYPE:
+                raise TypeError(f"raw records must have RAW_DTYPE, not {records.dtype}")
+            records = np.ascontiguousarray(records).view()
+        else:
+            body = b"".join(_encode_event(e) for e in records)
+            records = np.frombuffer(body, dtype=RAW_DTYPE)
+            _check_records(records)
+        records.flags.writeable = False
+        self.records = records
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.records)
+
+    def __repr__(self) -> str:
+        return f"RawTrace({len(self)} events)"
+
+    @property
+    def events(self) -> list[RawEvent]:
+        """Materialize every record as a RawEvent (debug view; costs ~100 B/event)."""
+        r = self.records
+        columns = (r[name].tolist() for name in _FIELDS)
+        out = []
+        for thread_id, op, map_id, key_id, h, aux, outcome in zip(*columns):
+            # Hash presence tracks key presence: keyed ops always record one.
+            has_key = key_id != ABSENT_U64
+            out.append(
+                RawEvent(
+                    thread_id,
+                    RawOpKind(op),
+                    map_id,
+                    key_id if has_key else None,
+                    h if has_key else None,
+                    aux,
+                    None if outcome == ABSENT_OUTCOME else outcome,
+                )
+            )
+        return out
 
 
 def pack_create_aux(capacity: int, lf_milli: int, spread: bool) -> int:
@@ -119,8 +178,8 @@ class KeyRegistry:
     conflict and drops every map that touched the key.
     """
 
-    def __init__(self, session: "TraceSession"):
-        self._session = session
+    def __init__(self, alloc_key_id: Callable[[], int]):
+        self._alloc_key_id = alloc_key_id
         self._by_map: dict[int, dict[Any, tuple[int, int]]] = {}
 
     def canonicalize(self, map_id: int, key: Any) -> tuple[int, int]:
@@ -129,7 +188,7 @@ class KeyRegistry:
         hit = keys.get(key)
         if hit is not None:
             return hit[0], observed
-        kid = self._session._alloc_key_id()
+        kid = self._alloc_key_id()
         keys[key] = (kid, observed)
         return kid, observed
 
@@ -138,20 +197,67 @@ class KeyRegistry:
 
 
 class _SlotState:
-    __slots__ = ("buffer", "next_map", "next_iter", "next_key")
+    __slots__ = ("slot", "buffer", "next_map", "next_iter", "next_key")
 
-    def __init__(self):
-        self.buffer: list[RawEvent] = []
+    def __init__(self, slot: int):
+        self.slot = slot
+        self.buffer = bytearray()  # packed MRT1 records
         self.next_map = 1
         self.next_iter = 1
         self.next_key = 1
 
 
+class _SlotTable:
+    """Per-thread-slot record buffers and id counters.
+
+    Kept apart from TraceSession so the KeyRegistry can allocate key ids
+    without holding the session: no reference cycle keeps a finished
+    session and its buffers alive until the cyclic collector runs.
+    """
+
+    def __init__(self):
+        self._states: dict[int, _SlotState] = {0: _SlotState(0)}
+        self._lock = threading.Lock()
+        self.local = threading.local()
+
+    def state(self) -> _SlotState:
+        slot = getattr(self.local, "slot", 0)
+        state = self._states.get(slot)
+        if state is None:
+            with self._lock:
+                state = self._states.setdefault(slot, _SlotState(slot))
+        return state
+
+    def alloc_map_id(self) -> int:
+        state = self.state()
+        state.next_map += 1
+        return (state.slot << _SLOT_SHIFT) | (state.next_map - 1)
+
+    def alloc_iter_id(self) -> int:
+        state = self.state()
+        state.next_iter += 1
+        return (state.slot << _SLOT_SHIFT) | (state.next_iter - 1)
+
+    def alloc_key_id(self) -> int:
+        state = self.state()
+        state.next_key += 1
+        return (state.slot << _SLOT_SHIFT) | (state.next_key - 1)
+
+    def join(self) -> bytearray:
+        """Concatenate the buffers in slot order, emptying the later ones."""
+        states = [self._states[slot] for slot in sorted(self._states)]
+        joined = states[0].buffer
+        for state in states[1:]:
+            joined += state.buffer
+            state.buffer = bytearray()
+        return joined
+
+
 class TraceSession:
-    """Collects raw events from traced maps and writes the raw trace file.
+    """Collects raw records from traced maps and writes the raw trace file.
 
     Thread slots keep multi-threaded tracing deterministic: each slot has
-    its own event buffer and id counters (ids are slot << 40 | counter),
+    its own record buffer and id counters (ids are slot << 40 | counter),
     and buffers are concatenated in slot order at close. Wrap worker-thread
     code in `with session.thread(slot):`; unwrapped code records to slot 0.
     A single map shared across threads still needs caller-side locking.
@@ -159,13 +265,11 @@ class TraceSession:
 
     def __init__(self, path: str | Path | None = None, start_open: bool = True):
         self._path = Path(path) if path is not None else None
-        self._slots: dict[int, _SlotState] = {0: _SlotState()}
-        self._lock = threading.Lock()
-        self._local = threading.local()
+        self._slots = _SlotTable()
         self._open = start_open
         self._closed = False
         self._trace: RawTrace | None = None
-        self.registry = KeyRegistry(self)
+        self.registry = KeyRegistry(self._slots.alloc_key_id)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -182,15 +286,12 @@ class TraceSession:
         self._open = True
 
     def close(self) -> RawTrace:
-        """Serialize buffers (slot order), optionally write the file."""
+        """Join the slot buffers (slot order), optionally write the file."""
         if self._closed:
             return self._trace
         self._open = False
         self._closed = True
-        events: list[RawEvent] = []
-        for slot in sorted(self._slots):
-            events.extend(self._slots[slot].buffer)
-        self._trace = RawTrace(events)
+        self._trace = RawTrace(np.frombuffer(self._slots.join(), dtype=RAW_DTYPE))
         if self._path is not None:
             write_raw_trace(self._trace, self._path)
         return self._trace
@@ -212,36 +313,10 @@ class TraceSession:
         """Bind the calling thread's events and ids to `slot` (> 0)."""
         if slot < 0 or slot >= (1 << 24):
             raise ValueError("thread slot out of range")
-        return _ThreadSlot(self, slot)
-
-    def _current_slot(self) -> int:
-        return getattr(self._local, "slot", 0)
-
-    def _slot_state(self) -> _SlotState:
-        slot = self._current_slot()
-        state = self._slots.get(slot)
-        if state is None:
-            with self._lock:
-                state = self._slots.setdefault(slot, _SlotState())
-        return state
-
-    def _alloc_map_id(self) -> int:
-        state = self._slot_state()
-        mid = (self._current_slot() << _SLOT_SHIFT) | state.next_map
-        state.next_map += 1
-        return mid
+        return _ThreadSlot(self._slots.local, slot)
 
     def _alloc_iter_id(self) -> int:
-        state = self._slot_state()
-        iid = (self._current_slot() << _SLOT_SHIFT) | state.next_iter
-        state.next_iter += 1
-        return iid
-
-    def _alloc_key_id(self) -> int:
-        state = self._slot_state()
-        kid = (self._current_slot() << _SLOT_SHIFT) | state.next_key
-        state.next_key += 1
-        return kid
+        return self._slots.alloc_iter_id()
 
     # -- recording ---------------------------------------------------------------
 
@@ -256,9 +331,15 @@ class TraceSession:
     ) -> None:
         if not self._open:
             return
-        state = self._slot_state()
-        state.buffer.append(
-            RawEvent(self._current_slot(), op, map_id, key_id, hash32, aux, outcome)
+        state = self._slots.state()
+        state.buffer += _RECORD.pack(
+            state.slot,
+            op,
+            map_id,
+            ABSENT_U64 if key_id is None else key_id,
+            ABSENT_HASH if hash32 is None else hash32,
+            aux,
+            ABSENT_OUTCOME if outcome is None else outcome,
         )
 
     # -- traced map construction ----------------------------------------------------
@@ -269,7 +350,7 @@ class TraceSession:
         On a closed session the handle still works but is foreign: no
         creation event exists, so post-processing drops its activity.
         """
-        map_id = self._alloc_map_id()
+        map_id = self._slots.alloc_map_id()
         foreign = not self._open
         if not foreign:
             self.record(
@@ -282,7 +363,7 @@ class TraceSession:
         return TracedMap(self, RefMap(config), map_id, foreign=foreign)
 
     def copy_map(self, source: "TracedMap", config: MapConfig = DEFAULT_CONFIG) -> "TracedMap":
-        map_id = self._alloc_map_id()
+        map_id = self._slots.alloc_map_id()
         foreign = not self._open
         if not foreign:
             self.record(RawOpKind.CREATE_COPY, map_id, aux=source.map_id)
@@ -293,21 +374,19 @@ class TraceSession:
 
 
 class _ThreadSlot:
-    __slots__ = ("_session", "_slot", "_prev")
+    __slots__ = ("_local", "_slot", "_prev")
 
-    def __init__(self, session: TraceSession, slot: int):
-        self._session = session
+    def __init__(self, local: threading.local, slot: int):
+        self._local = local
         self._slot = slot
 
     def __enter__(self):
-        self._prev = getattr(self._session._local, "slot", 0)
-        self._session._local.slot = self._slot
+        self._prev = getattr(self._local, "slot", 0)
+        self._local.slot = self._slot
         return self
 
     def __exit__(self, *exc):
-        self._session._local.slot = self._prev
-
-
+        self._local.slot = self._prev
 class TracedMap:
     """Adapter-shaped wrapper that records every operation against a RefMap."""
 
@@ -393,6 +472,7 @@ class TracedIterator:
         self._session.record(RawOpKind.ITER_REMOVE, self.iter_id)
 
 
+
 # -- raw trace file I/O ---------------------------------------------------------
 
 
@@ -404,14 +484,35 @@ def _encode_event(e: RawEvent) -> bytes:
         ABSENT_U64 if e.key_id is None else e.key_id,
         ABSENT_HASH if e.hash is None else e.hash,
         e.aux,
-        _ABSENT_OUTCOME if e.outcome is None else e.outcome,
+        ABSENT_OUTCOME if e.outcome is None else e.outcome,
     )
 
 
+def _check_records(records: np.ndarray) -> None:
+    """Reject unknown ops and IterNew views in one vectorized pass.
+
+    Errors name the byte offset of the bad field in the MRT1 file.
+    """
+    op = records["op"]
+    if op.size and (op.min() < RawOpKind.CREATE or op.max() > RawOpKind.FREE_ITER):
+        i = int(np.argmax((op < RawOpKind.CREATE) | (op > RawOpKind.FREE_ITER)))
+        raise TraceFormatError(f"unknown op {op[i]}", offset=_field_offset(i, "op"))
+    news = np.flatnonzero(op == RawOpKind.ITER_NEW)
+    views = records["aux"][news] & 0x3
+    bad = np.flatnonzero(views > max(View))
+    if bad.size:
+        raise TraceFormatError(
+            f"IterNew view {views[bad[0]]} is not a valid view",
+            offset=_field_offset(int(news[bad[0]]), "aux"),
+        )
+
+
+def _field_offset(index: int, field: str) -> int:
+    return _HEADER.size + index * RAW_DTYPE.itemsize + RAW_DTYPE.fields[field][1]
+
+
 def raw_trace_to_bytes(trace: RawTrace) -> bytes:
-    parts = [_HEADER.pack(MAGIC, VERSION, len(trace.events))]
-    parts.extend(_encode_event(e) for e in trace.events)
-    return b"".join(parts)
+    return _HEADER.pack(MAGIC, VERSION, len(trace)) + trace.records.tobytes()
 
 
 def write_raw_trace(trace: RawTrace, path: str | Path) -> None:
@@ -423,14 +524,14 @@ def write_raw_trace(trace: RawTrace, path: str | Path) -> None:
     path = Path(path)
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, _SENTINEL_COUNT))
-        for e in trace.events:
-            fh.write(_encode_event(e))
+        fh.write(trace.records.data)
         fh.flush()
         fh.seek(len(MAGIC) + 4)
-        fh.write(struct.pack("<Q", len(trace.events)))
+        fh.write(struct.pack("<Q", len(trace)))
 
 
 def raw_trace_from_bytes(data: bytes) -> RawTrace:
+    """Map the records onto RAW_DTYPE without copying, then validate them."""
     if len(data) < _HEADER.size:
         raise TraceFormatError("raw trace shorter than header", offset=0)
     magic, version, count = _HEADER.unpack_from(data, 0)
@@ -446,31 +547,9 @@ def raw_trace_from_bytes(data: bytes) -> RawTrace:
             f"event count {count} disagrees with body of {body} bytes",
             offset=_HEADER.size,
         )
-    events = []
-    for i in range(count):
-        thread_id, op, map_id, key_id, h, aux, outcome = _RECORD.unpack_from(
-            data, _HEADER.size + i * _RECORD.size
-        )
-        try:
-            kind = RawOpKind(op)
-        except ValueError:
-            raise TraceFormatError(
-                f"unknown op {op}", offset=_HEADER.size + i * _RECORD.size + 8
-            ) from None
-        # Hash presence tracks key presence: keyed ops always record one.
-        has_key = key_id != ABSENT_U64
-        events.append(
-            RawEvent(
-                thread_id,
-                kind,
-                map_id,
-                key_id if has_key else None,
-                h if has_key else None,
-                aux,
-                None if outcome == _ABSENT_OUTCOME else outcome,
-            )
-        )
-    return RawTrace(events)
+    records = np.frombuffer(data, dtype=RAW_DTYPE, count=count, offset=_HEADER.size)
+    _check_records(records)
+    return RawTrace(records)
 
 
 def read_raw_trace(path: str | Path) -> RawTrace:

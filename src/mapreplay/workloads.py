@@ -378,8 +378,7 @@ def pipeline(spec: WorkloadSpec, variants, config=None):
     from .postproc import process
     from .replay import ReplaySession
 
-    raw = generate(spec)
-    trace = process(raw)
+    trace = process(generate(spec))
     session = ReplaySession(trace)
     try:
         session.replay(RefMap, mode="validating")

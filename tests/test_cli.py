@@ -102,3 +102,15 @@ def test_replay_unknown_impl(tmp_path, capsys):
     code, _, err = run(capsys, "replay", str(mpt), "--impl", "other")
     assert code == 2
     assert "known:" in err
+
+
+def test_process_rejects_bad_iternew_view(tmp_path, capsys):
+    raw = tmp_path / "t.mrt"
+    run(capsys, "trace", "scan", "-o", str(raw), "--param", "maps=1")
+    data = bytearray(raw.read_bytes())
+    first_iter_new = next(i for i in range(16, len(data), 40) if data[i + 8] == 8)
+    data[first_iter_new + 29] |= 0x3  # IterNew view field := 3
+    raw.write_bytes(bytes(data))
+    code, _, err = run(capsys, "process", str(raw), "-o", str(tmp_path / "t.mpt"))
+    assert code == 2
+    assert f"mapreplay process: at offset {first_iter_new + 29}:" in err

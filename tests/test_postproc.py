@@ -375,6 +375,20 @@ def test_encode_requires_free_annotations():
         encode(_session_trace(build))
 
 
+@pytest.mark.parametrize(
+    "events, message",
+    [
+        ([ev(OP.CREATE, 1), ev(OP.CREATE, 1), ev(OP.FREE_MAP, 1)], "created more than once"),
+        ([ev(OP.CREATE, 1), ev(OP.FREE_MAP, 1), ev(OP.GET, 1, 5, 5, outcome=0)], "not live"),
+        ([ev(OP.CREATE_COPY, 1, aux=1), ev(OP.FREE_MAP, 1)], "not live"),
+    ],
+    ids=["create-twice", "use-after-free", "copy-of-itself"],
+)
+def test_encode_rejects_broken_lifetimes(events, message):
+    with pytest.raises(TraceIntegrityError, match=message):
+        encode(RawTrace(events))
+
+
 def test_round_trip_on_workloads(small_traces):
     for name, (_, _, trace) in small_traces.items():
         assert decode(to_bytes(trace)) == trace, name

@@ -1,6 +1,8 @@
 """Tracer behavior: canonical keys, outcome bits, raw file format, thread slots."""
 
+import gc
 import struct
+import weakref
 
 import pytest
 
@@ -9,7 +11,9 @@ from mapreplay.refmap import DEFAULT_CONFIG, MapConfig, RefMap, View, bucket_ind
 from mapreplay.tracer import (
     ABSENT_U64,
     MAGIC,
+    RawEvent,
     RawOpKind,
+    RawTrace,
     TraceSession,
     pack_create_aux,
     raw_trace_from_bytes,
@@ -309,6 +313,93 @@ def test_raw_file_size_mismatch(tmp_path):
     path.write_bytes(data[:-8])  # chop mid-record
     with pytest.raises(TraceFormatError):
         read_raw_trace(path)
+
+
+def _patched_record(data: bytes, op: RawOpKind, field_offset: int, value: int) -> tuple[bytes, int]:
+    """Overwrite one byte of the first `op` record; returns (bytes, absolute offset)."""
+    index = next(i for i, e in enumerate(raw_trace_from_bytes(data).events) if e.op is op)
+    offset = 16 + index * 40 + field_offset
+    return data[:offset] + bytes([value]) + data[offset + 1 :], offset
+
+
+def test_raw_file_unknown_op_names_offset(tmp_path):
+    path = tmp_path / "op.mrt"
+    data = raw_trace_to_bytes(_session_with_traffic().close())
+    broken, offset = _patched_record(data, RawOpKind.GET, 8, 99)
+    path.write_bytes(broken)
+    with pytest.raises(TraceFormatError) as err:
+        read_raw_trace(path)
+    assert "unknown op 99" in str(err.value)
+    assert err.value.offset == offset
+
+
+def test_raw_file_bad_iternew_view_names_offset(tmp_path):
+    path = tmp_path / "view.mrt"
+    data = raw_trace_to_bytes(_session_with_traffic().close())
+    # aux starts 29 bytes into a record; its low two bits are the view.
+    new = by_op(raw_trace_from_bytes(data).events, RawOpKind.ITER_NEW)[0]
+    broken, offset = _patched_record(data, RawOpKind.ITER_NEW, 29, (new.aux & 0xFF) | 0x3)
+    path.write_bytes(broken)
+    with pytest.raises(TraceFormatError) as err:
+        read_raw_trace(path)
+    assert "view 3" in str(err.value)
+    assert err.value.offset == offset
+
+
+def test_raw_trace_from_events_validates_like_a_file():
+    with pytest.raises(TraceFormatError) as err:
+        RawTrace([RawEvent(0, RawOpKind.CREATE, 1), RawEvent(0, 99, 1)])
+    assert err.value.offset == 16 + 40 + 8
+
+
+def test_raw_trace_events_view_round_trips():
+    trace = _session_with_traffic().close()
+    assert len(trace) == len(trace.events)
+    again = RawTrace(trace.events)
+    assert raw_trace_to_bytes(again) == raw_trace_to_bytes(trace)
+    assert not trace.records.flags.writeable
+
+
+def test_record_read_and_distill_build_no_raw_events(monkeypatch, tmp_path):
+    from mapreplay import tracer
+    from mapreplay.postproc import process
+    from mapreplay.workloads import WorkloadSpec, generate
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a RawEvent was built")
+
+    monkeypatch.setattr(tracer, "RawEvent", forbidden)
+    path = tmp_path / "t.mrt"
+    raw = generate(WorkloadSpec("random", seed=3), path)
+    write_raw_trace(raw, tmp_path / "again.mrt")
+    assert process(read_raw_trace(path)).op_count > 0
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [("wordfreq", {}), ("churn", {"maps": 4, "cycles": 2, "threads": 2})],
+    ids=["wordfreq", "churn-2-threads"],
+)
+def test_generate_frees_session_without_cycle_collection(monkeypatch, spec):
+    from mapreplay import workloads
+
+    sessions = []
+
+    class WatchedSession(TraceSession):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sessions.append(weakref.ref(self))
+
+    monkeypatch.setattr(workloads, "TraceSession", WatchedSession)
+    name, params = spec
+    gc.disable()
+    try:
+        raw = workloads.generate(workloads.WorkloadSpec(name, seed=1, params=params))
+        # Reference counting alone must release the session and its buffers.
+        assert sessions[0]() is None
+    finally:
+        gc.enable()
+    assert len(raw) > 0
 
 
 def test_absent_fields_encode_as_all_ones():

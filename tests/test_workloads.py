@@ -1,5 +1,6 @@
 """Workload generators: determinism, operation mixes, directional trends."""
 
+import os
 import subprocess
 import sys
 
@@ -55,12 +56,16 @@ def test_wordfreq_deterministic_across_hash_seeds():
         "raw = generate(WorkloadSpec('wordfreq', seed=17))\n"
         "sys.stdout.write(hashlib.sha256(raw_trace_to_bytes(raw)).hexdigest())\n"
     )
+    # The child sees this process's import path, so the package resolves
+    # the same way whether it is installed or run from a checkout.
+    pythonpath = os.pathsep.join(p for p in sys.path if p)
     digests = set()
     for hash_seed in ("0", "12345"):
         out = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True, text=True, check=True,
-            env={"PYTHONHASHSEED": hash_seed, "PATH": "/usr/bin:/bin"},
+            env={"PYTHONHASHSEED": hash_seed, "PATH": "/usr/bin:/bin",
+                 "PYTHONPATH": pythonpath},
         )
         digests.add(out.stdout.strip())
     assert len(digests) == 1
