@@ -63,8 +63,6 @@ from .replay import (
     VALUE_TOKEN,
     get_implementation,
     override_config,
-    replay,
-    setup,
 )
 from .tracer import (
     KeyRegistry,

@@ -14,9 +14,9 @@ from .bench import (
 )
 from .errors import MapReplayError
 from .postproc import process, read_processed, stats, write_processed
-from .replay import ConfigOverride, ReplaySession, get_implementation
+from .replay import MODES, ConfigOverride, ReplaySession, get_implementation
 from .tracer import read_raw_trace
-from .workloads import WORKLOADS, WorkloadSpec, generate
+from .workloads import WORKLOADS, WorkloadSpec, generate, pipeline
 
 
 def _human_size(n: int) -> str:
@@ -128,15 +128,9 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    from .refmap import RefMap
-
     spec = WorkloadSpec(args.workload, args.seed, args.scale, _parse_params(args.param))
-    trace = process(generate(spec))
-    # Abort before benchmarking anything if replay fidelity is off.
-    ReplaySession(trace).replay(RefMap, "validating")
     variants = [(args.impl, dic) for dic in _parse_dic_list(args.dic)]
-    report = run_bench(trace, variants, _bench_config(args, args.bench_seed),
-                       label=spec.name, lf_milli=args.lf)
+    report = pipeline(spec, variants, _bench_config(args, args.bench_seed), lf_milli=args.lf)
     print(report.render())
     if args.output:
         report.write(args.output)
@@ -172,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--impl", default="refmap")
     p.add_argument("--dic", type=int, default=None)
     p.add_argument("--lf", type=int, default=750)
-    p.add_argument("--mode", choices=("timing", "counting", "validating"), default="timing")
+    p.add_argument("--mode", choices=MODES, default="timing")
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_replay)
 

@@ -131,11 +131,6 @@ class OpCounters:
         self.buckets_scanned = 0
         self.entries_moved = 0
 
-    def copy(self) -> "OpCounters":
-        return OpCounters(
-            self.resizes, self.collision_probes, self.buckets_scanned, self.entries_moved
-        )
-
     def as_dict(self) -> dict[str, int]:
         return {
             "resizes": self.resizes,

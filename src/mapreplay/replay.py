@@ -3,12 +3,21 @@
 Setup preallocates every mockup key and the map/iterator slot arrays so the
 timed phase creates nothing but maps and iterators. The replay phase is a
 single dispatch loop over the opcode triples, bound to exactly one adapter
-class per run (monomorphic replay):
+class per run (monomorphic replay). Each triple calls the handler its op
+kind selects from a table built per run; the modes differ only in that
+table and in the hook its FreeMap handler calls:
 
-    timing      lean loop, wall-clock of the dispatch loop only
-    counting    adapter must be RefMap; OpCounters aggregated at FreeMap
-    validating  every outcome bit compared against the recorded one, state
-                digests captured at each FreeMap
+    timing      plain handlers; the result is the wall-clock of the loop
+    counting    plain handlers; the FreeMap hook adds the map's OpCounters
+                (the adapter must be RefMap-based)
+    validating  get, put, remove, containsKey and iterator advance compare
+                each outcome bit against the recorded one; the FreeMap hook
+                captures the map's state digest
+
+The loop checks nothing per op. A slot used after free or an operand out
+of range surfaces as the AttributeError or IndexError it causes, and is
+reported as a TraceIntegrityError naming the op index; FreeMap, FreeIter
+and the CreateCopy source check for a freed slot themselves.
 
 Put always stores the one shared VALUE_TOKEN; recorded traces carry no
 value information. Copy construction uses the run's default configuration
@@ -19,6 +28,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ConfigError, FidelityError, TraceIntegrityError
 from .postproc import (
@@ -38,8 +49,13 @@ from .refmap import (
     RefMap,
     View,
 )
+from .tracer import RawOpKind
 
 MODES = ("timing", "counting", "validating")
+
+_OP = RawOpKind
+#: Kinds whose second operand is a key index.
+_KEYED = (_OP.GET, _OP.PUT, _OP.REMOVE, _OP.CONTAINS_KEY)
 
 
 class _ValueToken:
@@ -126,186 +142,174 @@ class ReplaySession:
         mode: str = "timing",
         override: ConfigOverride | None = None,
     ) -> ReplayResult:
+        """Interpret the opcode stream once against one adapter class."""
         if mode not in MODES:
             raise ConfigError(f"unknown replay mode {mode!r}; expected one of {MODES}")
         if mode == "counting" and not (isinstance(factory, type) and issubclass(factory, RefMap)):
             raise ConfigError("counting mode requires a RefMap-based adapter")
-        if mode == "timing":
-            return self._replay_timing(factory, override)
-        return self._replay_checked(factory, mode, override)
-
-    # -- timing loop: no checks beyond what Python itself enforces -----------
-
-    def _replay_timing(self, factory: type, override: ConfigOverride | None) -> ReplayResult:
-        ops = self._ops
-        keys = self.keys
-        maps: list = [None] * self.trace.max_map_slots
-        iters: list = [None] * self.trace.max_iter_slots
-        default_cfg = override.config() if override else DEFAULT_CONFIG
-        factory_calls = 0
-        i = 0
-        n = len(ops)
-        start = time.perf_counter()
-        try:
-            while i < n:
-                word = ops[i]
-                a = ops[i + 1]
-                b = ops[i + 2]
-                i += 3
-                kind = word & OP_KIND_MASK
-                if kind == 3:  # GET
-                    maps[a].get(keys[b])
-                elif kind == 4:  # PUT
-                    maps[a].put(keys[b], VALUE_TOKEN)
-                elif kind == 9:  # ITER_ADVANCE
-                    it = iters[a]
-                    for _ in range(b):
-                        it.advance()
-                elif kind == 6:  # CONTAINS_KEY
-                    maps[a].contains_key(keys[b])
-                elif kind == 5:  # REMOVE
-                    maps[a].remove(keys[b])
-                elif kind == 8:  # ITER_NEW
-                    iters[b] = maps[a].iterator(View((word >> VIEW_SHIFT) & VIEW_MASK))
-                elif kind == 10:  # ITER_REMOVE
-                    iters[a].remove()
-                elif kind == 1:  # CREATE
-                    maps[a] = factory(_create_config(word, b, override))
-                    factory_calls += 1
-                elif kind == 2:  # CREATE_COPY
-                    maps[a] = factory.copy_of(maps[b], default_cfg)
-                    factory_calls += 1
-                elif kind == 7:  # CLEAR
-                    maps[a].clear()
-                elif kind == 11:  # FREE_MAP
-                    maps[a] = None
-                elif kind == 12:  # FREE_ITER
-                    iters[a] = None
-                else:
-                    raise TraceIntegrityError(f"op {(i - 3) // 3}: unknown opcode {kind}")
-        except AttributeError as exc:
-            raise TraceIntegrityError(
-                f"op {(i - 3) // 3}: slot used after free ({exc})"
-            ) from None
-        elapsed = time.perf_counter() - start
-        return ReplayResult(elapsed, n // 3, factory_calls)
-
-    # -- checked loop: counting and validating modes --------------------------
-
-    def _replay_checked(
-        self, factory: type, mode: str, override: ConfigOverride | None
-    ) -> ReplayResult:
         validating = mode == "validating"
-        counting = mode == "counting"
         ops = self._ops
         keys = self.keys
         maps: list = [None] * self.trace.max_map_slots
         iters: list = [None] * self.trace.max_iter_slots
         default_cfg = override.config() if override else DEFAULT_CONFIG
-        counters = OpCounters() if counting else None
-        digests: dict[int, int] = {}
-        map_digests: list[int] = []
-        create_ordinal: dict[int, int] = {}  # slot -> ordinal of current occupant
-        created = 0
-        factory_calls = 0
+        ordinal = [0] * len(maps)  # creation ordinal of each slot's occupant
+        map_digests: list[int] = []  # one per create; 0 until the map is freed
+        freed: list[int] = []  # state digest at each FreeMap, in op order
+        counters = OpCounters() if mode == "counting" else None
 
-        def live_map(slot: int, op_index: int):
-            m = maps[slot]
+        # The FreeMap hook: the only place counting and digesting happen.
+        if counters is not None:
+
+            def on_free(m, a):
+                counters.add(m.counters)
+
+        elif validating and hasattr(factory, "state_digest"):
+
+            def on_free(m, a):
+                d = m.state_digest()
+                freed.append(d)
+                map_digests[ordinal[a]] = d
+
+        else:
+
+            def on_free(m, a):
+                pass
+
+        def unknown(w, a, b):
+            raise TraceIntegrityError(f"unknown opcode {w & OP_KIND_MASK}")
+
+        def create(w, a, b):
+            maps[a] = factory(_create_config(w, b, override))
+            ordinal[a] = len(map_digests)
+            map_digests.append(0)
+
+        def create_copy(w, a, b):
+            source = maps[b]
+            if source is None:
+                raise TraceIntegrityError(f"map slot {b} used after free")
+            maps[a] = factory.copy_of(source, default_cfg)
+            ordinal[a] = len(map_digests)
+            map_digests.append(0)
+
+        def get(w, a, b):
+            maps[a].get(keys[b])
+
+        def put(w, a, b):
+            maps[a].put(keys[b], VALUE_TOKEN)
+
+        def remove(w, a, b):
+            maps[a].remove(keys[b])
+
+        def contains_key(w, a, b):
+            maps[a].contains_key(keys[b])
+
+        def clear(w, a, b):
+            maps[a].clear()
+
+        def iter_new(w, a, b):
+            iters[b] = maps[a].iterator(View((w >> VIEW_SHIFT) & VIEW_MASK))
+
+        def iter_advance(w, a, b):
+            step = iters[a].advance
+            for _ in range(b):
+                step()
+
+        def iter_remove(w, a, b):
+            iters[a].remove()
+
+        def free_map(w, a, b):
+            m = maps[a]
             if m is None:
-                raise TraceIntegrityError(f"op {op_index}: map slot {slot} used after free")
-            return m
+                raise TraceIntegrityError(f"map slot {a} freed twice")
+            on_free(m, a)
+            maps[a] = None
 
-        def live_iter(slot: int, op_index: int):
-            it = iters[slot]
-            if it is None:
-                raise TraceIntegrityError(
-                    f"op {op_index}: iterator slot {slot} used after free"
-                )
-            return it
+        def free_iter(w, a, b):
+            if iters[a] is None:
+                raise TraceIntegrityError(f"iterator slot {a} freed twice")
+            iters[a] = None
 
-        def check(flag: bool, recorded: int, op_index: int, what: str) -> None:
-            if int(flag) != recorded:
-                raise FidelityError(
-                    f"{what}: replay produced {'hit' if flag else 'miss'} but the "
-                    f"trace recorded {'hit' if recorded else 'miss'}",
-                    op_index=op_index,
-                )
+        # Indexed by RawOpKind value, 1 (CREATE) through 12 (FREE_ITER).
+        table = [unknown, create, create_copy, get, put, remove, contains_key, clear,
+                 iter_new, iter_advance, iter_remove, free_map, free_iter]
+        table += [unknown] * (OP_KIND_MASK + 1 - len(table))
 
-        start = time.perf_counter()
-        n = len(ops)
-        for i in range(0, n, 3):
-            word = ops[i]
-            a = ops[i + 1]
-            b = ops[i + 2]
-            kind = word & OP_KIND_MASK
-            op_index = i // 3
-            recorded = (word >> 8) & 1
-            if kind == 3:  # GET
-                got = live_map(a, op_index).get(keys[b])
-                if validating:
-                    check(got is not None, recorded, op_index, "get")
-            elif kind == 4:  # PUT
-                old = live_map(a, op_index).put(keys[b], VALUE_TOKEN)
-                if validating:
-                    check(old is not None, recorded, op_index, "put")
-            elif kind == 9:  # ITER_ADVANCE
-                it = live_iter(a, op_index)
+        if validating:
+
+            def checked_get(w, a, b):
+                _check("get", maps[a].get(keys[b]) is not None, w)
+
+            def checked_put(w, a, b):
+                _check("put", maps[a].put(keys[b], VALUE_TOKEN) is not None, w)
+
+            def checked_remove(w, a, b):
+                _check("remove", maps[a].remove(keys[b]) is not None, w)
+
+            def checked_contains_key(w, a, b):
+                _check("containsKey", bool(maps[a].contains_key(keys[b])), w)
+
+            def checked_iter_advance(w, a, b):
+                step = iters[a].advance
                 for _ in range(b):
-                    item = it.advance()
-                    if validating:
-                        check(item is not None, recorded, op_index, "iterator advance")
-            elif kind == 6:  # CONTAINS_KEY
-                found = live_map(a, op_index).contains_key(keys[b])
-                if validating:
-                    check(found, recorded, op_index, "containsKey")
-            elif kind == 5:  # REMOVE
-                old = live_map(a, op_index).remove(keys[b])
-                if validating:
-                    check(old is not None, recorded, op_index, "remove")
-            elif kind == 8:  # ITER_NEW
-                iters[b] = live_map(a, op_index).iterator(
-                    View((word >> VIEW_SHIFT) & VIEW_MASK)
-                )
-            elif kind == 10:  # ITER_REMOVE
-                live_iter(a, op_index).remove()
-            elif kind == 1:  # CREATE
-                maps[a] = factory(_create_config(word, b, override))
-                create_ordinal[a] = created
-                created += 1
-                factory_calls += 1
-                if validating:
-                    map_digests.append(0)
-            elif kind == 2:  # CREATE_COPY
-                maps[a] = factory.copy_of(live_map(b, op_index), default_cfg)
-                create_ordinal[a] = created
-                created += 1
-                factory_calls += 1
-                if validating:
-                    map_digests.append(0)
-            elif kind == 7:  # CLEAR
-                live_map(a, op_index).clear()
-            elif kind == 11:  # FREE_MAP
-                m = live_map(a, op_index)
-                if counting:
-                    counters.add(m.counters)
-                if validating and hasattr(m, "state_digest"):
-                    d = m.state_digest()
-                    digests[op_index] = d
-                    map_digests[create_ordinal[a]] = d
-                maps[a] = None
-            elif kind == 12:  # FREE_ITER
-                live_iter(a, op_index)
-                iters[a] = None
-            else:
-                raise TraceIntegrityError(f"op {op_index}: unknown opcode {kind}")
+                    _check("iterator advance", step() is not None, w)
+
+            table[_OP.GET] = checked_get
+            table[_OP.PUT] = checked_put
+            table[_OP.REMOVE] = checked_remove
+            table[_OP.CONTAINS_KEY] = checked_contains_key
+            table[_OP.ITER_ADVANCE] = checked_iter_advance
+
+        n = len(ops)
+        start = time.perf_counter()
+        # Handlers raise without an op index: only the loop knows it.
+        try:
+            for i in range(0, n, 3):
+                w = ops[i]
+                table[w & OP_KIND_MASK](w, ops[i + 1], ops[i + 2])
+        except FidelityError as exc:
+            raise FidelityError(str(exc), op_index=i // 3) from None
+        except TraceIntegrityError as exc:
+            raise TraceIntegrityError(f"op {i // 3}: {exc}") from None
+        except (AttributeError, IndexError):
+            fault = self._trace_fault(ops[i], ops[i + 1], ops[i + 2], maps, iters)
+            if fault is None:
+                raise  # the adapter's own bug, not the trace's
+            raise TraceIntegrityError(f"op {i // 3}: {fault}") from None
         elapsed = time.perf_counter() - start
-        return ReplayResult(
-            elapsed,
-            n // 3,
-            factory_calls,
-            counters=counters,
-            digests=digests if validating else None,
-            map_digests=map_digests if validating else None,
+
+        result = ReplayResult(elapsed, n // 3, len(map_digests), counters=counters)
+        if validating:
+            free_ops = np.flatnonzero((self.trace.ops[0::3] & OP_KIND_MASK) == _OP.FREE_MAP)
+            result.digests = dict(zip(free_ops.tolist(), freed))
+            result.map_digests = map_digests
+        return result
+
+    def _trace_fault(self, w: int, a: int, b: int, maps: list, iters: list) -> str | None:
+        """Name the trace fault behind an AttributeError or IndexError raised
+        by op (w, a, b), or None when its operands are sound."""
+        kind = w & OP_KIND_MASK
+        on_iter = kind in (_OP.ITER_ADVANCE, _OP.ITER_REMOVE, _OP.FREE_ITER)
+        slots, what = (iters, "iterator") if on_iter else (maps, "map")
+        if not 0 <= a < len(slots):
+            return f"{what} slot {a} out of range"
+        if kind in _KEYED and not 0 <= b < len(self.keys):
+            return f"key index {b} out of range"
+        if kind == _OP.CREATE_COPY and not 0 <= b < len(maps):
+            return f"map slot {b} out of range"
+        if kind == _OP.ITER_NEW and not 0 <= b < len(iters):
+            return f"iterator slot {b} out of range"
+        if kind not in (_OP.CREATE, _OP.CREATE_COPY) and slots[a] is None:
+            return f"{what} slot {a} used after free"
+        return None
+
+
+def _check(what: str, hit: bool, w: int) -> None:
+    recorded = (w >> 8) & 1
+    if hit != recorded:
+        raise FidelityError(
+            f"{what}: replay produced {'hit' if hit else 'miss'} but the "
+            f"trace recorded {'hit' if recorded else 'miss'}"
         )
 
 
@@ -320,21 +324,6 @@ def _create_config(word: int, capacity: int, override: ConfigOverride | None) ->
     ):
         return override.config()
     return MapConfig(capacity, lf, spread)
-
-
-def setup(trace: ProcessedTrace, memory_budget: int | None = None) -> ReplaySession:
-    """Build a ReplaySession: mockup keys and slot arrays, no maps yet."""
-    return ReplaySession(trace, memory_budget)
-
-
-def replay(
-    session: ReplaySession,
-    factory: type,
-    mode: str = "timing",
-    override: ConfigOverride | None = None,
-) -> ReplayResult:
-    """Interpret the session's opcode stream against one adapter class."""
-    return session.replay(factory, mode, override)
 
 
 #: Named adapter implementations selectable from the command line.

@@ -372,7 +372,12 @@ def run_direct(spec: WorkloadSpec) -> list[int]:
     return [m.state_digest() for m in env.maps]
 
 
-def pipeline(spec: WorkloadSpec, variants, config=None):
+def pipeline(
+    spec: WorkloadSpec,
+    variants,
+    config=None,
+    lf_milli: int = DEFAULT_CONFIG.load_factor_milli,
+):
     """generate -> post-process -> validate against RefMap -> bench."""
     from .bench import BenchConfig, run_bench
     from .postproc import process
@@ -384,4 +389,6 @@ def pipeline(spec: WorkloadSpec, variants, config=None):
         session.replay(RefMap, mode="validating")
     except FidelityError as exc:
         raise FidelityError(f"pipeline validation failed: {exc}") from exc
-    return run_bench(trace, variants, config or BenchConfig(), label=spec.name)
+    return run_bench(
+        trace, variants, config or BenchConfig(), label=spec.name, lf_milli=lf_milli
+    )

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from mapreplay.postproc import process
+from mapreplay.postproc import Characterization, ProcessedTrace, process, stats
 from mapreplay.workloads import WorkloadSpec, generate
 
 SMALL_SPECS = {
@@ -21,3 +22,22 @@ def small_traces():
         raw = generate(spec)
         out[name] = (spec, raw, process(raw))
     return out
+
+
+@pytest.fixture
+def trace_of_words():
+    """Build a trace from a hand-written opcode stream, bypassing post-processing."""
+
+    def build(words, n_keys=0, map_slots=1, iter_slots=0):
+        trace = ProcessedTrace(
+            key_hashes=np.arange(n_keys, dtype=np.int32),
+            max_map_slots=map_slots,
+            max_iter_slots=iter_slots,
+            ops=np.asarray(words, dtype=np.int32),
+            encoded_size=0,
+            counts=Characterization(),
+        )
+        trace.counts = stats(trace)
+        return trace
+
+    return build

@@ -3,6 +3,8 @@
 import pytest
 
 from mapreplay.cli import main
+from mapreplay.postproc import write_processed
+from mapreplay.tracer import RawOpKind
 
 
 def run(capsys, *argv):
@@ -86,6 +88,17 @@ def test_error_paths_are_stage_named(tmp_path, capsys):
     code, _, err = run(capsys, "replay", str(bad))
     assert code == 2
     assert "mapreplay replay:" in err
+
+
+def test_replay_bad_key_index_is_a_trace_error(tmp_path, capsys, trace_of_words):
+    create = int(RawOpKind.CREATE) | (750 << 9) | (1 << 19)
+    bad = tmp_path / "bad-key.mpt"
+    write_processed(trace_of_words([create, 0, 16, int(RawOpKind.GET), 0, 5], n_keys=1), bad)
+    for mode in ("timing", "counting", "validating"):
+        code, _, err = run(capsys, "replay", str(bad), "--mode", mode)
+        assert code == 2
+        assert "mapreplay replay:" in err
+        assert "op 1: key index 5" in err
 
 
 def test_unknown_workload_rejected_by_parser(capsys):

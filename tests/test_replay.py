@@ -1,10 +1,9 @@
 """Replay semantics: mockup keys, setup preallocation, modes, overrides."""
 
-import numpy as np
 import pytest
 
 from mapreplay.errors import ConfigError, FidelityError, TraceIntegrityError
-from mapreplay.postproc import Characterization, ProcessedTrace, process, stats
+from mapreplay.postproc import process
 from mapreplay.refmap import DEFAULT_CONFIG, MapConfig, PyDictMap, RefMap
 from mapreplay.replay import (
     MockupKey,
@@ -12,8 +11,6 @@ from mapreplay.replay import (
     VALUE_TOKEN,
     get_implementation,
     override_config,
-    replay,
-    setup,
 )
 from mapreplay.tracer import RawOpKind, TraceSession
 from mapreplay.workloads import IntKey, WorkloadSpec, generate, run_direct
@@ -53,14 +50,14 @@ def test_mockup_key_equality_is_index_identity():
 
 def test_setup_preallocates_all_mockup_keys():
     trace = _insert_only_trace(49)
-    session = setup(trace)
+    session = ReplaySession(trace)
     assert len(session.keys) == len(trace.key_hashes) == 49
     assert [k.hash32() for k in session.keys] == list(trace.key_hashes)
 
 
 def test_setup_empty_trace():
     trace = _trace_of(lambda s: None)
-    session = setup(trace)
+    session = ReplaySession(trace)
     assert session.keys == []
     result = session.replay(RefMap)
     assert result.ops_executed == 0
@@ -70,7 +67,7 @@ def test_setup_empty_trace():
 def test_setup_slot_arrays_match_header():
     trace = _insert_only_trace(5)
     assert trace.max_map_slots == 1
-    session = setup(trace)
+    session = ReplaySession(trace)
     result = session.replay(RefMap, mode="validating")
     assert result.ops_executed == trace.op_count
 
@@ -78,7 +75,7 @@ def test_setup_slot_arrays_match_header():
 def test_setup_memory_budget_refusal_names_sizes():
     trace = _insert_only_trace(10)
     with pytest.raises(ConfigError) as err:
-        setup(trace, memory_budget=3)
+        ReplaySession(trace, memory_budget=3)
     msg = str(err.value)
     assert "10 mockup keys" in msg
     assert "budget of 3" in msg
@@ -317,26 +314,41 @@ def test_fidelity_error_cites_op_index():
     assert "op" in str(err.value)
 
 
-def test_use_after_free_raises_integrity_error():
-    # Hand-build an opcode stream: create, free, then use the freed slot.
-    words = [
-        int(RawOpKind.CREATE) | (750 << 9) | (1 << 19), 0, 16,
-        int(RawOpKind.FREE_MAP), 0, 0,
-        int(RawOpKind.CLEAR), 0, 0,
+_CREATE = [int(RawOpKind.CREATE) | (750 << 9) | (1 << 19), 0, 16]
+
+
+def test_use_after_free_raises_integrity_error(trace_of_words):
+    free_map, free_iter = int(RawOpKind.FREE_MAP), int(RawOpKind.FREE_ITER)
+    streams = [  # (opcode stream, iterator slots, index of the faulty op)
+        (_CREATE + [free_map, 0, 0, int(RawOpKind.CLEAR), 0, 0], 0, 2),
+        (_CREATE + [free_map, 0, 0, free_map, 0, 0], 0, 2),
+        (_CREATE + [int(RawOpKind.ITER_NEW), 0, 0, free_iter, 0, 0, free_iter, 0, 0], 1, 3),
     ]
-    trace = ProcessedTrace(
-        key_hashes=np.asarray([], dtype=np.int32),
-        max_map_slots=1,
-        max_iter_slots=0,
-        ops=np.asarray(words, dtype=np.int32),
-        encoded_size=0,
-        counts=Characterization(),
-    )
-    trace.counts = stats(trace)
-    for mode in ("timing", "validating"):
-        with pytest.raises(TraceIntegrityError) as err:
-            ReplaySession(trace).replay(RefMap, mode=mode)
-        assert "op 2" in str(err.value)
+    for words, iter_slots, bad_op in streams:
+        trace = trace_of_words(words, iter_slots=iter_slots)
+        for mode in ("timing", "counting", "validating"):
+            with pytest.raises(TraceIntegrityError) as err:
+                ReplaySession(trace).replay(RefMap, mode=mode)
+            assert f"op {bad_op}:" in str(err.value)
+
+
+@pytest.mark.parametrize("mode", ["timing", "counting", "validating"])
+def test_bad_key_index_raises_integrity_error(mode, trace_of_words):
+    trace = trace_of_words(_CREATE + [int(RawOpKind.GET), 0, 5], n_keys=1)
+    with pytest.raises(TraceIntegrityError) as err:
+        ReplaySession(trace).replay(RefMap, mode=mode)
+    assert "op 1: key index 5" in str(err.value)
+
+
+@pytest.mark.parametrize("mode", ["timing", "counting", "validating"])
+def test_adapter_fault_is_not_reported_as_trace_fault(mode, trace_of_words):
+    class Broken(RefMap):
+        def get(self, key):
+            raise AttributeError("adapter bug")
+
+    trace = trace_of_words(_CREATE + [int(RawOpKind.GET), 0, 0], n_keys=1)
+    with pytest.raises(AttributeError, match="adapter bug"):
+        ReplaySession(trace).replay(Broken, mode=mode)
 
 
 def test_value_token_is_shared_constant():
@@ -362,11 +374,3 @@ def test_get_implementation_registry():
     with pytest.raises(ConfigError) as err:
         get_implementation("treemap")
     assert "refmap" in str(err.value)
-
-
-def test_module_level_replay_wrapper():
-    trace = _insert_only_trace(4)
-    session = setup(trace)
-    result = replay(session, RefMap, mode="counting")
-    assert result.counters is not None
-    assert result.ops_executed == trace.op_count
