@@ -19,6 +19,7 @@ from mapreplay import (
     sanitize,
     stats,
 )
+from mapreplay.postproc import to_bytes
 from mapreplay.workloads import IntKey
 
 print("=== recording ===")
@@ -46,7 +47,7 @@ trace = encode(insert_free_events(merged))
 c = stats(trace)
 print(f"opcodes: {c.events}  (creates {c.creates}, reads {c.reads}, "
       f"writes {c.writes}, iterates {c.iterates})")
-print(f"encoded size: {c.bytes} bytes, "
+print(f"encoded size: {len(to_bytes(trace))} bytes, "
       f"{trace.max_map_slots} map slot(s), {trace.max_iter_slots} iterator slot(s)")
 print(f"distinct keys carried over: {len(trace.key_hashes)} "
       "(hash codes only; keys and values never leave the application)")

@@ -8,9 +8,9 @@ then measures the wall-clock consequence for whole traces.
 
 from mapreplay import (
     BenchConfig,
+    ConfigOverride,
     RefMap,
     ReplaySession,
-    override_config,
     process,
     run_bench,
 )
@@ -25,7 +25,7 @@ for name, params in (("wordfreq", {}), ("scan", {"maps": 300})):
     print(f"\n{name}: {trace.op_count} opcodes")
     print(f"{'DIC':>6} {'resizes':>9} {'probes':>10} {'buckets_scanned':>16}")
     for dic in DICS:
-        c = session.replay(RefMap, "counting", override_config(dic)).counters
+        c = session.replay(RefMap, "counting", ConfigOverride(dic)).counters
         print(f"{dic:>6} {c.resizes:>9} {c.collision_probes:>10} {c.buckets_scanned:>16}")
 
 print(

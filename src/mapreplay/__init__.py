@@ -62,7 +62,6 @@ from .replay import (
     ReplaySession,
     VALUE_TOKEN,
     get_implementation,
-    override_config,
 )
 from .tracer import (
     KeyRegistry,

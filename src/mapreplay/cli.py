@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .bench import (
     BenchConfig,
@@ -13,7 +14,7 @@ from .bench import (
     run_bench,
 )
 from .errors import MapReplayError
-from .postproc import process, read_processed, stats, write_processed
+from .postproc import decode, process, read_processed, stats, write_processed
 from .replay import MODES, ConfigOverride, ReplaySession, get_implementation
 from .tracer import read_raw_trace
 from .workloads import WORKLOADS, WorkloadSpec, generate, pipeline
@@ -57,20 +58,20 @@ def _cmd_trace(args) -> int:
 
 def _cmd_process(args) -> int:
     trace = process(read_raw_trace(args.raw))
-    write_processed(trace, args.output)
-    c = trace.counts
+    size = write_processed(trace, args.output)
+    c = stats(trace)
     print(f"events={c.events} creates={c.creates} reads={c.reads} writes={c.writes} "
-          f"iterates={c.iterates} bytes={c.bytes} file={args.output}")
+          f"iterates={c.iterates} bytes={size} file={args.output}")
     return 0
 
 
 def _cmd_stats(args) -> int:
-    trace = read_processed(args.processed)
-    c = stats(trace)
+    data = Path(args.processed).read_bytes()
+    c = stats(decode(data))
     print(f"{'#Event':>12} {'#Create':>10} {'#Read':>10} {'#Write':>10} "
           f"{'#Iterate':>10} {'Size':>8} {'Class':>10}")
     print(f"{c.events:>12} {c.creates:>10} {c.reads:>10} {c.writes:>10} "
-          f"{c.iterates:>10} {_human_size(c.bytes):>8} {classify(c):>10}")
+          f"{c.iterates:>10} {_human_size(len(data)):>8} {classify(c):>10}")
     return 0
 
 

@@ -20,6 +20,10 @@ assignment in `encode`, which visits only create and free rows. Passes
 never modify their input: each returns a new RawTrace, or the input's
 records unchanged when there is nothing to do.
 
+A ProcessedTrace is the payload below and nothing else: its size is the
+size of the file it is written to or read from, and `stats()` tallies its
+op mix on demand.
+
 Processed trace file format: magic "MPT1", u32 version=1, then a single
 zlib/DEFLATE stream compressing the payload:
 
@@ -98,20 +102,9 @@ class Characterization:
     reads: int = 0
     writes: int = 0
     iterates: int = 0
-    bytes: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "events": self.events,
-            "creates": self.creates,
-            "reads": self.reads,
-            "writes": self.writes,
-            "iterates": self.iterates,
-            "bytes": self.bytes,
-        }
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class ProcessedTrace:
     """The replayable artifact: dense key hashes, slot bounds, opcode triples."""
 
@@ -119,8 +112,6 @@ class ProcessedTrace:
     max_map_slots: int
     max_iter_slots: int
     ops: np.ndarray  # int32, flat (word, op1, op2) triples
-    encoded_size: int
-    counts: Characterization
 
     @property
     def op_count(self) -> int:
@@ -139,7 +130,6 @@ class ProcessedTrace:
             and self.max_iter_slots == other.max_iter_slots
             and np.array_equal(self.key_hashes, other.key_hashes)
             and np.array_equal(self.ops, other.ops)
-            and self.counts == other.counts
         )
 
 
@@ -507,17 +497,12 @@ def encode(raw: RawTrace) -> ProcessedTrace:
     _check_i32(aux[advances], "advance step count")
     triples[advances, 2] = aux[advances]
 
-    trace = ProcessedTrace(
+    return ProcessedTrace(
         key_hashes=key_hashes.astype(np.int32),
         max_map_slots=max_map_slots,
         max_iter_slots=max_iter_slots,
         ops=triples.ravel(),
-        encoded_size=0,
-        counts=Characterization(),
     )
-    trace.encoded_size = len(to_bytes(trace))
-    trace.counts = stats(trace)
-    return trace
 
 
 def _check_i32(values: np.ndarray, what: str) -> None:
@@ -553,7 +538,6 @@ def stats(trace: ProcessedTrace) -> Characterization:
         reads=n(RawOpKind.GET, RawOpKind.CONTAINS_KEY),
         writes=n(RawOpKind.PUT, RawOpKind.REMOVE, RawOpKind.CLEAR),
         iterates=n(RawOpKind.ITER_NEW, RawOpKind.ITER_ADVANCE, RawOpKind.ITER_REMOVE),
-        bytes=trace.encoded_size,
     )
 
 
@@ -605,8 +589,15 @@ def decode(data: bytes) -> ProcessedTrace:
     key_hashes = np.frombuffer(
         payload, dtype="<i4", count=key_count, offset=need(4 * key_count, "key hashes")
     ).astype(np.int32)
-    map_slots, iter_slots = struct.unpack_from("<II", payload, need(8, "slot bounds"))
+    bounds = need(8, "slot bounds")
+    map_slots, iter_slots = struct.unpack_from("<II", payload, bounds)
     (op_count,) = struct.unpack_from("<Q", payload, need(8, "op count"))
+    # Each slot's first occupant is created by an op of its own.
+    if map_slots + iter_slots > op_count:
+        raise TraceFormatError(
+            f"{map_slots} map and {iter_slots} iterator slots exceed {op_count} ops",
+            offset=bounds,
+        )
     ops = np.frombuffer(
         payload, dtype="<i4", count=op_count * 3, offset=need(12 * op_count, "op triples")
     ).astype(np.int32)
@@ -615,20 +606,14 @@ def decode(data: bytes) -> ProcessedTrace:
             f"{len(payload) - pos} trailing bytes after op triples", offset=pos
         )
 
-    trace = ProcessedTrace(
-        key_hashes=key_hashes,
-        max_map_slots=map_slots,
-        max_iter_slots=iter_slots,
-        ops=ops,
-        encoded_size=len(data),
-        counts=Characterization(),
+    return ProcessedTrace(
+        key_hashes=key_hashes, max_map_slots=map_slots, max_iter_slots=iter_slots, ops=ops
     )
-    trace.counts = stats(trace)
-    return trace
 
 
-def write_processed(trace: ProcessedTrace, path: str | Path) -> None:
-    Path(path).write_bytes(to_bytes(trace))
+def write_processed(trace: ProcessedTrace, path: str | Path) -> int:
+    """Write the MPT1 file; returns its size in bytes."""
+    return Path(path).write_bytes(to_bytes(trace))
 
 
 def read_processed(path: str | Path) -> ProcessedTrace:

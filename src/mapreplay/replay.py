@@ -14,10 +14,12 @@ table and in the hook its FreeMap handler calls:
                 each outcome bit against the recorded one; the FreeMap hook
                 captures the map's state digest
 
-The loop checks nothing per op. A slot used after free or an operand out
-of range surfaces as the AttributeError or IndexError it causes, and is
-reported as a TraceIntegrityError naming the op index; FreeMap, FreeIter
-and the CreateCopy source check for a freed slot themselves.
+The loop checks nothing per op. Setup rejects a negative word or operand
+once for the whole stream, since Python would wrap a negative index. A
+slot used after free or an operand out of range surfaces as the
+AttributeError or IndexError it causes, and is reported as a
+TraceIntegrityError naming the op index; FreeMap, FreeIter and the
+CreateCopy source check for a freed slot themselves.
 
 Put always stores the one shared VALUE_TOKEN; recorded traces carry no
 value information. Copy construction uses the run's default configuration
@@ -36,6 +38,7 @@ from .postproc import (
     LF_MASK,
     LF_SHIFT,
     OP_KIND_MASK,
+    OUTCOME_BIT,
     SPREAD_BIT,
     VIEW_MASK,
     VIEW_SHIFT,
@@ -93,20 +96,18 @@ class MockupKey:
 
 @dataclass(frozen=True, slots=True)
 class ConfigOverride:
-    """Replay-time substitute for creates that recorded the default config."""
+    """Replay-time substitute for creates that recorded the default config.
+
+    Creates recorded with the default (capacity, load factor, spreading) are
+    constructed with (dic, lf_milli) instead; creates with explicit
+    non-default arguments keep their recorded configuration.
+    """
 
     dic: int
     lf_milli: int = DEFAULT_CONFIG.load_factor_milli
 
     def config(self) -> MapConfig:
         return MapConfig(self.dic, self.lf_milli, DEFAULT_CONFIG.spread_hashes)
-
-
-def override_config(dic: int, lf_milli: int = DEFAULT_CONFIG.load_factor_milli) -> ConfigOverride:
-    """Rule: creates recorded with the default (capacity, load factor,
-    spreading) are constructed with (dic, lf_milli) instead; creates with
-    explicit non-default arguments keep their recorded configuration."""
-    return ConfigOverride(dic, lf_milli)
 
 
 @dataclass(slots=True)
@@ -130,6 +131,11 @@ class ReplaySession:
                 f"{trace.max_map_slots} map slots and {trace.max_iter_slots} iterator "
                 f"slots ({required} objects), above the budget of {memory_budget}"
             )
+        # Valid words and operands are never negative; a negative index
+        # would wrap around the slot and key lists instead of failing.
+        if trace.ops.size and trace.ops.min() < 0:
+            i = int(np.argmax(trace.ops < 0))
+            raise TraceIntegrityError(f"op {i // 3}: negative word or operand {trace.ops[i]}")
         self.trace = trace
         self.keys = [
             MockupKey(i, int(h)) for i, h in enumerate(trace.key_hashes)
@@ -305,7 +311,7 @@ class ReplaySession:
 
 
 def _check(what: str, hit: bool, w: int) -> None:
-    recorded = (w >> 8) & 1
+    recorded = bool(w & OUTCOME_BIT)
     if hit != recorded:
         raise FidelityError(
             f"{what}: replay produced {'hit' if hit else 'miss'} but the "

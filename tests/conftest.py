@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mapreplay.postproc import Characterization, ProcessedTrace, process, stats
+from mapreplay.postproc import ProcessedTrace, process
 from mapreplay.workloads import WorkloadSpec, generate
 
 SMALL_SPECS = {
@@ -29,15 +29,11 @@ def trace_of_words():
     """Build a trace from a hand-written opcode stream, bypassing post-processing."""
 
     def build(words, n_keys=0, map_slots=1, iter_slots=0):
-        trace = ProcessedTrace(
+        return ProcessedTrace(
             key_hashes=np.arange(n_keys, dtype=np.int32),
             max_map_slots=map_slots,
             max_iter_slots=iter_slots,
             ops=np.asarray(words, dtype=np.int32),
-            encoded_size=0,
-            counts=Characterization(),
         )
-        trace.counts = stats(trace)
-        return trace
 
     return build

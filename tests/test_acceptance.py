@@ -26,7 +26,7 @@ from mapreplay.postproc import (
     to_bytes,
 )
 from mapreplay.refmap import RefMap, threshold
-from mapreplay.replay import ReplaySession, override_config
+from mapreplay.replay import ConfigOverride, ReplaySession
 from mapreplay.tracer import RawEvent, RawOpKind, RawTrace, TraceSession
 from mapreplay.workloads import IntKey, WorkloadSpec, generate, run_direct
 
@@ -111,7 +111,7 @@ def test_resize_schedule():
 
     totals = {
         dic: replay_session.replay(
-            RefMap, mode="counting", override=override_config(dic)
+            RefMap, mode="counting", override=ConfigOverride(dic)
         ).counters.resizes
         for dic in (16, 32, 64, 128)
     }
@@ -207,8 +207,8 @@ def test_directional_trends(default_traces):
 
     _, _, wordfreq = default_traces["wordfreq"]
     session = ReplaySession(wordfreq)
-    c16 = session.replay(RefMap, "counting", override_config(16)).counters
-    c64 = session.replay(RefMap, "counting", override_config(64)).counters
+    c16 = session.replay(RefMap, "counting", ConfigOverride(16)).counters
+    c64 = session.replay(RefMap, "counting", ConfigOverride(64)).counters
     gate.check("wordfreq resizes non-increasing 16 -> 64", c64.resizes <= c16.resizes)
     gate.check(
         "wordfreq collision probes non-increasing 16 -> 64",
@@ -217,8 +217,8 @@ def test_directional_trends(default_traces):
 
     _, _, scan = default_traces["scan"]
     session = ReplaySession(scan)
-    s16 = session.replay(RefMap, "counting", override_config(16)).counters
-    s128 = session.replay(RefMap, "counting", override_config(128)).counters
+    s16 = session.replay(RefMap, "counting", ConfigOverride(16)).counters
+    s128 = session.replay(RefMap, "counting", ConfigOverride(128)).counters
     gate.check(
         "scan buckets scanned strictly increasing 16 -> 128",
         s128.buckets_scanned > s16.buckets_scanned,

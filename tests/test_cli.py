@@ -2,7 +2,7 @@
 
 import pytest
 
-from mapreplay.cli import main
+from mapreplay.cli import _human_size, main
 from mapreplay.postproc import write_processed
 from mapreplay.tracer import RawOpKind
 
@@ -41,6 +41,22 @@ def test_trace_process_stats_replay(tmp_path, capsys):
                        "--report", str(report))
     assert code == 0
     assert "digests=" in report.read_text()
+
+
+def test_process_and_stats_report_the_file_size(tmp_path, capsys):
+    raw = tmp_path / "t.mrt"
+    mpt = tmp_path / "t.mpt"
+    run(capsys, "trace", "churn", "-o", str(raw), "--seed", "5", "--param", "maps=2")
+
+    code, out, _ = run(capsys, "process", str(raw), "-o", str(mpt))
+    assert code == 0
+    fields = dict(f.split("=", 1) for f in out.split())
+    assert int(fields["bytes"]) == mpt.stat().st_size
+
+    code, out, _ = run(capsys, "stats", str(mpt))
+    assert code == 0
+    header, row = out.splitlines()
+    assert row.split()[header.split().index("Size")] == _human_size(mpt.stat().st_size)
 
 
 def test_bench_and_compare(tmp_path, capsys):

@@ -1,10 +1,12 @@
 """Post-processing: sanitization, coalescing, free placement, encoding, stats."""
 
+import struct
 import zlib
 
 import numpy as np
 import pytest
 
+from mapreplay import postproc
 from mapreplay.errors import TraceFormatError, TraceIntegrityError
 from mapreplay.postproc import (
     MAGIC,
@@ -362,7 +364,7 @@ def test_encode_empty_trace():
     trace = encode(RawTrace([]))
     assert trace.op_count == 0
     assert len(trace.key_hashes) == 0
-    assert trace.counts == Characterization(bytes=trace.encoded_size)
+    assert stats(trace) == Characterization()
     again = decode(to_bytes(trace))
     assert again == trace
 
@@ -397,8 +399,25 @@ def test_round_trip_on_workloads(small_traces):
 def test_round_trip_file(tmp_path, small_traces):
     _, _, trace = small_traces["random"]
     path = tmp_path / "t.mpt"
-    write_processed(trace, path)
+    assert write_processed(trace, path) == path.stat().st_size
     assert read_processed(path) == trace
+
+
+def test_process_and_write_compress_once(tmp_path, small_traces, monkeypatch):
+    compressors = []
+
+    class CountingZlib:
+        def __getattr__(self, name):
+            return getattr(zlib, name)
+
+        def compressobj(self, *args, **kwargs):
+            compressors.append(args)
+            return zlib.compressobj(*args, **kwargs)
+
+    monkeypatch.setattr(postproc, "zlib", CountingZlib())
+    _, raw, _ = small_traces["random"]
+    write_processed(process(raw), tmp_path / "t.mpt")
+    assert len(compressors) == 1
 
 
 def test_disjoint_lifetimes_share_slot_zero():
@@ -460,6 +479,16 @@ def test_decode_truncated_payload_names_offset(small_traces):
     assert err.value.offset is not None
 
 
+def test_decode_rejects_more_slots_than_ops():
+    # Each slot's first occupant needs its own create or IterNew op, so a
+    # header claiming 2^32-1 map slots over no ops is rejected before any
+    # replay could allocate them.
+    payload = struct.pack("<IIIQ", 0, 0xFFFFFFFF, 0, 0)
+    with pytest.raises(TraceFormatError) as err:
+        decode(MAGIC + (1).to_bytes(4, "little") + zlib.compress(payload))
+    assert err.value.offset == 4  # the slot bounds follow the 4-byte key count
+
+
 def test_decode_trailing_bytes_rejected(small_traces):
     _, _, trace = small_traces["random"]
     payload = zlib.decompress(to_bytes(trace)[8:])
@@ -484,7 +513,7 @@ def test_stats_creates_puts_frees():
             m.put(IntKey(i), i)
 
     trace = process(_session_trace(build))
-    c = trace.counts
+    c = stats(trace)
     assert c.events == 30  # 10 creates + 10 puts + 10 frees
     assert c.creates == 10
     assert c.writes == 10
@@ -510,7 +539,6 @@ def test_stats_matches_direct_tally(small_traces):
             tally["creates"], tally["reads"], tally["writes"], tally["iterates"]
         ), name
         assert c.creates + c.reads + c.writes + c.iterates <= c.events
-        assert c.bytes == trace.encoded_size
 
 
 # -- post-processing preserves map-state evolution ----------------------------------------

@@ -3,14 +3,14 @@
 import pytest
 
 from mapreplay.errors import ConfigError, FidelityError, TraceIntegrityError
-from mapreplay.postproc import process
+from mapreplay.postproc import process, stats
 from mapreplay.refmap import DEFAULT_CONFIG, MapConfig, PyDictMap, RefMap
 from mapreplay.replay import (
+    ConfigOverride,
     MockupKey,
     ReplaySession,
     VALUE_TOKEN,
     get_implementation,
-    override_config,
 )
 from mapreplay.tracer import RawOpKind, TraceSession
 from mapreplay.workloads import IntKey, WorkloadSpec, generate, run_direct
@@ -142,7 +142,7 @@ def test_counting_resizes_for_49_inserts():
     session = ReplaySession(trace)
     totals = {}
     for dic in (16, 32, 64, 128):
-        result = session.replay(RefMap, mode="counting", override=override_config(dic))
+        result = session.replay(RefMap, mode="counting", override=ConfigOverride(dic))
         totals[dic] = result.counters.resizes
     assert totals == {16: 3, 32: 2, 64: 1, 128: 0}
 
@@ -161,7 +161,7 @@ def test_replay_deterministic(small_traces):
 def test_monomorphism_factory_call_accounting(small_traces):
     for name, (_, _, trace) in small_traces.items():
         result = ReplaySession(trace).replay(RefMap, mode="validating")
-        assert result.factory_calls == trace.counts.creates, name
+        assert result.factory_calls == stats(trace).creates, name
 
 
 class CountingRefMap(RefMap):
@@ -243,7 +243,7 @@ def _create_configs_seen(trace, override=None):
 
 def test_override_applies_to_default_creates():
     trace = _insert_only_trace(1)
-    (cfg,) = _create_configs_seen(trace, override_config(64))
+    (cfg,) = _create_configs_seen(trace, ConfigOverride(64))
     assert cfg.initial_capacity == 64
     assert cfg.load_factor_milli == 750
 
@@ -254,7 +254,7 @@ def test_override_preserves_explicit_configs():
         m.put(IntKey(1), 1)
 
     trace = _trace_of(build)
-    (cfg,) = _create_configs_seen(trace, override_config(64))
+    (cfg,) = _create_configs_seen(trace, ConfigOverride(64))
     assert cfg.initial_capacity == 100
 
 
@@ -265,13 +265,13 @@ def test_override_equal_to_default_is_identity():
     session = ReplaySession(trace)
     base = session.replay(RefMap, mode="validating")
     same = session.replay(
-        RefMap, mode="validating", override=override_config(16, 750)
+        RefMap, mode="validating", override=ConfigOverride(16, 750)
     )
     assert base.digests == same.digests
 
 
 def test_override_rule_fields():
-    rule = override_config(64)
+    rule = ConfigOverride(64)
     assert (rule.dic, rule.lf_milli) == (64, 750)
     assert rule.config() == MapConfig(64, 750, True)
 
@@ -319,13 +319,15 @@ _CREATE = [int(RawOpKind.CREATE) | (750 << 9) | (1 << 19), 0, 16]
 
 def test_use_after_free_raises_integrity_error(trace_of_words):
     free_map, free_iter = int(RawOpKind.FREE_MAP), int(RawOpKind.FREE_ITER)
+    put = int(RawOpKind.PUT)
     streams = [  # (opcode stream, iterator slots, index of the faulty op)
         (_CREATE + [free_map, 0, 0, int(RawOpKind.CLEAR), 0, 0], 0, 2),
         (_CREATE + [free_map, 0, 0, free_map, 0, 0], 0, 2),
         (_CREATE + [int(RawOpKind.ITER_NEW), 0, 0, free_iter, 0, 0, free_iter, 0, 0], 1, 3),
+        (_CREATE + [put, 0, -1, put, -1, 0], 0, 1),  # negative indexes would wrap
     ]
     for words, iter_slots, bad_op in streams:
-        trace = trace_of_words(words, iter_slots=iter_slots)
+        trace = trace_of_words(words, n_keys=1, iter_slots=iter_slots)
         for mode in ("timing", "counting", "validating"):
             with pytest.raises(TraceIntegrityError) as err:
                 ReplaySession(trace).replay(RefMap, mode=mode)

@@ -10,7 +10,7 @@ from mapreplay.bench import BenchConfig
 from mapreplay.errors import ConfigError, FidelityError
 from mapreplay.postproc import process, sanitize, stats
 from mapreplay.refmap import RefMap
-from mapreplay.replay import ReplaySession, override_config
+from mapreplay.replay import ConfigOverride, ReplaySession
 from mapreplay.tracer import RawOpKind, raw_trace_to_bytes
 from mapreplay.workloads import (
     WORKLOADS,
@@ -127,7 +127,7 @@ def test_churn_resizes_fall_as_dic_grows():
     trace = process(generate(spec))
     session = ReplaySession(trace)
     resizes = [
-        session.replay(RefMap, "counting", override_config(dic)).counters.resizes
+        session.replay(RefMap, "counting", ConfigOverride(dic)).counters.resizes
         for dic in (16, 32, 64, 128)
     ]
     assert resizes == sorted(resizes, reverse=True)
@@ -138,8 +138,8 @@ def test_trend_insert_heavy_probes_and_resizes():
     spec = WorkloadSpec("wordfreq", seed=1)
     trace = process(generate(spec))
     session = ReplaySession(trace)
-    c16 = session.replay(RefMap, "counting", override_config(16)).counters
-    c64 = session.replay(RefMap, "counting", override_config(64)).counters
+    c16 = session.replay(RefMap, "counting", ConfigOverride(16)).counters
+    c64 = session.replay(RefMap, "counting", ConfigOverride(64)).counters
     assert c64.resizes <= c16.resizes
     assert c64.collision_probes <= c16.collision_probes
 
@@ -148,8 +148,8 @@ def test_trend_iterate_heavy_bucket_scans():
     spec = WorkloadSpec("scan", seed=1, params={"maps": 50})
     trace = process(generate(spec))
     session = ReplaySession(trace)
-    s16 = session.replay(RefMap, "counting", override_config(16)).counters
-    s128 = session.replay(RefMap, "counting", override_config(128)).counters
+    s16 = session.replay(RefMap, "counting", ConfigOverride(16)).counters
+    s128 = session.replay(RefMap, "counting", ConfigOverride(128)).counters
     assert s128.buckets_scanned > s16.buckets_scanned
 
 
