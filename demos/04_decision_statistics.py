@@ -23,7 +23,7 @@ rng = np.random.default_rng(7)
 fast = rng.normal(loc=2007, scale=30, size=25)
 slow = rng.normal(loc=2051, scale=30, size=25)
 lo, hi = bootstrap_ci_mean(fast, level=0.99, seed=1)
-print(f"variant mean {np.mean(fast):.0f} ms/op, 99% CI [{lo:.1f}, {hi:.1f}], "
+print(f"variant mean {np.mean(fast):.0f} ms/replay, 99% CI [{lo:.1f}, {hi:.1f}], "
       f"reported as {np.mean(fast):.0f}±{(hi - lo) / 2:.1f}")
 dlo, dhi = bootstrap_ci_diff(slow, fast, level=0.99, seed=2)
 print(f"difference of means CI [{dlo:.1f}, {dhi:.1f}] -> "

@@ -19,7 +19,6 @@ analysis.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -190,7 +189,7 @@ class BenchReport:
     def render(self) -> str:
         lines = [
             f"trace: {self.label}    baseline: {self.baseline.label}",
-            f"{'variant':<22} {'ms/op':>18} {'speedup':>9} {'significant':>12}",
+            f"{'variant':<22} {'ms/replay':>18} {'speedup':>9} {'significant':>12}",
         ]
         for i, v in enumerate(self.variants):
             if v.excluded:
@@ -401,6 +400,8 @@ def _collect_all_samples(
                 session, factory, override = sessions[idx]
                 samples[idx].extend(_one_run(session, factory, override, config))
         return samples
+
+    import multiprocessing  # only spawning needs it: ~0.75 MB RSS on import
 
     ctx = multiprocessing.get_context("spawn")
     data = to_bytes(trace)

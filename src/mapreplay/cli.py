@@ -37,7 +37,10 @@ def _parse_params(pairs: list[str]) -> dict[str, int]:
         key, _, value = pair.partition("=")
         if not key or not value:
             raise MapReplayError(f"bad --param {pair!r}; expected name=value")
-        params[key] = int(value)
+        try:
+            params[key] = int(value)
+        except ValueError:
+            raise MapReplayError(f"bad --param {pair!r}; value must be an integer") from None
     return params
 
 

@@ -15,7 +15,9 @@ table and in the hook its FreeMap handler calls:
                 captures the map's state digest
 
 The loop checks nothing per op. Setup rejects a negative word or operand
-once for the whole stream, since Python would wrap a negative index. A
+once for the whole stream, since Python would wrap a negative index, and
+a yielding iterator advance longer than the key table, which no map can
+hold and which would otherwise spin for up to 2^31 steps. A
 slot used after free or an operand out of range surfaces as the
 AttributeError or IndexError it causes, and is reported as a
 TraceIntegrityError naming the op index; FreeMap, FreeIter and the
@@ -136,6 +138,19 @@ class ReplaySession:
         if trace.ops.size and trace.ops.min() < 0:
             i = int(np.argmax(trace.ops < 0))
             raise TraceIntegrityError(f"op {i // 3}: negative word or operand {trace.ops[i]}")
+        # A yielding advance run visits distinct entries of one unmutated
+        # map, so its count never exceeds the key count. Only the few ops
+        # whose second operand does are looked at further.
+        n_keys = len(trace.key_hashes)
+        over = np.flatnonzero(trace.ops[2::3] > n_keys)
+        flags = trace.ops[3 * over] & (OP_KIND_MASK | OUTCOME_BIT)
+        too_long = over[flags == _OP.ITER_ADVANCE | OUTCOME_BIT]
+        if too_long.size:
+            i = too_long[0]
+            raise TraceIntegrityError(
+                f"op {i}: iterator advance yields {trace.ops[3 * i + 2]} entries but the "
+                f"trace has {n_keys} keys"
+            )
         self.trace = trace
         self.keys = [
             MockupKey(i, int(h)) for i, h in enumerate(trace.key_hashes)

@@ -23,10 +23,9 @@ import random
 import threading
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from .errors import ConfigError, FidelityError
 from .refmap import DEFAULT_CONFIG, MapConfig, RefMap, View, to_signed32
@@ -93,11 +92,15 @@ class IntKey:
         return f"IntKey({self.ident}, hash={self._h32})"
 
 
-@lru_cache(maxsize=1)
-def corpus_tokens() -> tuple[str, ...]:
-    """The embedded ~50k-token text corpus (Zipf-distributed vocabulary)."""
-    text = resources.files("mapreplay").joinpath("data/corpus.txt").read_text()
-    return tuple(text.split())
+def corpus_tokens() -> Iterator[str]:
+    """Yield the embedded ~50k-token text corpus (Zipf-distributed vocabulary).
+
+    Each call reads the file afresh and tokenises it line by line: no token
+    list outlives a pass, and nothing stays cached between workload runs.
+    """
+    with resources.files("mapreplay").joinpath("data/corpus.txt").open() as fh:
+        for line in fh:
+            yield from line.split()
 
 
 @dataclass(slots=True)

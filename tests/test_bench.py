@@ -338,6 +338,7 @@ def test_report_render_layout():
     trace = tiny_trace()
     report = run_bench(trace, [("refmap", 16), ("refmap", 64)], FAST, label="layout")
     text = report.render()
+    assert text.splitlines()[1].split()[:2] == ["variant", "ms/replay"]
     assert "baseline" in text
     assert "±" in text
     assert "x)" in text

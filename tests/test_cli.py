@@ -106,6 +106,13 @@ def test_error_paths_are_stage_named(tmp_path, capsys):
     assert "mapreplay replay:" in err
 
 
+def test_trace_rejects_non_integer_param(tmp_path, capsys):
+    code, _, err = run(capsys, "trace", "wordfreq", "-o", str(tmp_path / "x.mrt"),
+                       "--param", "scale=abc")
+    assert code == 2
+    assert "mapreplay trace: bad --param 'scale=abc'; value must be an integer" in err
+
+
 def test_replay_bad_key_index_is_a_trace_error(tmp_path, capsys, trace_of_words):
     create = int(RawOpKind.CREATE) | (750 << 9) | (1 << 19)
     bad = tmp_path / "bad-key.mpt"

@@ -1,9 +1,14 @@
-"""Memory budgets of recording and reading raw traces, measured with tracemalloc."""
+"""Memory budgets of recording and reading raw traces, measured with tracemalloc,
+and what a process keeps loaded once they return."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from importlib import resources
 
 from mapreplay.tracer import read_raw_trace
-from mapreplay.workloads import WorkloadSpec, corpus_tokens, generate
+from mapreplay.workloads import WorkloadSpec, generate
 
 
 def _peak_traced(fn, *args):
@@ -15,10 +20,21 @@ def _peak_traced(fn, *args):
         tracemalloc.stop()
 
 
+def _run_fresh(code: str) -> str:
+    """Run `code` in a fresh interpreter that sees this process's import path."""
+    pythonpath = os.pathsep.join(p for p in sys.path if p)
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": pythonpath},
+    )
+    return out.stdout.strip()
+
+
 def test_generate_peak_is_at_most_64_bytes_per_event():
-    # The corpus is workload input, loaded once per process; the budget
-    # covers what recording keeps: the record buffers, key registry and maps.
-    corpus_tokens()
+    # The corpus is workload input, read and tokenised line by line on each
+    # pass, so only one line's tokens are live at a time; the budget covers
+    # what recording keeps: the record buffers, key registry and maps.
     raw, peak = _peak_traced(generate, WorkloadSpec("wordfreq", seed=1))
     assert peak <= 64 * len(raw)
 
@@ -28,3 +44,23 @@ def test_read_raw_trace_does_not_copy_records(tmp_path):
     generate(WorkloadSpec("wordfreq", seed=1), path)
     _, peak = _peak_traced(read_raw_trace, path)
     assert peak <= 1.1 * path.stat().st_size
+
+
+def test_generate_keeps_no_workload_input():
+    # A first run in a fresh process, so no earlier test has loaded the corpus.
+    code = (
+        "import gc, tracemalloc\n"
+        "from mapreplay.workloads import WorkloadSpec, generate\n"
+        "tracemalloc.start()\n"
+        "generate(WorkloadSpec('wordfreq', seed=1))\n"
+        "gc.collect()\n"
+        "print(tracemalloc.get_traced_memory()[0])\n"
+    )
+    corpus = resources.files("mapreplay").joinpath("data/corpus.txt")
+    assert int(_run_fresh(code)) <= 1.1 * len(corpus.read_bytes())
+
+
+def test_import_does_not_load_multiprocessing():
+    # Only spawning bench runs needs it; record, distill and replay do not.
+    code = "import sys, mapreplay, mapreplay.cli\nprint('multiprocessing' in sys.modules)"
+    assert _run_fresh(code) == "False"

@@ -3,7 +3,7 @@
 import pytest
 
 from mapreplay.errors import ConfigError, FidelityError, TraceIntegrityError
-from mapreplay.postproc import process, stats
+from mapreplay.postproc import OUTCOME_BIT, process, stats
 from mapreplay.refmap import DEFAULT_CONFIG, MapConfig, PyDictMap, RefMap
 from mapreplay.replay import (
     ConfigOverride,
@@ -340,6 +340,21 @@ def test_bad_key_index_raises_integrity_error(mode, trace_of_words):
     with pytest.raises(TraceIntegrityError) as err:
         ReplaySession(trace).replay(RefMap, mode=mode)
     assert "op 1: key index 5" in str(err.value)
+
+
+@pytest.mark.parametrize("mode", ["timing", "counting", "validating"])
+def test_overlong_yielding_advance_is_rejected_at_setup(mode, trace_of_words):
+    # Without the setup check, timing mode spins through 2^31 - 1 steps.
+    iter_new, put = int(RawOpKind.ITER_NEW), int(RawOpKind.PUT)
+    yielding = int(RawOpKind.ITER_ADVANCE) | OUTCOME_BIT
+    overlong = trace_of_words(_CREATE + [iter_new, 0, 0, yielding, 0, 2**31 - 1],
+                              n_keys=2, iter_slots=1)
+    with pytest.raises(TraceIntegrityError, match="op 2: .*2147483647"):
+        ReplaySession(overlong).replay(RefMap, mode=mode)
+    # A run as long as the key table is still accepted.
+    full = trace_of_words(_CREATE + [put, 0, 0, put, 0, 1, iter_new, 0, 0, yielding, 0, 2],
+                          n_keys=2, iter_slots=1)
+    assert ReplaySession(full).replay(RefMap, mode=mode).ops_executed == 5
 
 
 @pytest.mark.parametrize("mode", ["timing", "counting", "validating"])

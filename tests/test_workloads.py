@@ -79,7 +79,7 @@ def test_scale_zero_means_empty_trace(name):
 
 def test_wordfreq_read_write_tallies():
     # Oracle from the workload definition: one get and one put per token.
-    tokens = corpus_tokens()
+    tokens = list(corpus_tokens())
     total, distinct = len(tokens), len(set(tokens))
     raw = generate(WorkloadSpec("wordfreq", seed=1))
     gets = sum(e.op is RawOpKind.GET for e in raw.events)
