@@ -9,6 +9,7 @@ checking every recorded outcome bit.
 """
 
 from mapreplay import (
+    RawOpKind,
     RefMap,
     ReplaySession,
     TraceSession,
@@ -34,13 +35,13 @@ it = snapshot.iterator(View.ENTRIES)
 while it.advance() is not None:
     pass
 raw = session.close()
-print(f"raw events recorded: {len(raw.events)}")
+print(f"raw events recorded: {len(raw)}")
 
 print("\n=== offline post-processing ===")
 clean = sanitize(raw)
 merged = coalesce(clean)
-advances_before = sum(e.op.name == "ITER_ADVANCE" for e in clean.events)
-advances_after = sum(e.op.name == "ITER_ADVANCE" for e in merged.events)
+advances_before = int((clean.records["op"] == RawOpKind.ITER_ADVANCE).sum())
+advances_after = int((merged.records["op"] == RawOpKind.ITER_ADVANCE).sum())
 print(f"iterator advances: {advances_before} recorded -> {advances_after} "
       f"coalesced opcodes")
 trace = encode(insert_free_events(merged))

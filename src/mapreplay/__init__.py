@@ -27,7 +27,6 @@ from .errors import (
     TraceIntegrityError,
 )
 from .postproc import (
-    Characterization,
     ProcessedTrace,
     coalesce,
     decode,
@@ -44,12 +43,9 @@ from .refmap import (
     MapAdapter,
     MapConfig,
     MapIterator,
-    OpCounters,
     PyDictMap,
     RefMap,
     View,
-    bucket_index,
-    hash32_of,
     iterate,
     normalize_capacity,
     threshold,
@@ -57,19 +53,13 @@ from .refmap import (
 from .replay import (
     IMPLEMENTATIONS,
     ConfigOverride,
-    MockupKey,
-    ReplayResult,
     ReplaySession,
-    VALUE_TOKEN,
     get_implementation,
 )
 from .tracer import (
-    KeyRegistry,
-    RawEvent,
     RawOpKind,
     RawTrace,
     TraceSession,
-    TracedMap,
     read_raw_trace,
     write_raw_trace,
 )

@@ -117,11 +117,6 @@ class ProcessedTrace:
     def op_count(self) -> int:
         return len(self.ops) // 3
 
-    def triples(self):
-        ops = self.ops
-        for i in range(0, len(ops), 3):
-            yield int(ops[i]), int(ops[i + 1]), int(ops[i + 2])
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ProcessedTrace):
             return NotImplemented
@@ -247,7 +242,9 @@ def coalesce(raw: RawTrace) -> RawTrace:
     A run is broken by any mutating operation on the iterator's map (put,
     remove, clear, or an iterator-remove through any of its iterators) and
     by an outcome flip (yielding vs. exhausted), so the merged step count
-    always equals the number of recorded yields for yielding runs.
+    always equals the number of recorded yields for yielding runs. An
+    exhausted run keeps a count of 1: advancing a drained iterator again
+    returns None and changes nothing.
 
     An advance joins the previous advance of its iterator when both have
     the same outcome and the same mutation epoch of the owning map: the
@@ -284,6 +281,7 @@ def coalesce(raw: RawTrace) -> RawTrace:
     )
     heads = np.flatnonzero(~joins)
     steps = np.add.reduceat(r["aux"][adv][by_iter], heads)
+    steps[outcomes[heads] == 0] = 1
 
     merged = np.sort(adv[by_iter[joins]])
     out = np.delete(r, merged)

@@ -16,8 +16,9 @@ table and in the hook its FreeMap handler calls:
 
 The loop checks nothing per op. Setup rejects a negative word or operand
 once for the whole stream, since Python would wrap a negative index, and
-a yielding iterator advance longer than the key table, which no map can
-hold and which would otherwise spin for up to 2^31 steps. A
+an iterator advance of more steps than the key table has keys (more than
+one step, when exhausted), which no map can yield and which would
+otherwise spin for up to 2^31 steps. A
 slot used after free or an operand out of range surfaces as the
 AttributeError or IndexError it causes, and is reported as a
 TraceIntegrityError naming the op index; FreeMap, FreeIter and the
@@ -139,16 +140,21 @@ class ReplaySession:
             i = int(np.argmax(trace.ops < 0))
             raise TraceIntegrityError(f"op {i // 3}: negative word or operand {trace.ops[i]}")
         # A yielding advance run visits distinct entries of one unmutated
-        # map, so its count never exceeds the key count. Only the few ops
-        # whose second operand does are looked at further.
+        # map, so its count never exceeds the key count; an exhausted run
+        # is one step, since coalesce collapses repeats that change nothing.
+        # Only the few ops whose second operand exceeds the key count are
+        # looked at further.
         n_keys = len(trace.key_hashes)
         over = np.flatnonzero(trace.ops[2::3] > n_keys)
-        flags = trace.ops[3 * over] & (OP_KIND_MASK | OUTCOME_BIT)
-        too_long = over[flags == _OP.ITER_ADVANCE | OUTCOME_BIT]
+        words = trace.ops[3 * over]
+        too_long = over[
+            ((words & OP_KIND_MASK) == _OP.ITER_ADVANCE)
+            & (((words & OUTCOME_BIT) != 0) | (trace.ops[3 * over + 2] > 1))
+        ]
         if too_long.size:
             i = too_long[0]
             raise TraceIntegrityError(
-                f"op {i}: iterator advance yields {trace.ops[3 * i + 2]} entries but the "
+                f"op {i}: iterator advance of {trace.ops[3 * i + 2]} steps but the "
                 f"trace has {n_keys} keys"
             )
         self.trace = trace

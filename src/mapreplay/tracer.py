@@ -9,10 +9,11 @@ while reproducing the exact hash/bucket control flow.
 
 Records are packed straight into per-thread-slot byte buffers in the MRT1
 record layout below; no Python object is kept per event. A RawTrace is a
-columnar view of those bytes: a read-only numpy structured array in
-RAW_DTYPE, one row per event. Reading a raw file maps its body onto that
-dtype without copying. `RawTrace.events` materializes RawEvent objects on
-demand for tests and debugging only.
+columnar view of those bytes and is built from nothing else: it wraps one
+read-only numpy structured array in RAW_DTYPE, one row per event. Reading
+a raw file maps its body onto that dtype without copying.
+`RawTrace.events` materializes RawEvent objects on demand, as a debug view
+that the layer benchmark still counts through.
 
 Raw trace file format (little-endian):
 
@@ -40,7 +41,7 @@ import threading
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -89,7 +90,12 @@ class RawOpKind(IntEnum):
 
 @dataclass(frozen=True, slots=True)
 class RawEvent:
-    """One raw event as Python values: the test and debug view of a record."""
+    """One raw event as Python values: the debug view of a record.
+
+    Only `RawTrace.events` builds these. The layer benchmark counts events
+    through that view; once it counts from `records["op"]`, this class and
+    the view can go.
+    """
 
     thread_id: int
     op: RawOpKind
@@ -104,21 +110,16 @@ class RawTrace:
     """Serialized-order event stream, before or after sanitization.
 
     `records` is a read-only, contiguous RAW_DTYPE array laid out exactly
-    like the MRT1 body. The constructor also accepts an iterable of
-    RawEvent, which it packs into records.
+    like the MRT1 body; it is the only thing a RawTrace is built from.
     """
 
     __slots__ = ("records",)
 
-    def __init__(self, records: np.ndarray | Iterable[RawEvent] = ()):
-        if isinstance(records, np.ndarray):
-            if records.dtype != RAW_DTYPE:
-                raise TypeError(f"raw records must have RAW_DTYPE, not {records.dtype}")
-            records = np.ascontiguousarray(records).view()
-        else:
-            body = b"".join(_encode_event(e) for e in records)
-            records = np.frombuffer(body, dtype=RAW_DTYPE)
-            _check_records(records)
+    def __init__(self, records: np.ndarray):
+        dtype = getattr(records, "dtype", type(records).__name__)
+        if not isinstance(records, np.ndarray) or dtype != RAW_DTYPE:
+            raise TypeError(f"raw records must be an array of RAW_DTYPE, not {dtype}")
+        records = np.ascontiguousarray(records).view()
         records.flags.writeable = False
         self.records = records
 
@@ -273,10 +274,6 @@ class TraceSession:
 
     # -- lifecycle -----------------------------------------------------------
 
-    @property
-    def is_open(self) -> bool:
-        return self._open
-
     def open(self) -> None:
         """Begin recording. Maps handed out before this are foreign: their
         later events are recorded but carry no creation event, mirroring
@@ -286,7 +283,10 @@ class TraceSession:
         self._open = True
 
     def close(self) -> RawTrace:
-        """Join the slot buffers (slot order), optionally write the file."""
+        """Join the slot buffers (slot order), optionally write the file.
+
+        Closing again returns the same trace.
+        """
         if self._closed:
             return self._trace
         self._open = False
@@ -294,11 +294,6 @@ class TraceSession:
         self._trace = RawTrace(np.frombuffer(self._slots.join(), dtype=RAW_DTYPE))
         if self._path is not None:
             write_raw_trace(self._trace, self._path)
-        return self._trace
-
-    def raw_trace(self) -> RawTrace:
-        if not self._closed:
-            raise RuntimeError("session still open; close() it first")
         return self._trace
 
     def __enter__(self) -> "TraceSession":
@@ -314,9 +309,6 @@ class TraceSession:
         if slot < 0 or slot >= (1 << 24):
             raise ValueError("thread slot out of range")
         return _ThreadSlot(self._slots.local, slot)
-
-    def _alloc_iter_id(self) -> int:
-        return self._slots.alloc_iter_id()
 
     # -- recording ---------------------------------------------------------------
 
@@ -445,7 +437,7 @@ class TracedMap:
         return self._inner.size()
 
     def iterator(self, view: View = View.ENTRIES) -> "TracedIterator":
-        iter_id = self._session._alloc_iter_id()
+        iter_id = self._session._slots.alloc_iter_id()
         self._session.record(
             RawOpKind.ITER_NEW, self.map_id, aux=pack_iternew_aux(iter_id, view)
         )
@@ -474,18 +466,6 @@ class TracedIterator:
 
 
 # -- raw trace file I/O ---------------------------------------------------------
-
-
-def _encode_event(e: RawEvent) -> bytes:
-    return _RECORD.pack(
-        e.thread_id,
-        int(e.op),
-        e.map_id,
-        ABSENT_U64 if e.key_id is None else e.key_id,
-        ABSENT_HASH if e.hash is None else e.hash,
-        e.aux,
-        ABSENT_OUTCOME if e.outcome is None else e.outcome,
-    )
 
 
 def _check_records(records: np.ndarray) -> None:

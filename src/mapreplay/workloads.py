@@ -10,11 +10,14 @@ and copy-construction), `mixed` (equal parts of the contains / copy /
 iterate / populate families), and `random` (seeded operation soup for
 equivalence testing).
 
-A workload runs against an environment: TracingEnv records events through
-a TraceSession, DirectEnv applies the same operations to plain RefMaps so
-final map states can be compared against replay. Identical seeds produce
-byte-identical raw traces; workload keys carry their own deterministic
-32-bit hashes and never depend on Python's per-process string hashing.
+A workload runs against an environment: a TraceSession records events,
+DirectEnv applies the same operations to plain RefMaps so final map states
+can be compared against replay. Both offer new_map, copy_map and thread.
+Each workload declares its params as keyword-only arguments with defaults;
+a spec naming any other param is rejected before a map is created.
+Identical seeds produce byte-identical raw traces; workload keys carry
+their own deterministic 32-bit hashes and never depend on Python's
+per-process string hashing.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Callable, Iterator
 
 from .errors import ConfigError, FidelityError
 from .refmap import DEFAULT_CONFIG, MapConfig, RefMap, View, to_signed32
@@ -113,22 +116,6 @@ class WorkloadSpec:
     params: dict[str, int] = field(default_factory=dict)
 
 
-class TracingEnv:
-    """Runs a workload against traced maps inside a TraceSession."""
-
-    def __init__(self, session: TraceSession):
-        self.session = session
-
-    def new_map(self, config: MapConfig = DEFAULT_CONFIG):
-        return self.session.new_map(config)
-
-    def copy_map(self, source, config: MapConfig = DEFAULT_CONFIG):
-        return self.session.copy_map(source, config)
-
-    def thread(self, slot: int):
-        return self.session.thread(slot)
-
-
 class DirectEnv:
     """Runs a workload against plain RefMaps, keeping them in creation order."""
 
@@ -161,9 +148,7 @@ def _drain(iterator) -> int:
     return n
 
 
-def _wl_wordfreq(env, rng: random.Random, scale: int, params: dict) -> None:
-    if scale <= 0:
-        return
+def _wl_wordfreq(env, rng: random.Random, scale: int) -> None:
     counts = env.new_map()
     for _ in range(scale):
         for token in corpus_tokens():
@@ -173,13 +158,9 @@ def _wl_wordfreq(env, rng: random.Random, scale: int, params: dict) -> None:
     _drain(counts.iterator(View.ENTRIES))
 
 
-def _wl_dedupe(env, rng: random.Random, scale: int, params: dict) -> None:
-    if scale <= 0:
-        return
-    universe = params.get("universe", 4000)
-    n_ops = params.get("ops", 30000) * scale
+def _wl_dedupe(env, rng: random.Random, scale: int, *, universe=4000, ops=30000) -> None:
     seen = env.new_map()
-    for _ in range(n_ops):
+    for _ in range(ops * scale):
         k = IntKey(rng.randrange(universe))
         if not seen.contains_key(k):
             seen.put(k, 1)
@@ -205,27 +186,23 @@ def _churn_one(m, map_index: int, cycles: int, rng: random.Random) -> None:
         m.clear()
 
 
-def _wl_churn(env, rng: random.Random, scale: int, params: dict) -> None:
-    if scale <= 0:
-        return
-    n_maps = params.get("maps", 8)
-    cycles = params.get("cycles", 30) * scale
-    threads = params.get("threads", 1)
+def _wl_churn(env, rng: random.Random, scale: int, *, maps=8, cycles=30, threads=1) -> None:
+    cycles *= scale
     # Maps are created on the driving thread so ids stay deterministic even
     # in the two-thread mode; workers only mutate their own disjoint maps.
-    maps = [env.new_map() for _ in range(n_maps)]
-    seeds = [rng.randrange(1 << 48) for _ in range(n_maps)]
+    handles = [env.new_map() for _ in range(maps)]
+    seeds = [rng.randrange(1 << 48) for _ in range(maps)]
     if threads <= 1:
-        for i, m in enumerate(maps):
+        for i, m in enumerate(handles):
             _churn_one(m, i, cycles, random.Random(seeds[i]))
         return
 
     def worker(slot: int, indices: list[int]) -> None:
         with env.thread(slot):
             for i in indices:
-                _churn_one(maps[i], i, cycles, random.Random(seeds[i]))
+                _churn_one(handles[i], i, cycles, random.Random(seeds[i]))
 
-    split = [[i for i in range(n_maps) if i % threads == t] for t in range(threads)]
+    split = [[i for i in range(maps) if i % threads == t] for t in range(threads)]
     workers = [
         threading.Thread(target=worker, args=(t + 1, split[t])) for t in range(threads)
     ]
@@ -235,12 +212,9 @@ def _wl_churn(env, rng: random.Random, scale: int, params: dict) -> None:
         w.join()
 
 
-def _wl_scan(env, rng: random.Random, scale: int, params: dict) -> None:
-    n_maps = params.get("maps", 1000) * scale
-    entries = params.get("entries", 8)
-    passes = params.get("passes", 4)
+def _wl_scan(env, rng: random.Random, scale: int, *, maps=1000, entries=8, passes=4) -> None:
     views = (View.ENTRIES, View.KEYS, View.VALUES)
-    for mi in range(n_maps):
+    for mi in range(maps * scale):
         m = env.new_map()
         for j in range(entries):
             m.put(IntKey((mi << 8) | j), j)
@@ -248,10 +222,9 @@ def _wl_scan(env, rng: random.Random, scale: int, params: dict) -> None:
             _drain(m.iterator(views[p % 3]))
 
 
-def _wl_populate_copy(env, rng: random.Random, scale: int, params: dict) -> None:
-    rounds = params.get("rounds", 150) * scale
+def _wl_populate_copy(env, rng: random.Random, scale: int, *, rounds=150) -> None:
     sizes = (6, 15, 30, 60)
-    for r in range(rounds):
+    for r in range(rounds * scale):
         n = sizes[r % len(sizes)]
         base = r << 12
         m = env.new_map()
@@ -265,14 +238,11 @@ def _wl_populate_copy(env, rng: random.Random, scale: int, params: dict) -> None
             _drain(c.iterator(View.KEYS))
 
 
-def _wl_mixed(env, rng: random.Random, scale: int, params: dict) -> None:
-    if scale <= 0:
-        return
-    rounds = params.get("rounds", 120) * scale
+def _wl_mixed(env, rng: random.Random, scale: int, *, rounds=120) -> None:
     standing = env.new_map()
     for j in range(40):
         standing.put(IntKey(j), j)
-    for r in range(rounds):
+    for r in range(rounds * scale):
         family = r % 4
         if family == 0:  # populate
             m = env.new_map()
@@ -289,16 +259,12 @@ def _wl_mixed(env, rng: random.Random, scale: int, params: dict) -> None:
             c.get(IntKey(r % 40))
 
 
-def _wl_random(env, rng: random.Random, scale: int, params: dict) -> None:
-    if scale <= 0:
-        return
-    n_ops = params.get("ops", 200) * scale
-    universe = params.get("universe", 48)
-    collide_every = params.get("collide", 4)
+def _wl_random(env, rng: random.Random, scale: int, *, ops=200, universe=48, collide=4) -> None:
+    n_ops = ops * scale
 
     def key(ident: int) -> IntKey:
-        # Every collide_every-th key shares one hash: preserved collisions.
-        if collide_every and ident % collide_every == 0:
+        # Every collide-th key shares one hash: preserved collisions.
+        if collide and ident % collide == 0:
             return IntKey(ident, hash32=0x5EED)
         return IntKey(ident)
 
@@ -337,7 +303,7 @@ def _wl_random(env, rng: random.Random, scale: int, params: dict) -> None:
                 maps.pop(0)
 
 
-_WorkloadFn = Callable[[Any, random.Random, int, dict], None]
+_WorkloadFn = Callable[..., None]
 
 WORKLOADS: dict[str, _WorkloadFn] = {
     "wordfreq": _wl_wordfreq,
@@ -358,20 +324,38 @@ def _lookup(name: str) -> _WorkloadFn:
         raise ConfigError(f"unknown workload {name!r}; known workloads: {known}") from None
 
 
+def _run(spec: WorkloadSpec, env) -> None:
+    """Run the named workload against `env` (a TraceSession or DirectEnv).
+
+    Param names the workload does not declare are rejected before any map
+    is created; a scale of zero or less runs nothing.
+    """
+    fn = _lookup(spec.name)
+    known = fn.__kwdefaults__ or {}
+    unknown = sorted(set(spec.params) - set(known))
+    if unknown:
+        names = ", ".join(f"{k}={v}" for k, v in known.items()) or "none"
+        raise ConfigError(
+            f"workload {spec.name!r} has no param {', '.join(map(repr, unknown))}; "
+            f"its params (defaults): {names}"
+        )
+    if spec.scale <= 0:
+        return
+    fn(env, random.Random(spec.seed), spec.scale, **spec.params)
+
+
 def generate(spec: WorkloadSpec, path: str | Path | None = None) -> RawTrace:
     """Run the named workload under tracing; optionally write the raw file."""
-    fn = _lookup(spec.name)
     session = TraceSession(path)
-    fn(TracingEnv(session), random.Random(spec.seed), spec.scale, spec.params)
+    _run(spec, session)
     return session.close()
 
 
 def run_direct(spec: WorkloadSpec) -> list[int]:
     """Run the workload untraced; returns each map's final state digest,
     in creation order."""
-    fn = _lookup(spec.name)
     env = DirectEnv()
-    fn(env, random.Random(spec.seed), spec.scale, spec.params)
+    _run(spec, env)
     return [m.state_digest() for m in env.maps]
 
 

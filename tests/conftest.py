@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mapreplay.postproc import ProcessedTrace, process
+from mapreplay.tracer import ABSENT_HASH, ABSENT_OUTCOME, ABSENT_U64, RAW_DTYPE
 from mapreplay.workloads import WorkloadSpec, generate
 
 SMALL_SPECS = {
@@ -35,5 +36,32 @@ def trace_of_words():
             max_iter_slots=iter_slots,
             ops=np.asarray(words, dtype=np.int32),
         )
+
+    return build
+
+
+def _raw_row(op, map_id, key_id=None, hash=None, aux=0, outcome=None, thread=0):
+    return (
+        thread,
+        op,
+        map_id,
+        ABSENT_U64 if key_id is None else key_id,
+        ABSENT_HASH if hash is None else hash,
+        aux,
+        ABSENT_OUTCOME if outcome is None else outcome,
+        b"",
+    )
+
+
+@pytest.fixture
+def raw_records():
+    """Build a RAW_DTYPE record array from hand-written event tuples.
+
+    Each tuple is (op, map_id, key_id=None, hash=None, aux=0, outcome=None,
+    thread=0); absent key, hash and outcome are stored as ABSENT_*.
+    """
+
+    def build(rows):
+        return np.array([_raw_row(*row) for row in rows], dtype=RAW_DTYPE)
 
     return build

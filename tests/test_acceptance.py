@@ -6,6 +6,7 @@ status lines as they complete.
 
 import time
 
+import numpy as np
 import pytest
 
 from mapreplay.bench import (
@@ -27,7 +28,7 @@ from mapreplay.postproc import (
 )
 from mapreplay.refmap import RefMap, threshold
 from mapreplay.replay import ConfigOverride, ReplaySession
-from mapreplay.tracer import RawEvent, RawOpKind, RawTrace, TraceSession
+from mapreplay.tracer import RawOpKind, RawTrace, TraceSession
 from mapreplay.workloads import IntKey, WorkloadSpec, generate, run_direct
 
 OP = RawOpKind
@@ -153,7 +154,7 @@ def test_state_equivalence_property_suite(default_traces):
     gate.finish(t0)
 
 
-def test_postprocessing_preservation(default_traces):
+def test_postprocessing_preservation(default_traces, raw_records):
     gate = _Gate("postprocessing-preservation", budget_s=120.0)
     t0 = time.monotonic()
 
@@ -175,20 +176,19 @@ def test_postprocessing_preservation(default_traces):
             decode(to_bytes(coalesced_trace)) == coalesced_trace,
         )
 
-        orphans = [
-            RawEvent(0, OP.GET, (9 << 40) | 1, (9 << 40) | 1, 5, 0, 0),
-            RawEvent(0, OP.PUT, (9 << 40) | 1, (9 << 40) | 2, 6, 0, 0),
-            RawEvent(0, OP.CLEAR, (9 << 40) | 2),
-        ]
-        step = max(1, len(raw.events) // 3)
-        injected = list(raw.events)
-        for i, orphan in enumerate(orphans):
-            injected.insert(i * step, orphan)
+        orphans = raw_records([
+            (OP.GET, (9 << 40) | 1, (9 << 40) | 1, 5, 0, 0),
+            (OP.PUT, (9 << 40) | 1, (9 << 40) | 2, 6, 0, 0),
+            (OP.CLEAR, (9 << 40) | 2),
+        ])
+        step = max(1, len(raw) // 3)
+        injected = np.insert(raw.records, np.arange(len(orphans)) * step, orphans)
         cleaned = sanitize(RawTrace(injected))
+        orphan_events = RawTrace(orphans).events
         gate.check(
             f"{name}: sanitize removes all injected orphans and nothing else",
             cleaned.events == sanitize(raw).events
-            and all(e not in orphans for e in cleaned.events),
+            and all(e not in orphan_events for e in cleaned.events),
         )
 
     round_trips = all(

@@ -113,6 +113,14 @@ def test_trace_rejects_non_integer_param(tmp_path, capsys):
     assert "mapreplay trace: bad --param 'scale=abc'; value must be an integer" in err
 
 
+def test_trace_rejects_unknown_param_and_writes_nothing(tmp_path, capsys):
+    out_file = tmp_path / "x.mrt"
+    code, _, err = run(capsys, "trace", "churn", "-o", str(out_file), "--param", "mpas=2")
+    assert code == 2
+    assert "mapreplay trace:" in err and "'mpas'" in err and "maps=8" in err
+    assert not out_file.exists()
+
+
 def test_replay_bad_key_index_is_a_trace_error(tmp_path, capsys, trace_of_words):
     create = int(RawOpKind.CREATE) | (750 << 9) | (1 << 19)
     bad = tmp_path / "bad-key.mpt"

@@ -26,7 +26,6 @@ from mapreplay.postproc import (
 from mapreplay.refmap import RefMap, View
 from mapreplay.replay import ReplaySession
 from mapreplay.tracer import (
-    RawEvent,
     RawOpKind,
     RawTrace,
     TraceSession,
@@ -36,10 +35,6 @@ from mapreplay.tracer import (
 from mapreplay.workloads import IntKey, WorkloadSpec, generate
 
 OP = RawOpKind
-
-
-def ev(op, map_id, key_id=None, hash32=None, aux=0, outcome=None, thread=0):
-    return RawEvent(thread, op, map_id, key_id, hash32, aux, outcome)
 
 
 def _session_trace(build):
@@ -56,11 +51,11 @@ def test_sanitize_identity_when_clean():
     assert sanitize(raw).events == raw.events
 
 
-def test_sanitize_drops_orphan_map_events():
+def test_sanitize_drops_orphan_map_events(raw_records):
     # Fresh ids: injected traffic must not collide with recorded keys.
-    orphan = ev(OP.GET, map_id=(7 << 40) | 12345, key_id=(7 << 40) | 1, hash32=1, outcome=0)
+    orphan = raw_records([(OP.GET, (7 << 40) | 12345, (7 << 40) | 1, 1, 0, 0)])
     raw = generate(WorkloadSpec("random", seed=3))
-    injected = RawTrace(raw.events[:5] + [orphan] + raw.events[5:])
+    injected = RawTrace(np.insert(raw.records, 5, orphan))
     cleaned = sanitize(injected)
     assert cleaned.events == sanitize(raw).events
 
@@ -139,12 +134,12 @@ def test_sanitize_drops_iterators_of_dropped_maps():
     assert OP.ITER_ADVANCE not in ops
 
 
-def test_sanitize_rejects_unknown_map_in_copy():
-    events = [
-        ev(OP.CREATE_COPY, map_id=2, aux=999),
-        ev(OP.GET, map_id=2, key_id=1, hash32=1, outcome=0),
-    ]
-    assert sanitize(RawTrace(events)).events == []
+def test_sanitize_rejects_unknown_map_in_copy(raw_records):
+    records = raw_records([
+        (OP.CREATE_COPY, 2, None, None, 999),
+        (OP.GET, 2, 1, 1, 0, 0),
+    ])
+    assert sanitize(RawTrace(records)).events == []
 
 
 # -- coalesce ------------------------------------------------------------------------
@@ -234,7 +229,18 @@ def test_coalesce_splits_on_outcome_flip():
 
     out = coalesce(_session_trace(build))
     runs = _advance_run(out)
-    assert [(r.aux, r.outcome) for r in runs] == [(1, 1), (2, 0)]
+    assert [(r.aux, r.outcome) for r in runs] == [(1, 1), (1, 0)]
+
+
+def test_coalesce_collapses_exhausted_run_to_one_step():
+    def build(s):
+        m = s.new_map()
+        it = m.iterator(View.KEYS)
+        for _ in range(3):
+            assert it.advance() is None
+
+    runs = _advance_run(coalesce(_session_trace(build)))
+    assert [(r.aux, r.outcome) for r in runs] == [(1, 0)]
 
 
 def test_coalesce_no_advances_is_identity():
@@ -360,8 +366,8 @@ def test_free_placement_on_workloads(small_traces, name):
 # -- encode / decode -------------------------------------------------------------------
 
 
-def test_encode_empty_trace():
-    trace = encode(RawTrace([]))
+def test_encode_empty_trace(raw_records):
+    trace = encode(RawTrace(raw_records([])))
     assert trace.op_count == 0
     assert len(trace.key_hashes) == 0
     assert stats(trace) == Characterization()
@@ -378,17 +384,17 @@ def test_encode_requires_free_annotations():
 
 
 @pytest.mark.parametrize(
-    "events, message",
+    "rows, message",
     [
-        ([ev(OP.CREATE, 1), ev(OP.CREATE, 1), ev(OP.FREE_MAP, 1)], "created more than once"),
-        ([ev(OP.CREATE, 1), ev(OP.FREE_MAP, 1), ev(OP.GET, 1, 5, 5, outcome=0)], "not live"),
-        ([ev(OP.CREATE_COPY, 1, aux=1), ev(OP.FREE_MAP, 1)], "not live"),
+        ([(OP.CREATE, 1), (OP.CREATE, 1), (OP.FREE_MAP, 1)], "created more than once"),
+        ([(OP.CREATE, 1), (OP.FREE_MAP, 1), (OP.GET, 1, 5, 5, 0, 0)], "not live"),
+        ([(OP.CREATE_COPY, 1, None, None, 1), (OP.FREE_MAP, 1)], "not live"),
     ],
     ids=["create-twice", "use-after-free", "copy-of-itself"],
 )
-def test_encode_rejects_broken_lifetimes(events, message):
+def test_encode_rejects_broken_lifetimes(rows, message, raw_records):
     with pytest.raises(TraceIntegrityError, match=message):
-        encode(RawTrace(events))
+        encode(RawTrace(raw_records(rows)))
 
 
 def test_round_trip_on_workloads(small_traces):
@@ -429,7 +435,7 @@ def test_disjoint_lifetimes_share_slot_zero():
 
     trace = process(_session_trace(build))
     assert trace.max_map_slots == 1
-    creates = [t for t in trace.triples() if t[0] & OP_KIND_MASK == OP.CREATE]
+    creates = [t for t in trace.ops.reshape(-1, 3).tolist() if t[0] & OP_KIND_MASK == OP.CREATE]
     assert [c[1] for c in creates] == [0, 0]
 
 
@@ -501,8 +507,8 @@ def test_decode_trailing_bytes_rejected(small_traces):
 # -- stats ------------------------------------------------------------------------------
 
 
-def test_stats_empty():
-    c = stats(encode(RawTrace([])))
+def test_stats_empty(raw_records):
+    c = stats(encode(RawTrace(raw_records([]))))
     assert (c.events, c.creates, c.reads, c.writes, c.iterates) == (0, 0, 0, 0, 0)
 
 
@@ -524,7 +530,7 @@ def test_stats_creates_puts_frees():
 def test_stats_matches_direct_tally(small_traces):
     for name, (_, _, trace) in small_traces.items():
         tally = {"creates": 0, "reads": 0, "writes": 0, "iterates": 0}
-        for word, _, _ in trace.triples():
+        for word, _, _ in trace.ops.reshape(-1, 3).tolist():
             kind = OP(word & OP_KIND_MASK)
             if kind in (OP.CREATE, OP.CREATE_COPY):
                 tally["creates"] += 1

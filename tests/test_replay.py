@@ -357,6 +357,20 @@ def test_overlong_yielding_advance_is_rejected_at_setup(mode, trace_of_words):
     assert ReplaySession(full).replay(RefMap, mode=mode).ops_executed == 5
 
 
+@pytest.mark.parametrize("n_keys", [0, 2])
+def test_overlong_exhausted_advance_is_rejected_at_setup(n_keys, trace_of_words):
+    # Only setup is exercised: a replay of this stream would spin 2^31 - 1 steps.
+    iter_new, exhausted = int(RawOpKind.ITER_NEW), int(RawOpKind.ITER_ADVANCE)
+    overlong = trace_of_words(_CREATE + [iter_new, 0, 0, exhausted, 0, 2**31 - 1],
+                              n_keys=n_keys, iter_slots=1)
+    with pytest.raises(TraceIntegrityError, match="op 2: .*2147483647"):
+        ReplaySession(overlong)
+    # One exhausted step, as coalesce emits it, is accepted even with no keys.
+    once = trace_of_words(_CREATE + [iter_new, 0, 0, exhausted, 0, 1],
+                          n_keys=n_keys, iter_slots=1)
+    assert ReplaySession(once).replay(RefMap, mode="validating").ops_executed == 3
+
+
 @pytest.mark.parametrize("mode", ["timing", "counting", "validating"])
 def test_adapter_fault_is_not_reported_as_trace_fault(mode, trace_of_words):
     class Broken(RefMap):

@@ -4,14 +4,16 @@ import gc
 import struct
 import weakref
 
+import numpy as np
 import pytest
 
 from mapreplay.errors import TraceFormatError
 from mapreplay.refmap import DEFAULT_CONFIG, MapConfig, RefMap, View, bucket_index
 from mapreplay.tracer import (
+    ABSENT_HASH,
+    ABSENT_OUTCOME,
     ABSENT_U64,
     MAGIC,
-    RawEvent,
     RawOpKind,
     RawTrace,
     TraceSession,
@@ -85,7 +87,7 @@ def test_events_after_close_are_dropped():
     m.put(IntKey(1), 1)
     s.close()
     m.put(IntKey(2), 2)
-    assert len(s.raw_trace().events) == 2
+    assert len(s.close().events) == 2
 
 
 # -- canonical keys ----------------------------------------------------------------
@@ -346,18 +348,41 @@ def test_raw_file_bad_iternew_view_names_offset(tmp_path):
     assert err.value.offset == offset
 
 
-def test_raw_trace_from_events_validates_like_a_file():
+def test_raw_trace_from_events_validates_like_a_file(raw_records):
+    records = raw_records([(RawOpKind.CREATE, 1), (99, 1)])
     with pytest.raises(TraceFormatError) as err:
-        RawTrace([RawEvent(0, RawOpKind.CREATE, 1), RawEvent(0, 99, 1)])
+        raw_trace_from_bytes(raw_trace_to_bytes(RawTrace(records)))
     assert err.value.offset == 16 + 40 + 8
 
 
+def test_raw_trace_wraps_only_raw_records():
+    with pytest.raises(TypeError, match="RAW_DTYPE"):
+        RawTrace([])
+    with pytest.raises(TypeError, match="RAW_DTYPE"):
+        RawTrace(np.zeros(2, dtype=np.uint64))
+
+
 def test_raw_trace_events_view_round_trips():
+    # The layer benchmark counts through `.events` (`e.op is RawOpKind.X`),
+    # so each field must read back its column, with absent fields as None.
     trace = _session_with_traffic().close()
-    assert len(trace) == len(trace.events)
-    again = RawTrace(trace.events)
-    assert raw_trace_to_bytes(again) == raw_trace_to_bytes(trace)
-    assert not trace.records.flags.writeable
+    r = trace.records
+    events = trace.events
+    assert len(trace) == len(events) == len(r)
+    assert not r.flags.writeable
+    for i, e in enumerate(events):
+        assert e.op is RawOpKind(r["op"][i])
+        assert (e.thread_id, e.map_id, e.aux) == (
+            r["thread_id"][i], r["map_id"][i], r["aux"][i]
+        )
+        keyed = r["key_id"][i] != ABSENT_U64
+        assert e.key_id == (r["key_id"][i] if keyed else None)
+        assert e.hash == (r["hash"][i] if keyed else None)
+        assert (r["hash"][i] == ABSENT_HASH) == (not keyed)
+        absent = r["outcome"][i] == ABSENT_OUTCOME
+        assert e.outcome == (None if absent else r["outcome"][i])
+    assert {e.key_id is None for e in events} == {True, False}
+    assert {e.outcome is None for e in events} == {True, False}
 
 
 def test_record_read_and_distill_build_no_raw_events(monkeypatch, tmp_path):

@@ -71,6 +71,20 @@ def test_wordfreq_deterministic_across_hash_seeds():
     assert len(digests) == 1
 
 
+@pytest.mark.parametrize("run", [generate, run_direct], ids=["generate", "run_direct"])
+def test_unknown_param_is_rejected_with_known_names(run):
+    with pytest.raises(ConfigError) as err:
+        run(WorkloadSpec("churn", seed=1, params={"mpas": 2}))
+    msg = str(err.value)
+    assert "'mpas'" in msg
+    assert "maps=8" in msg and "cycles=30" in msg and "threads=1" in msg
+
+
+def test_unknown_param_is_rejected_even_at_scale_zero():
+    with pytest.raises(ConfigError, match="'ops'"):
+        generate(WorkloadSpec("wordfreq", seed=1, scale=0, params={"ops": 5}))
+
+
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_scale_zero_means_empty_trace(name):
     raw = generate(WorkloadSpec(name, seed=1, scale=0, params=SMALL_PARAMS[name]))
