@@ -153,6 +153,11 @@ class BenchConfig:
     def __post_init__(self) -> None:
         if self.runs < 1 or self.measured_iters < 1:
             raise ConfigError("runs and measured_iters must be >= 1")
+        if self.warmup_iters < 0:
+            raise ConfigError(f"warmup_iters must be >= 0, not {self.warmup_iters}")
+        # An iteration replays until its deadline; a NaN deadline never comes.
+        if not (math.isfinite(self.iter_duration) and self.iter_duration > 0):
+            raise ConfigError(f"iter_duration must be finite and > 0, not {self.iter_duration!r}")
 
 
 @dataclass(slots=True)

@@ -15,6 +15,7 @@ from .bench import (
 )
 from .errors import MapReplayError
 from .postproc import decode, process, read_processed, stats, write_processed
+from .refmap import DEFAULT_INITIAL_CAPACITY, DEFAULT_LOAD_FACTOR_MILLI
 from .replay import MODES, ConfigOverride, ReplaySession, get_implementation
 from .tracer import read_raw_trace
 from .workloads import WORKLOADS, WorkloadSpec, generate, pipeline
@@ -82,7 +83,12 @@ def _cmd_replay(args) -> int:
     trace = read_processed(args.processed)
     session = ReplaySession(trace)
     factory = get_implementation(args.impl)
-    override = ConfigOverride(args.dic, args.lf) if args.dic is not None else None
+    override = None
+    if args.dic is not None or args.lf is not None:
+        override = ConfigOverride(
+            DEFAULT_INITIAL_CAPACITY if args.dic is None else args.dic,
+            DEFAULT_LOAD_FACTOR_MILLI if args.lf is None else args.lf,
+        )
     result = session.replay(factory, args.mode, override)
     lines = [
         f"impl={args.impl}",
@@ -168,8 +174,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("replay", help="replay a processed trace once")
     p.add_argument("processed")
     p.add_argument("--impl", default="refmap")
-    p.add_argument("--dic", type=int, default=None)
-    p.add_argument("--lf", type=int, default=750)
+    p.add_argument("--dic", type=int, default=None,
+                   help="initial capacity for default-config creates (default: as recorded)")
+    p.add_argument("--lf", type=int, default=None,
+                   help="load factor in thousandths for default-config creates "
+                        "(default: as recorded)")
     p.add_argument("--mode", choices=MODES, default="timing")
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_replay)

@@ -584,9 +584,11 @@ def decode(data: bytes) -> ProcessedTrace:
         return start
 
     (key_count,) = struct.unpack_from("<I", payload, need(4, "key count"))
+    # On a little-endian host both arrays are read-only views of the payload;
+    # a big-endian one byte-swaps them into copies. Nothing writes to them.
     key_hashes = np.frombuffer(
         payload, dtype="<i4", count=key_count, offset=need(4 * key_count, "key hashes")
-    ).astype(np.int32)
+    ).astype(np.int32, copy=False)
     bounds = need(8, "slot bounds")
     map_slots, iter_slots = struct.unpack_from("<II", payload, bounds)
     (op_count,) = struct.unpack_from("<Q", payload, need(8, "op count"))
@@ -598,7 +600,7 @@ def decode(data: bytes) -> ProcessedTrace:
         )
     ops = np.frombuffer(
         payload, dtype="<i4", count=op_count * 3, offset=need(12 * op_count, "op triples")
-    ).astype(np.int32)
+    ).astype(np.int32, copy=False)
     if pos != len(payload):
         raise TraceFormatError(
             f"{len(payload) - pos} trailing bytes after op triples", offset=pos

@@ -1,11 +1,15 @@
 """Replay of processed traces against one pluggable map implementation.
 
 Setup preallocates every mockup key and the map/iterator slot arrays so the
-timed phase creates nothing but maps and iterators. The replay phase is a
-single dispatch loop over the opcode triples, bound to exactly one adapter
-class per run (monomorphic replay). Each triple calls the handler its op
-kind selects from a table built per run; the modes differ only in that
-table and in the hook its FreeMap handler calls:
+timed phase creates nothing but maps and iterators. The opcode stream is
+held as one packed `array("i")`, copied once from the decoded trace, so setup
+boxes no per-op ints and the stream costs 12 bytes per op. The replay phase
+is a single dispatch loop over that buffer, bound to exactly one adapter
+class per run (monomorphic replay). It reads three words at a time from one
+iterator, `for w, a, b in zip(it, it, it)`, so the array creates each int as
+it yields it, and calls the handler the op kind selects from a table built
+per run; the modes differ only in that table and in the hook its FreeMap
+handler calls:
 
     timing      plain handlers; the result is the wall-clock of the loop
     counting    plain handlers; the FreeMap hook adds the map's OpCounters
@@ -22,7 +26,10 @@ otherwise spin for up to 2^31 steps. A
 slot used after free or an operand out of range surfaces as the
 AttributeError or IndexError it causes, and is reported as a
 TraceIntegrityError naming the op index; FreeMap, FreeIter and the
-CreateCopy source check for a freed slot themselves.
+CreateCopy source check for a freed slot themselves. The loop keeps no op
+counter: on the error path only, the failing op's index is worked out from
+the words the iterator has left, `(n - left) // 3 - 1` for a stream of n
+words.
 
 Put always stores the one shared VALUE_TOKEN; recorded traces carry no
 value information. Copy construction uses the run's default configuration
@@ -158,10 +165,14 @@ class ReplaySession:
                 f"trace has {n_keys} keys"
             )
         self.trace = trace
-        self.keys = [
-            MockupKey(i, int(h)) for i, h in enumerate(trace.key_hashes)
-        ]
-        self._ops: list[int] = trace.ops.tolist()
+        self.keys = list(map(MockupKey, range(n_keys), trace.key_hashes.tolist()))
+        # One copy into a packed buffer; its ints are created as the loop
+        # reads them, not all at once here. Imported here so that recording
+        # and distilling, which import this module, never load `array`.
+        from array import array
+
+        self._ops = array("i")
+        self._ops.frombytes(memoryview(np.ascontiguousarray(trace.ops, np.int32)).cast("B"))
 
     def replay(
         self,
@@ -288,21 +299,22 @@ class ReplaySession:
             table[_OP.ITER_ADVANCE] = checked_iter_advance
 
         n = len(ops)
+        it = iter(ops)
         start = time.perf_counter()
-        # Handlers raise without an op index: only the loop knows it.
+        # Handlers raise without an op index, and the loop keeps no counter:
+        # the failing op is the last triple taken from `it`.
         try:
-            for i in range(0, n, 3):
-                w = ops[i]
-                table[w & OP_KIND_MASK](w, ops[i + 1], ops[i + 2])
+            for w, a, b in zip(it, it, it):
+                table[w & OP_KIND_MASK](w, a, b)
         except FidelityError as exc:
-            raise FidelityError(str(exc), op_index=i // 3) from None
+            raise FidelityError(str(exc), op_index=_failed_op(n, it)) from None
         except TraceIntegrityError as exc:
-            raise TraceIntegrityError(f"op {i // 3}: {exc}") from None
+            raise TraceIntegrityError(f"op {_failed_op(n, it)}: {exc}") from None
         except (AttributeError, IndexError):
-            fault = self._trace_fault(ops[i], ops[i + 1], ops[i + 2], maps, iters)
+            fault = self._trace_fault(w, a, b, maps, iters)
             if fault is None:
                 raise  # the adapter's own bug, not the trace's
-            raise TraceIntegrityError(f"op {i // 3}: {fault}") from None
+            raise TraceIntegrityError(f"op {_failed_op(n, it)}: {fault}") from None
         elapsed = time.perf_counter() - start
 
         result = ReplayResult(elapsed, n // 3, len(map_digests), counters=counters)
@@ -329,6 +341,12 @@ class ReplaySession:
         if kind not in (_OP.CREATE, _OP.CREATE_COPY) and slots[a] is None:
             return f"{what} slot {a} used after free"
         return None
+
+
+def _failed_op(n: int, it) -> int:
+    """Index of the op whose handler raised, from the words `it` has left
+    of a stream of n; called only on the error path."""
+    return (n - sum(1 for _ in it)) // 3 - 1
 
 
 def _check(what: str, hit: bool, w: int) -> None:

@@ -31,6 +31,16 @@ FAST = BenchConfig(
 )
 
 
+@pytest.mark.parametrize("field, value", [
+    ("iter_duration", math.nan), ("iter_duration", math.inf),
+    ("iter_duration", 0.0), ("iter_duration", -1.0), ("warmup_iters", -1),
+])
+def test_bench_config_rejects_unbounded_or_negative_iterations(field, value):
+    # A NaN deadline is never reached, so the iteration would never end.
+    with pytest.raises(ConfigError, match=field):
+        BenchConfig(**{field: value})
+
+
 def tiny_trace():
     s = TraceSession()
     m = s.new_map()

@@ -132,6 +132,39 @@ def test_replay_bad_key_index_is_a_trace_error(tmp_path, capsys, trace_of_words)
         assert "op 1: key index 5" in err
 
 
+def test_replay_lf_alone_overrides_default_creates(tmp_path, capsys):
+    raw = tmp_path / "t.mrt"
+    mpt = tmp_path / "t.mpt"
+    run(capsys, "trace", "churn", "-o", str(raw))
+    run(capsys, "process", str(raw), "-o", str(mpt))
+
+    def counters(*flags):
+        code, out, _ = run(capsys, "replay", str(mpt), "--mode", "counting", *flags)
+        assert code == 0
+        return [line for line in out.splitlines() if line.startswith("counters.")]
+
+    assert counters("--lf", "500") == counters("--dic", "16", "--lf", "500")
+    assert counters("--lf", "500") != counters()
+    code, _, err = run(capsys, "replay", str(mpt), "--mode", "counting", "--lf", "5000")
+    assert code == 2
+    assert "mapreplay replay: load factor" in err
+
+
+@pytest.mark.parametrize("flag, value, field", [("--duration", "nan", "iter_duration"),
+                                               ("--warmup", "-1", "warmup_iters")])
+def test_bench_rejects_unbounded_or_negative_iterations(flag, value, field, tmp_path, capsys,
+                                                        trace_of_words):
+    mpt = tmp_path / "t.mpt"
+    create = int(RawOpKind.CREATE) | (750 << 9) | (1 << 19)
+    write_processed(trace_of_words([create, 0, 16]), mpt)
+    bench = ["bench", str(mpt), "--dic", "16", "--runs", "1", "--iters", "2",
+             "--warmup", "0", "--duration", "0.002", "--in-process"]
+    assert run(capsys, *bench)[0] == 0
+    code, _, err = run(capsys, *bench, flag, value)
+    assert code == 2
+    assert f"mapreplay bench: {field}" in err
+
+
 def test_unknown_workload_rejected_by_parser(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["trace", "bogus", "-o", "x.mrt"])

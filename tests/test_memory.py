@@ -1,5 +1,5 @@
-"""Memory budgets of recording and reading raw traces, measured with tracemalloc,
-and what a process keeps loaded once they return."""
+"""Memory budgets of recording and reading raw traces and of replay setup,
+measured with tracemalloc, and what a process keeps loaded once they return."""
 
 import os
 import subprocess
@@ -7,6 +7,8 @@ import sys
 import tracemalloc
 from importlib import resources
 
+from mapreplay.postproc import process
+from mapreplay.replay import ReplaySession
 from mapreplay.tracer import read_raw_trace
 from mapreplay.workloads import WorkloadSpec, generate
 
@@ -46,6 +48,20 @@ def test_read_raw_trace_does_not_copy_records(tmp_path):
     assert peak <= 1.1 * path.stat().st_size
 
 
+def test_replay_session_holds_at_most_24_bytes_per_op():
+    # The opcode stream is one packed int32 buffer, 12 B/op; the rest is the
+    # mockup keys. Boxing every word into a list held ~72 B/op.
+    trace = process(generate(WorkloadSpec("wordfreq", seed=1)))
+    tracemalloc.start()
+    try:
+        session = ReplaySession(trace)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(session.keys) == len(trace.key_hashes)
+    assert held <= 24 * trace.op_count
+
+
 def test_generate_keeps_no_workload_input():
     # A first run in a fresh process, so no earlier test has loaded the corpus.
     code = (
@@ -63,4 +79,17 @@ def test_generate_keeps_no_workload_input():
 def test_import_does_not_load_multiprocessing():
     # Only spawning bench runs needs it; record, distill and replay do not.
     code = "import sys, mapreplay, mapreplay.cli\nprint('multiprocessing' in sys.modules)"
+    assert _run_fresh(code) == "False"
+
+
+def test_record_and_distill_do_not_load_array():
+    # Only ReplaySession packs the opcode stream into an array("i"); loading
+    # the module would add its shared library to every record/distill run.
+    code = (
+        "import sys\n"
+        "from mapreplay.postproc import process\n"
+        "from mapreplay.workloads import WorkloadSpec, generate\n"
+        "process(generate(WorkloadSpec('churn', seed=1)))\n"
+        "print('array' in sys.modules)"
+    )
     assert _run_fresh(code) == "False"

@@ -335,6 +335,30 @@ def test_use_after_free_raises_integrity_error(trace_of_words):
 
 
 @pytest.mark.parametrize("mode", ["timing", "counting", "validating"])
+def test_fault_op_index_is_exact_at_both_ends(mode, trace_of_words):
+    # The loop counts no ops: the index comes from the words left unread.
+    put, get, free_map = int(RawOpKind.PUT), int(RawOpKind.GET), int(RawOpKind.FREE_MAP)
+    streams = [  # (opcode stream, index of the faulty op, fault)
+        ([put, 0, 0] + _CREATE + [put, 0, 0], 0, "map slot 0 used after free"),
+        ([free_map, 0, 0] + _CREATE, 0, "map slot 0 freed twice"),
+        ([0, 0, 0] + _CREATE, 0, "unknown opcode 0"),
+        (_CREATE + [put, 0, 0, free_map, 0, 0, get, 0, 0], 3, "map slot 0 used after free"),
+        (_CREATE + [free_map, 0, 0, free_map, 0, 0], 2, "map slot 0 freed twice"),
+        (_CREATE + [put, 0, 0, get, 0, 7], 2, "key index 7 out of range"),
+    ]
+    for words, bad_op, fault in streams:
+        trace = trace_of_words(words, n_keys=1)
+        with pytest.raises(TraceIntegrityError) as err:
+            ReplaySession(trace).replay(RefMap, mode=mode)
+        assert str(err.value) == f"op {bad_op}: {fault}"
+    if mode == "validating":  # a recorded hit that replays as a miss, last op
+        trace = trace_of_words(_CREATE + [put, 0, 0, get | OUTCOME_BIT, 0, 1], n_keys=2)
+        with pytest.raises(FidelityError) as err:
+            ReplaySession(trace).replay(RefMap, mode=mode)
+        assert err.value.op_index == 2
+
+
+@pytest.mark.parametrize("mode", ["timing", "counting", "validating"])
 def test_bad_key_index_raises_integrity_error(mode, trace_of_words):
     trace = trace_of_words(_CREATE + [int(RawOpKind.GET), 0, 5], n_keys=1)
     with pytest.raises(TraceIntegrityError) as err:
