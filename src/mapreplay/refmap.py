@@ -7,6 +7,10 @@ array). An instrumented counting mode tracks resizes, collision probes,
 buckets scanned, and entries moved, giving a deterministic stand-in for
 wall-clock trends.
 
+Keys carry their 32-bit hash as a value, an int attribute `hash32` (see
+`hash32_of`), which each keyed operation reads once; equality stays the
+key's own `__eq__`.
+
 The module also defines MapAdapter, the interface every benchmarked map
 implementation satisfies, and PyDictMap, a dict-backed adapter useful as a
 second implementation when exercising the harness.
@@ -88,26 +92,30 @@ def to_signed32(value: int) -> int:
 def hash32_of(key: Any) -> int:
     """32-bit signed hash of an application key.
 
-    Keys that define `hash32()` control their own hash (mockup and workload
-    keys do); anything else gets Python's hash folded to 32 bits.
+    A key controls its own hash through an int attribute `hash32` (mockup
+    and workload keys have one), read without calling Python code; any
+    other key gets Python's hash folded to 32 bits. The map hashes keys
+    through this alone, while key equality and the tracer's registry use
+    the key's `__eq__` and `__hash__`.
     """
-    h32 = getattr(key, "hash32", None)
-    if h32 is not None:
-        return h32()
+    try:
+        return key.hash32
+    except AttributeError:
+        return _fold_hash(key)
+
+
+def _fold_hash(key: Any) -> int:
+    """Python's hash of `key`, its two 32-bit halves XORed, as signed 32 bits."""
     h = hash(key) & _U64
     return to_signed32(h ^ (h >> 32))
 
 
-def spread_hash(hash32: int) -> int:
-    """Fold the high 16 bits into the low ones (h XOR h >>> 16), unsigned."""
-    u = hash32 & 0xFFFFFFFF
-    return u ^ (u >> 16)
-
-
 def bucket_index(hash32: int, capacity: int, spread: bool = True) -> int:
-    """Bucket slot for a hash: the (optionally spread) hash masked by capacity-1."""
-    u = spread_hash(hash32) if spread else hash32 & 0xFFFFFFFF
-    return u & (capacity - 1)
+    """Bucket slot for a hash: the unsigned hash, spread by folding its high
+    16 bits into the low ones (u XOR u >>> 16) when `spread`, masked by
+    capacity-1. RefMap computes the same rule inline."""
+    u = hash32 & 0xFFFFFFFF
+    return ((u ^ (u >> 16)) if spread else u) & (capacity - 1)
 
 
 @dataclass(slots=True)
@@ -208,9 +216,13 @@ class _Entry:
 
 
 class RefMap(MapAdapter):
-    """Chained hash map with counters; the harness's reference implementation."""
+    """Chained hash map with counters; the harness's reference implementation.
 
-    __slots__ = ("config", "counters", "_table", "_size", "_threshold", "_spread")
+    Keyed operations and resizes compute `bucket_index` inline, masking
+    with the cached `capacity - 1`, so finding a bucket calls no function.
+    """
+
+    __slots__ = ("config", "counters", "_table", "_size", "_threshold", "_spread", "_mask")
 
     def __init__(self, config: MapConfig = DEFAULT_CONFIG):
         self.config = config
@@ -219,6 +231,7 @@ class RefMap(MapAdapter):
         self._size = 0
         self._threshold = 0
         self._spread = config.spread_hashes
+        self._mask = 0
 
     @classmethod
     def copy_of(cls, source: MapAdapter, config: MapConfig = DEFAULT_CONFIG) -> "RefMap":
@@ -243,9 +256,7 @@ class RefMap(MapAdapter):
     def _allocate(self, capacity: int) -> None:
         self._table = [None] * capacity
         self._threshold = threshold(capacity, self.config.load_factor_milli)
-
-    def _bucket(self, hash32: int) -> int:
-        return bucket_index(hash32, len(self._table), self._spread)
+        self._mask = capacity - 1
 
     def _entries_in_order(self) -> Iterator[_Entry]:
         if self._table is None:
@@ -259,25 +270,30 @@ class RefMap(MapAdapter):
     def _resize(self) -> None:
         old = self._table
         new_cap = len(old) * 2
-        self._table = [None] * new_cap
+        table = self._table = [None] * new_cap
         self._threshold = threshold(new_cap, self.config.load_factor_milli)
+        mask = self._mask = new_cap - 1
+        spread = self._spread
         # Rebuild by appending at chain tails in old bucket+chain order, which
         # preserves the relative order of entries that share a new bucket.
         tails: dict[int, _Entry] = {}
+        moved = 0
         for head in old:
             e = head
             while e is not None:
                 nxt = e.next
                 e.next = None
-                idx = bucket_index(e.hash, new_cap, self._spread)
+                u = e.hash & 0xFFFFFFFF
+                idx = ((u ^ (u >> 16)) if spread else u) & mask
                 tail = tails.get(idx)
                 if tail is None:
-                    self._table[idx] = e
+                    table[idx] = e
                 else:
                     tail.next = e
                 tails[idx] = e
-                self.counters.entries_moved += 1
+                moved += 1
                 e = nxt
+        self.counters.entries_moved += moved
         self.counters.resizes += 1
 
     # -- public operations --------------------------------------------------
@@ -287,11 +303,16 @@ class RefMap(MapAdapter):
         return 0 if self._table is None else len(self._table)
 
     def put(self, key: Any, value: Any) -> Any | None:
-        h = hash32_of(key)
+        try:
+            h = key.hash32
+        except AttributeError:
+            h = _fold_hash(key)
         if self._table is None:
             self._allocate(normalize_capacity(self.config.initial_capacity))
-        idx = self._bucket(h)
-        e = self._table[idx]
+        table = self._table
+        u = h & 0xFFFFFFFF
+        idx = ((u ^ (u >> 16)) if self._spread else u) & self._mask
+        e = table[idx]
         tail = None
         while e is not None:
             if e.hash == h and (e.key is key or e.key == key):
@@ -303,7 +324,7 @@ class RefMap(MapAdapter):
             e = e.next
         entry = _Entry(h, key, value)
         if tail is None:
-            self._table[idx] = entry
+            table[idx] = entry
         else:
             tail.next = entry
         self._size += 1
@@ -312,10 +333,15 @@ class RefMap(MapAdapter):
         return None
 
     def get(self, key: Any) -> Any | None:
-        if self._table is None:
+        table = self._table
+        if table is None:
             return None
-        h = hash32_of(key)
-        e = self._table[self._bucket(h)]
+        try:
+            h = key.hash32
+        except AttributeError:
+            h = _fold_hash(key)
+        u = h & 0xFFFFFFFF
+        e = table[((u ^ (u >> 16)) if self._spread else u) & self._mask]
         while e is not None:
             if e.hash == h and (e.key is key or e.key == key):
                 return e.value
@@ -324,10 +350,15 @@ class RefMap(MapAdapter):
         return None
 
     def contains_key(self, key: Any) -> bool:
-        if self._table is None:
+        table = self._table
+        if table is None:
             return False
-        h = hash32_of(key)
-        e = self._table[self._bucket(h)]
+        try:
+            h = key.hash32
+        except AttributeError:
+            h = _fold_hash(key)
+        u = h & 0xFFFFFFFF
+        e = table[((u ^ (u >> 16)) if self._spread else u) & self._mask]
         while e is not None:
             if e.hash == h and (e.key is key or e.key == key):
                 return True
@@ -336,16 +367,21 @@ class RefMap(MapAdapter):
         return False
 
     def remove(self, key: Any) -> Any | None:
-        if self._table is None:
+        table = self._table
+        if table is None:
             return None
-        h = hash32_of(key)
-        idx = self._bucket(h)
-        e = self._table[idx]
+        try:
+            h = key.hash32
+        except AttributeError:
+            h = _fold_hash(key)
+        u = h & 0xFFFFFFFF
+        idx = ((u ^ (u >> 16)) if self._spread else u) & self._mask
+        e = table[idx]
         prev = None
         while e is not None:
             if e.hash == h and (e.key is key or e.key == key):
                 if prev is None:
-                    self._table[idx] = e.next
+                    table[idx] = e.next
                 else:
                     prev.next = e.next
                 self._size -= 1

@@ -1,7 +1,9 @@
 """Replay of processed traces against one pluggable map implementation.
 
 Setup preallocates every mockup key and the map/iterator slot arrays so the
-timed phase creates nothing but maps and iterators. The opcode stream is
+timed phase creates nothing but maps and iterators. Mockup keys are ints
+holding the recorded hashes (see MockupKey), built in C by one
+`list(map(MockupKey, hashes))`. The opcode stream is
 held as one packed `array("i")`, copied once from the decoded trace, so setup
 boxes no per-op ints and the stream costs 12 bytes per op. The replay phase
 is a single dispatch loop over that buffer, bound to exactly one adapter
@@ -82,26 +84,32 @@ class _ValueToken:
 VALUE_TOKEN = _ValueToken()
 
 
-class MockupKey:
-    """Stand-in for an application key: preserved hash, identity equality."""
+class MockupKey(int):
+    """Stand-in for an application key: preserved hash, identity equality.
 
-    __slots__ = ("index", "_hash")
+    Its int value is the recorded signed 32-bit hash, so `MockupKey(h)` is
+    built in C with no Python frame, and `hash32` (the map's hash protocol)
+    is `int.real`, a C accessor returning that value as a plain int. Keys
+    compare by identity: two keys built from one hash are distinct keys
+    that collide. `__hash__` is the int's, which only dict-backed adapters
+    use. A key whose recorded hash is 0 is falsy, so nothing may test a
+    key's truth.
+    """
 
-    def __init__(self, index: int, hash32: int):
-        self.index = index
-        self._hash = hash32
+    __slots__ = ()
 
-    def hash32(self) -> int:
-        return self._hash
+    hash32 = int.real
 
     def __eq__(self, other: object) -> bool:
-        return self is other or (isinstance(other, MockupKey) and other.index == self.index)
+        return self is other
 
-    def __hash__(self) -> int:
-        return self.index
+    def __ne__(self, other: object) -> bool:
+        return self is not other
+
+    __hash__ = int.__hash__
 
     def __repr__(self) -> str:
-        return f"MockupKey({self.index}, hash={self._hash})"
+        return f"MockupKey(hash={int(self)})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -165,7 +173,7 @@ class ReplaySession:
                 f"trace has {n_keys} keys"
             )
         self.trace = trace
-        self.keys = list(map(MockupKey, range(n_keys), trace.key_hashes.tolist()))
+        self.keys = list(map(MockupKey, trace.key_hashes.tolist()))
         # One copy into a packed buffer; its ints are created as the loop
         # reads them, not all at once here. Imported here so that recording
         # and distilling, which import this module, never load `array`.

@@ -177,6 +177,12 @@ class KeyRegistry:
     If a key's 32-bit hash is later observed to differ from the recorded
     one, the differing hash is emitted as-is; post-processing spots the
     conflict and drops every map that touched the key.
+
+    Keys are found here through `__eq__`/`__hash__` and hashed through
+    `hash32_of`; the two stay separate, so a key whose 32-bit hash changes
+    still resolves to its id. The first time a map sees a key, a `hash32`
+    that is not an int (an old-style `hash32()` method, say) raises a
+    TypeError naming the key's type, before the map would fail on it.
     """
 
     def __init__(self, alloc_key_id: Callable[[], int]):
@@ -189,6 +195,11 @@ class KeyRegistry:
         hit = keys.get(key)
         if hit is not None:
             return hit[0], observed
+        if not isinstance(observed, int):
+            raise TypeError(
+                f"{type(key).__name__}.hash32 must be an int attribute, "
+                f"got {type(observed).__name__}"
+            )
         kid = self._alloc_key_id()
         keys[key] = (kid, observed)
         return kid, observed

@@ -52,16 +52,13 @@ def mix32(value: int) -> int:
 
 
 class WordKey:
-    """String-token key with an FNV-1a 32-bit hash."""
+    """String-token key with an FNV-1a 32-bit hash in its `hash32` attribute."""
 
-    __slots__ = ("token", "_h32")
+    __slots__ = ("token", "hash32")
 
     def __init__(self, token: str):
         self.token = token
-        self._h32 = fnv1a_32(token.encode())
-
-    def hash32(self) -> int:
-        return self._h32
+        self.hash32 = fnv1a_32(token.encode())
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, WordKey) and other.token == self.token
@@ -76,14 +73,11 @@ class WordKey:
 class IntKey:
     """Integer key; hash quality is controllable via an explicit hash32."""
 
-    __slots__ = ("ident", "_h32")
+    __slots__ = ("ident", "hash32")
 
     def __init__(self, ident: int, hash32: int | None = None):
         self.ident = ident
-        self._h32 = mix32(ident) if hash32 is None else hash32
-
-    def hash32(self) -> int:
-        return self._h32
+        self.hash32 = mix32(ident) if hash32 is None else hash32
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IntKey) and other.ident == self.ident
@@ -92,7 +86,7 @@ class IntKey:
         return self.ident
 
     def __repr__(self) -> str:
-        return f"IntKey({self.ident}, hash={self._h32})"
+        return f"IntKey({self.ident}, hash={self.hash32})"
 
 
 def corpus_tokens() -> Iterator[str]:

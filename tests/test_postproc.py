@@ -79,6 +79,7 @@ def test_sanitize_drops_poisoned_map_entirely():
         def __init__(self):
             self.h = 5
 
+        @property
         def hash32(self):
             return self.h
 
@@ -556,14 +557,11 @@ def _raw_subsequence_digests(events):
     from mapreplay.tracer import unpack_create_aux
 
     class K:
-        __slots__ = ("kid", "h")
+        __slots__ = ("kid", "hash32")
 
         def __init__(self, kid, h):
             self.kid = kid
-            self.h = h
-
-        def hash32(self):
-            return self.h
+            self.hash32 = h
 
         def __eq__(self, other):
             return other.kid == self.kid

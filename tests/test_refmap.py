@@ -484,6 +484,43 @@ def _check_bucket_invariant(m: RefMap):
             e = e.next
 
 
+_EDGE_HASHES = (0, -1, -(2**31), 2**31 - 1, 0x5EED)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.booleans(),  # put, else remove
+            st.integers(0, 24),
+            st.one_of(st.sampled_from(_EDGE_HASHES), st.integers(-(2**31), 2**31 - 1)),
+        ),
+        max_size=120,
+    ),
+    st.integers(1, 16),
+    st.booleans(),
+)
+def test_entries_sit_in_their_bucket_after_puts_and_removes(ops, dic, spread):
+    # RefMap computes the bucket inline; bucket_index is the reference.
+    # Keys that draw the same edge hash collide.
+    m = RefMap(MapConfig(dic, 750, spread))
+    hashes, present = {}, set()
+    for put, ident, h in ops:
+        key = IntKey(ident, hash32=hashes.setdefault(ident, h))
+        if put:
+            m.put(key, ident)
+            present.add(ident)
+        else:
+            m.remove(key)
+            present.discard(ident)
+        _check_bucket_invariant(m)
+    assert m.size() == len(present)
+    for ident, h in hashes.items():
+        key = IntKey(ident, hash32=h)
+        assert m.get(key) == (ident if ident in present else None)
+        assert m.contains_key(key) == (ident in present)
+
+
 def test_randomized_sequences_match_oracle():
     # 1000 seeded sequences of up to 200 operations, clears included.
     rng = random.Random(99)

@@ -35,14 +35,51 @@ def _insert_only_trace(n_keys):
 
 
 def test_mockup_key_preserves_hash_verbatim():
-    k = MockupKey(3, -123456)
-    assert k.hash32() == -123456
+    k = MockupKey(-123456)
+    assert k.hash32 == -123456
+    assert type(k.hash32) is int
 
 
-def test_mockup_key_equality_is_index_identity():
-    assert MockupKey(1, 5) == MockupKey(1, 99)
-    assert MockupKey(1, 5) != MockupKey(2, 5)
-    assert hash(MockupKey(4, 0)) == 4
+def test_mockup_key_equality_is_identity():
+    a, b = MockupKey(5), MockupKey(5)
+    assert a == a and not a != a
+    assert a != b and not a == b  # equal hashes, distinct keys
+    assert a != 5 and 5 != a
+    assert hash(a) == hash(5) == 5
+    assert len({a: 1, b: 2}) == 2
+
+
+def _zero_and_minus_one_keys(m):
+    # Hash 0 makes a falsy MockupKey, and Python hashes -1 as -2; three keys
+    # share each hash, so every probe walks a collision chain.
+    zeros = [IntKey(i, hash32=0) for i in range(3)]
+    minus_ones = [IntKey(10 + j, hash32=-1) for j in range(3)]
+    for k in zeros + minus_ones:
+        m.put(k, 1)
+    for k in zeros + minus_ones:
+        m.get(k)
+        m.contains_key(k)
+    m.remove(zeros[1])
+    m.remove(minus_ones[0])
+    m.get(zeros[1])
+    m.put(zeros[1], 2)
+    it = m.iterator()
+    while it.advance() is not None:
+        pass
+    m.contains_key(minus_ones[0])
+
+
+def test_keys_with_hash_zero_and_minus_one_replay_in_every_mode():
+    trace = _trace_of(lambda s: _zero_and_minus_one_keys(s.new_map()))
+    assert sorted(set(trace.key_hashes.tolist())) == [-1, 0]
+    session = ReplaySession(trace)
+    assert not session.keys[0]  # a hash-0 key is falsy
+    for mode in ("timing", "counting", "validating"):
+        assert session.replay(RefMap, mode=mode).ops_executed == trace.op_count
+    session.replay(PyDictMap)
+    direct = RefMap()
+    _zero_and_minus_one_keys(direct)
+    assert session.replay(RefMap, mode="validating").map_digests == [direct.state_digest()]
 
 
 # -- setup ----------------------------------------------------------------------------
@@ -52,7 +89,7 @@ def test_setup_preallocates_all_mockup_keys():
     trace = _insert_only_trace(49)
     session = ReplaySession(trace)
     assert len(session.keys) == len(trace.key_hashes) == 49
-    assert [k.hash32() for k in session.keys] == list(trace.key_hashes)
+    assert [k.hash32 for k in session.keys] == list(trace.key_hashes)
 
 
 def test_setup_empty_trace():

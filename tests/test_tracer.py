@@ -143,6 +143,7 @@ class MutableHashKey:
         self.ident = ident
         self.h = 100
 
+    @property
     def hash32(self):
         return self.h
 
@@ -163,6 +164,18 @@ def test_unstable_hash_is_emitted_as_observed():
     put, get = [e for e in events_of(s) if e.key_id is not None]
     assert put.key_id == get.key_id
     assert (put.hash, get.hash) == (100, 200)  # conflict visible to the sanitizer
+
+
+def test_hash32_method_key_is_rejected_on_first_use():
+    class OldStyleKey:
+        def hash32(self):
+            return 7
+
+    s = TraceSession()
+    m = s.new_map()
+    with pytest.raises(TypeError, match=r"OldStyleKey\.hash32 must be an int attribute, got method"):
+        m.put(OldStyleKey(), 1)
+    assert [e for e in events_of(s) if e.key_id is not None] == []  # nothing recorded
 
 
 # -- outcome bits --------------------------------------------------------------------
@@ -482,14 +495,11 @@ def test_outcome_bits_reproducible_by_raw_interpretation():
     keys: dict[int, object] = {}
 
     class OracleKey:
-        __slots__ = ("kid", "h")
+        __slots__ = ("kid", "hash32")
 
         def __init__(self, kid, h):
             self.kid = kid
-            self.h = h
-
-        def hash32(self):
-            return self.h
+            self.hash32 = h
 
         def __eq__(self, other):
             return isinstance(other, OracleKey) and other.kid == self.kid
