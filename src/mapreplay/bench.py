@@ -371,16 +371,18 @@ def _spawned_run(ctx, data: bytes, impl: str, dic: int, lf_milli: int, config) -
 
 
 def _collect_all_samples(
-    trace: ProcessedTrace,
+    session: ReplaySession,
     measured: list[tuple[int, object, int]],  # (result index, impl, dic)
     lf_milli: int,
     config: BenchConfig,
 ) -> dict[int, list[float]]:
     """Measure every variant, one run at a time in round-robin order.
 
-    Spawned child processes give each run a fresh interpreter. The
-    in-process fallback interleaves variants across runs so process
-    warm-up drift spreads evenly instead of biasing later variants.
+    Spawned child processes give each run a fresh interpreter and decode
+    their own session. The in-process fallback replays `session` for every
+    variant (a replay only reads it) and interleaves variants across runs
+    so process warm-up drift spreads evenly instead of biasing later
+    variants.
     """
     in_process = not config.use_processes
     if not in_process and any(not isinstance(impl, str) for _, impl, _ in measured):
@@ -392,24 +394,23 @@ def _collect_all_samples(
 
     samples: dict[int, list[float]] = {idx: [] for idx, _, _ in measured}
     if in_process:
-        sessions = {}
+        runners = {}
         for idx, impl, dic in measured:
             factory = get_implementation(impl) if isinstance(impl, str) else impl
-            sessions[idx] = (ReplaySession(trace), factory, ConfigOverride(dic, lf_milli))
+            runners[idx] = (factory, ConfigOverride(dic, lf_milli))
         # One unmeasured replay per variant absorbs cold-start costs that a
         # fresh child process would otherwise isolate.
-        for session, factory, override in sessions.values():
+        for factory, override in runners.values():
             session.replay(factory, "timing", override)
         for _ in range(config.runs):
-            for idx, impl, dic in measured:
-                session, factory, override = sessions[idx]
+            for idx, (factory, override) in runners.items():
                 samples[idx].extend(_one_run(session, factory, override, config))
         return samples
 
     import multiprocessing  # only spawning needs it: ~0.75 MB RSS on import
 
     ctx = multiprocessing.get_context("spawn")
-    data = to_bytes(trace)
+    data = to_bytes(session.trace)
     for _ in range(config.runs):
         for idx, impl, dic in measured:
             samples[idx].extend(_spawned_run(ctx, data, impl, dic, lf_milli, config))
@@ -422,7 +423,6 @@ def run_bench(
     config: BenchConfig | None = None,
     label: str = "trace",
     lf_milli: int = DEFAULT_CONFIG.load_factor_milli,
-    validate: bool = True,
 ) -> BenchReport:
     """Benchmark `variants` (pairs of implementation and initial capacity)
     against one trace; the first variant is the baseline.
@@ -435,6 +435,7 @@ def run_bench(
     if not variants:
         raise ConfigError("need at least one variant")
 
+    session = ReplaySession(trace)
     results: list[VariantResult] = []
     measured: list[tuple[int, object, int]] = []
     validated: set[str] = set()
@@ -442,13 +443,13 @@ def run_bench(
         impl_name = impl if isinstance(impl, str) else getattr(impl, "__name__", "custom")
         v = VariantResult(label=f"{impl_name}:dic{dic}", impl=impl_name, dic=dic, lf_milli=lf_milli)
         factory = get_implementation(impl) if isinstance(impl, str) else impl
-        if validate and impl_name not in validated:
+        if impl_name not in validated:
             # Fidelity is checked under the recorded configurations: with a
             # capacity override, iterator-removes may legitimately pick
             # different victims (iteration order depends on capacity), which
             # is divergence of the workload, not of the adapter.
             try:
-                ReplaySession(trace).replay(factory, "validating")
+                session.replay(factory, "validating")
                 validated.add(impl_name)
             except MapReplayError as exc:
                 if not results:
@@ -460,7 +461,7 @@ def run_bench(
         measured.append((len(results), impl, dic))
         results.append(v)
 
-    for idx, samples in _collect_all_samples(trace, measured, lf_milli, config).items():
+    for idx, samples in _collect_all_samples(session, measured, lf_milli, config).items():
         results[idx].samples = samples
 
     # Bootstrap seeds are derived per variant index so a report is a pure

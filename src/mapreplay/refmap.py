@@ -95,8 +95,8 @@ def hash32_of(key: Any) -> int:
     A key controls its own hash through an int attribute `hash32` (mockup
     and workload keys have one), read without calling Python code; any
     other key gets Python's hash folded to 32 bits. The map hashes keys
-    through this alone, while key equality and the tracer's registry use
-    the key's `__eq__` and `__hash__`.
+    through this alone, while key equality and a traced map's canonical-key
+    table use the key's `__eq__` and `__hash__`.
     """
     try:
         return key.hash32

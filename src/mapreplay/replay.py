@@ -141,14 +141,7 @@ class ReplayResult:
 class ReplaySession:
     """Decoded trace plus everything preallocated for repeated replays."""
 
-    def __init__(self, trace: ProcessedTrace, memory_budget: int | None = None):
-        required = len(trace.key_hashes) + trace.max_map_slots + trace.max_iter_slots
-        if memory_budget is not None and required > memory_budget:
-            raise ConfigError(
-                f"trace needs {len(trace.key_hashes)} mockup keys, "
-                f"{trace.max_map_slots} map slots and {trace.max_iter_slots} iterator "
-                f"slots ({required} objects), above the budget of {memory_budget}"
-            )
+    def __init__(self, trace: ProcessedTrace):
         # Valid words and operands are never negative; a negative index
         # would wrap around the slot and key lists instead of failing.
         if trace.ops.size and trace.ops.min() < 0:

@@ -5,7 +5,9 @@ record one fixed-width record per operation: operation kind, map identity,
 canonical key identity, 32-bit hash, and a hit/miss outcome bit. Values are
 never recorded. Equal-but-not-identical keys are collapsed onto one
 canonical key id per map, so replay can use identity-equality mockup keys
-while reproducing the exact hash/bucket control flow.
+while reproducing the exact hash/bucket control flow. Each TracedMap keeps
+its own canonical-key table, so the table dies with the map; the session
+keeps only the record buffers and id counters.
 
 Records are packed straight into per-thread-slot byte buffers in the MRT1
 record layout below; no Python object is kept per event. A RawTrace is a
@@ -36,16 +38,17 @@ id in the map_id field.
 
 from __future__ import annotations
 
+import itertools
 import struct
 import threading
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
-from .errors import TraceFormatError
+from .errors import ConfigError, TraceFormatError
 from .refmap import DEFAULT_CONFIG, MapConfig, RefMap, View, hash32_of
 
 MAGIC = b"MRT1"
@@ -168,101 +171,16 @@ def unpack_iternew_aux(aux: int) -> tuple[int, View]:
     return aux >> 2, View(aux & 0x3)
 
 
-class KeyRegistry:
-    """Canonical key ids and recorded hashes, scoped per map.
-
-    Two equal keys used against one map share a canonical id; the id's
-    hash is recorded once. A copy-constructed map inherits its source's
-    ids so lookups against the copy still resolve to the source's keys.
-    If a key's 32-bit hash is later observed to differ from the recorded
-    one, the differing hash is emitted as-is; post-processing spots the
-    conflict and drops every map that touched the key.
-
-    Keys are found here through `__eq__`/`__hash__` and hashed through
-    `hash32_of`; the two stay separate, so a key whose 32-bit hash changes
-    still resolves to its id. The first time a map sees a key, a `hash32`
-    that is not an int (an old-style `hash32()` method, say) raises a
-    TypeError naming the key's type, before the map would fail on it.
-    """
-
-    def __init__(self, alloc_key_id: Callable[[], int]):
-        self._alloc_key_id = alloc_key_id
-        self._by_map: dict[int, dict[Any, tuple[int, int]]] = {}
-
-    def canonicalize(self, map_id: int, key: Any) -> tuple[int, int]:
-        keys = self._by_map.setdefault(map_id, {})
-        observed = hash32_of(key)
-        hit = keys.get(key)
-        if hit is not None:
-            return hit[0], observed
-        if not isinstance(observed, int):
-            raise TypeError(
-                f"{type(key).__name__}.hash32 must be an int attribute, "
-                f"got {type(observed).__name__}"
-            )
-        kid = self._alloc_key_id()
-        keys[key] = (kid, observed)
-        return kid, observed
-
-    def seed_copy(self, new_map_id: int, source_map_id: int) -> None:
-        self._by_map[new_map_id] = dict(self._by_map.get(source_map_id, {}))
-
-
 class _SlotState:
-    __slots__ = ("slot", "buffer", "next_map", "next_iter", "next_key")
+    __slots__ = ("slot", "buffer", "map_ids", "iter_ids", "key_ids")
 
     def __init__(self, slot: int):
         self.slot = slot
         self.buffer = bytearray()  # packed MRT1 records
-        self.next_map = 1
-        self.next_iter = 1
-        self.next_key = 1
-
-
-class _SlotTable:
-    """Per-thread-slot record buffers and id counters.
-
-    Kept apart from TraceSession so the KeyRegistry can allocate key ids
-    without holding the session: no reference cycle keeps a finished
-    session and its buffers alive until the cyclic collector runs.
-    """
-
-    def __init__(self):
-        self._states: dict[int, _SlotState] = {0: _SlotState(0)}
-        self._lock = threading.Lock()
-        self.local = threading.local()
-
-    def state(self) -> _SlotState:
-        slot = getattr(self.local, "slot", 0)
-        state = self._states.get(slot)
-        if state is None:
-            with self._lock:
-                state = self._states.setdefault(slot, _SlotState(slot))
-        return state
-
-    def alloc_map_id(self) -> int:
-        state = self.state()
-        state.next_map += 1
-        return (state.slot << _SLOT_SHIFT) | (state.next_map - 1)
-
-    def alloc_iter_id(self) -> int:
-        state = self.state()
-        state.next_iter += 1
-        return (state.slot << _SLOT_SHIFT) | (state.next_iter - 1)
-
-    def alloc_key_id(self) -> int:
-        state = self.state()
-        state.next_key += 1
-        return (state.slot << _SLOT_SHIFT) | (state.next_key - 1)
-
-    def join(self) -> bytearray:
-        """Concatenate the buffers in slot order, emptying the later ones."""
-        states = [self._states[slot] for slot in sorted(self._states)]
-        joined = states[0].buffer
-        for state in states[1:]:
-            joined += state.buffer
-            state.buffer = bytearray()
-        return joined
+        first = (slot << _SLOT_SHIFT) + 1
+        self.map_ids = itertools.count(first)
+        self.iter_ids = itertools.count(first)
+        self.key_ids = itertools.count(first)
 
 
 class TraceSession:
@@ -273,38 +191,30 @@ class TraceSession:
     and buffers are concatenated in slot order at close. Wrap worker-thread
     code in `with session.thread(slot):`; unwrapped code records to slot 0.
     A single map shared across threads still needs caller-side locking.
+
+    The session records from construction until `close()`; later events
+    are dropped. Maps hold the session and the session holds no map, so
+    reference counting alone frees a finished session and its buffers.
     """
 
-    def __init__(self, path: str | Path | None = None, start_open: bool = True):
+    def __init__(self, path: str | Path | None = None):
         self._path = Path(path) if path is not None else None
-        self._slots = _SlotTable()
-        self._open = start_open
-        self._closed = False
+        self._states: dict[int, _SlotState] = {0: _SlotState(0)}
+        self._lock = threading.Lock()
+        self._local = threading.local()
         self._trace: RawTrace | None = None
-        self.registry = KeyRegistry(self._slots.alloc_key_id)
 
     # -- lifecycle -----------------------------------------------------------
-
-    def open(self) -> None:
-        """Begin recording. Maps handed out before this are foreign: their
-        later events are recorded but carry no creation event, mirroring
-        maps that exist before tracing can start."""
-        if self._closed:
-            raise RuntimeError("session already closed")
-        self._open = True
 
     def close(self) -> RawTrace:
         """Join the slot buffers (slot order), optionally write the file.
 
         Closing again returns the same trace.
         """
-        if self._closed:
-            return self._trace
-        self._open = False
-        self._closed = True
-        self._trace = RawTrace(np.frombuffer(self._slots.join(), dtype=RAW_DTYPE))
-        if self._path is not None:
-            write_raw_trace(self._trace, self._path)
+        if self._trace is None:
+            self._trace = RawTrace(np.frombuffer(self._join(), dtype=RAW_DTYPE))
+            if self._path is not None:
+                write_raw_trace(self._trace, self._path)
         return self._trace
 
     def __enter__(self) -> "TraceSession":
@@ -313,13 +223,30 @@ class TraceSession:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- thread slots and ids --------------------------------------------------
+    # -- thread slots ------------------------------------------------------------
 
     def thread(self, slot: int) -> "_ThreadSlot":
         """Bind the calling thread's events and ids to `slot` (> 0)."""
         if slot < 0 or slot >= (1 << 24):
             raise ValueError("thread slot out of range")
-        return _ThreadSlot(self._slots.local, slot)
+        return _ThreadSlot(self._local, slot)
+
+    def _state(self) -> _SlotState:
+        slot = getattr(self._local, "slot", 0)
+        state = self._states.get(slot)
+        if state is None:
+            with self._lock:
+                state = self._states.setdefault(slot, _SlotState(slot))
+        return state
+
+    def _join(self) -> bytearray:
+        """Concatenate the buffers in slot order, emptying the later ones."""
+        states = [self._states[slot] for slot in sorted(self._states)]
+        joined = states[0].buffer
+        for state in states[1:]:
+            joined += state.buffer
+            state.buffer = bytearray()
+        return joined
 
     # -- recording ---------------------------------------------------------------
 
@@ -332,9 +259,9 @@ class TraceSession:
         aux: int = 0,
         outcome: int | None = None,
     ) -> None:
-        if not self._open:
+        if self._trace is not None:
             return
-        state = self._slots.state()
+        state = self._state()
         state.buffer += _RECORD.pack(
             state.slot,
             op,
@@ -348,31 +275,24 @@ class TraceSession:
     # -- traced map construction ----------------------------------------------------
 
     def new_map(self, config: MapConfig = DEFAULT_CONFIG) -> "TracedMap":
-        """Create a traced map; emits a Create event with the requested config.
-
-        On a closed session the handle still works but is foreign: no
-        creation event exists, so post-processing drops its activity.
-        """
-        map_id = self._slots.alloc_map_id()
-        foreign = not self._open
-        if not foreign:
-            self.record(
-                RawOpKind.CREATE,
-                map_id,
-                aux=pack_create_aux(
-                    config.initial_capacity, config.load_factor_milli, config.spread_hashes
-                ),
-            )
-        return TracedMap(self, RefMap(config), map_id, foreign=foreign)
+        """Create a traced map; emits a Create event with the requested config."""
+        map_id = next(self._state().map_ids)
+        self.record(
+            RawOpKind.CREATE,
+            map_id,
+            aux=pack_create_aux(
+                config.initial_capacity, config.load_factor_milli, config.spread_hashes
+            ),
+        )
+        return TracedMap(self, RefMap(config), map_id, {})
 
     def copy_map(self, source: "TracedMap", config: MapConfig = DEFAULT_CONFIG) -> "TracedMap":
-        map_id = self._slots.alloc_map_id()
-        foreign = not self._open
-        if not foreign:
-            self.record(RawOpKind.CREATE_COPY, map_id, aux=source.map_id)
-        self.registry.seed_copy(map_id, source.map_id)
+        """Copy-construct a traced map; it inherits the source's key ids, so
+        lookups against the copy resolve to the source's canonical keys."""
+        map_id = next(self._state().map_ids)
+        self.record(RawOpKind.CREATE_COPY, map_id, aux=source.map_id)
         return TracedMap(
-            self, RefMap.copy_of(source._inner, config), map_id, foreign=foreign
+            self, RefMap.copy_of(source._inner, config), map_id, dict(source._keys)
         )
 
 
@@ -390,19 +310,44 @@ class _ThreadSlot:
 
     def __exit__(self, *exc):
         self._local.slot = self._prev
+
+
 class TracedMap:
-    """Adapter-shaped wrapper that records every operation against a RefMap."""
+    """Adapter-shaped wrapper that records every operation against a RefMap.
 
-    __slots__ = ("_session", "_inner", "map_id", "foreign")
+    `_keys` maps each key this map has seen to its canonical id: two equal
+    keys share one id, found through the key's `__eq__`/`__hash__`, while
+    the hash is read through `hash32_of` on every op and recorded as
+    observed. A key whose 32-bit hash changes is thus emitted with two
+    hashes under one id; post-processing spots the conflict and drops every
+    map that touched the key. A hash that is not an int (an
+    old-style `hash32()` method, say) or lies outside signed 32 bits is
+    rejected before an id is taken or the inner map is touched.
+    """
 
-    def __init__(self, session: TraceSession, inner: RefMap, map_id: int, foreign: bool = False):
+    __slots__ = ("_session", "_inner", "map_id", "_keys")
+
+    def __init__(self, session: TraceSession, inner: RefMap, map_id: int, keys: dict[Any, int]):
         self._session = session
         self._inner = inner
         self.map_id = map_id
-        self.foreign = foreign
+        self._keys = keys
 
     def _key(self, key: Any) -> tuple[int, int]:
-        return self._session.registry.canonicalize(self.map_id, key)
+        observed = hash32_of(key)
+        if not isinstance(observed, int):
+            raise TypeError(
+                f"{type(key).__name__}.hash32 must be an int attribute, "
+                f"got {type(observed).__name__}"
+            )
+        if not -0x80000000 <= observed <= 0x7FFFFFFF:
+            raise ConfigError(
+                f"{type(key).__name__}.hash32 is {observed}, outside signed 32 bits"
+            )
+        kid = self._keys.get(key)
+        if kid is None:
+            kid = self._keys[key] = next(self._session._state().key_ids)
+        return kid, observed
 
     def get(self, key: Any) -> Any | None:
         kid, h = self._key(key)
@@ -448,7 +393,7 @@ class TracedMap:
         return self._inner.size()
 
     def iterator(self, view: View = View.ENTRIES) -> "TracedIterator":
-        iter_id = self._session._slots.alloc_iter_id()
+        iter_id = next(self._session._state().iter_ids)
         self._session.record(
             RawOpKind.ITER_NEW, self.map_id, aux=pack_iternew_aux(iter_id, view)
         )
@@ -473,7 +418,6 @@ class TracedIterator:
     def remove(self) -> None:
         self._inner.remove()
         self._session.record(RawOpKind.ITER_REMOVE, self.iter_id)
-
 
 
 # -- raw trace file I/O ---------------------------------------------------------

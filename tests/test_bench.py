@@ -325,6 +325,25 @@ def test_run_bench_custom_adapter_falls_back_in_process():
     assert len(report.variants[0].samples) == 2
 
 
+def test_run_bench_builds_one_replay_session(monkeypatch):
+    # Validation and in-process timing of every variant share one session:
+    # a replay only reads it.
+    from mapreplay import bench
+
+    built = []
+
+    class CountedSession(bench.ReplaySession):
+        def __init__(self, trace):
+            super().__init__(trace)
+            built.append(self)
+
+    monkeypatch.setattr(bench, "ReplaySession", CountedSession)
+    variants = [("refmap", 16), ("pydict", 16), ("refmap", 64)]
+    report = run_bench(tiny_trace(), variants, FAST, label="shared")
+    assert len(built) == 1
+    assert [len(v.samples) for v in report.variants] == [FAST.runs * FAST.measured_iters] * 3
+
+
 # -- report files ----------------------------------------------------------------------
 
 

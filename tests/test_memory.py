@@ -7,9 +7,10 @@ import sys
 import tracemalloc
 from importlib import resources
 
+from mapreplay import workloads
 from mapreplay.postproc import process
 from mapreplay.replay import ReplaySession
-from mapreplay.tracer import read_raw_trace
+from mapreplay.tracer import TraceSession, read_raw_trace
 from mapreplay.workloads import WorkloadSpec, generate
 
 
@@ -36,9 +37,31 @@ def _run_fresh(code: str) -> str:
 def test_generate_peak_is_at_most_64_bytes_per_event():
     # The corpus is workload input, read and tokenised line by line on each
     # pass, so only one line's tokens are live at a time; the budget covers
-    # what recording keeps: the record buffers, key registry and maps.
+    # what recording keeps: the record buffers and the maps with their
+    # canonical-key tables.
     raw, peak = _peak_traced(generate, WorkloadSpec("wordfreq", seed=1))
     assert peak <= 64 * len(raw)
+
+
+def test_recording_keeps_no_key_table_of_a_dead_map(monkeypatch):
+    # Each traced map owns its canonical-key table, so the table dies with
+    # the map. scan builds and drops 400 small maps: when the session
+    # closes, what is live is the record buffer and its growth slack. A
+    # session-wide table of every map's keys held about 2x the records.
+    live = []
+
+    class MeasuredSession(TraceSession):
+        def close(self):
+            live.append(tracemalloc.get_traced_memory()[0])
+            return super().close()
+
+    monkeypatch.setattr(workloads, "TraceSession", MeasuredSession)
+    tracemalloc.start()
+    try:
+        raw = workloads.generate(WorkloadSpec("scan", seed=1, params={"maps": 400}))
+    finally:
+        tracemalloc.stop()
+    assert live[0] <= 1.25 * raw.records.nbytes
 
 
 def test_read_raw_trace_does_not_copy_records(tmp_path):

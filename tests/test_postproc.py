@@ -60,17 +60,18 @@ def test_sanitize_drops_orphan_map_events(raw_records):
     assert cleaned.events == sanitize(raw).events
 
 
-def test_sanitize_drops_foreign_map_traffic():
-    s = TraceSession(start_open=False)
-    foreign = s.new_map()
-    s.open()
-    inside = s.new_map()
-    inside.put(IntKey(1), 1)
-    foreign.put(IntKey(2), 2)
-    foreign.get(IntKey(2))
-    raw = s.close()
+def test_sanitize_drops_foreign_map_traffic(raw_records):
+    # A foreign map's traffic is recorded but it has no Create, as for a map
+    # built before tracing began.
+    foreign, inside = 1, 2
+    raw = RawTrace(raw_records([
+        (OP.CREATE, inside),
+        (OP.PUT, inside, 1, 1, 0, 0),
+        (OP.PUT, foreign, 2, 2, 0, 0),
+        (OP.GET, foreign, 2, 2, 0, 1),
+    ]))
     cleaned = sanitize(raw)
-    assert all(e.map_id != foreign.map_id for e in cleaned.events)
+    assert all(e.map_id != foreign for e in cleaned.events)
     assert len(cleaned.events) == 2  # create + put on the traced map
 
 
@@ -105,31 +106,31 @@ def test_sanitize_drops_poisoned_map_entirely():
     assert len(cleaned.events) == 2
 
 
-def test_sanitize_cascades_to_copies_of_dropped_maps():
-    s = TraceSession(start_open=False)
-    foreign = s.new_map()
-    s.open()
-    foreign.put(IntKey(1), 1)
-    copy = s.copy_map(foreign)
-    copy.get(IntKey(1))
-    copy2 = s.copy_map(copy)
-    copy2.get(IntKey(1))
-    kept = s.new_map()
-    kept.put(IntKey(9), 9)
-    cleaned = sanitize(s.close())
-    assert {e.map_id for e in cleaned.events} == {kept.map_id}
+def test_sanitize_cascades_to_copies_of_dropped_maps(raw_records):
+    foreign, copy, copy2, kept = 1, 2, 3, 4
+    raw = RawTrace(raw_records([
+        (OP.PUT, foreign, 1, 1, 0, 0),
+        (OP.CREATE_COPY, copy, None, None, foreign),
+        (OP.GET, copy, 1, 1, 0, 1),
+        (OP.CREATE_COPY, copy2, None, None, copy),
+        (OP.GET, copy2, 1, 1, 0, 1),
+        (OP.CREATE, kept),
+        (OP.PUT, kept, 2, 9, 0, 0),
+    ]))
+    cleaned = sanitize(raw)
+    assert {e.map_id for e in cleaned.events} == {kept}
 
 
-def test_sanitize_drops_iterators_of_dropped_maps():
-    s = TraceSession(start_open=False)
-    foreign = s.new_map()
-    s.open()
-    foreign.put(IntKey(1), 1)
-    it = foreign.iterator(View.KEYS)
-    it.advance()
-    kept = s.new_map()
-    kept.put(IntKey(2), 2)
-    cleaned = sanitize(s.close())
+def test_sanitize_drops_iterators_of_dropped_maps(raw_records):
+    foreign, kept, it = 1, 2, 1
+    raw = RawTrace(raw_records([
+        (OP.PUT, foreign, 1, 1, 0, 0),
+        (OP.ITER_NEW, foreign, None, None, pack_iternew_aux(it, View.KEYS)),
+        (OP.ITER_ADVANCE, it, None, None, 1, 1),
+        (OP.CREATE, kept),
+        (OP.PUT, kept, 2, 2, 0, 0),
+    ]))
+    cleaned = sanitize(raw)
     ops = [e.op for e in cleaned.events]
     assert OP.ITER_NEW not in ops
     assert OP.ITER_ADVANCE not in ops

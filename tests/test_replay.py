@@ -109,15 +109,6 @@ def test_setup_slot_arrays_match_header():
     assert result.ops_executed == trace.op_count
 
 
-def test_setup_memory_budget_refusal_names_sizes():
-    trace = _insert_only_trace(10)
-    with pytest.raises(ConfigError) as err:
-        ReplaySession(trace, memory_budget=3)
-    msg = str(err.value)
-    assert "10 mockup keys" in msg
-    assert "budget of 3" in msg
-
-
 # -- modes ----------------------------------------------------------------------------
 
 

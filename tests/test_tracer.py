@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from mapreplay.errors import TraceFormatError
+from mapreplay.errors import ConfigError, TraceFormatError
 from mapreplay.refmap import DEFAULT_CONFIG, MapConfig, RefMap, View, bucket_index
 from mapreplay.tracer import (
     ABSENT_HASH,
@@ -64,21 +64,6 @@ def test_copy_event_references_source():
     (copy_event,) = by_op(events, RawOpKind.CREATE_COPY)
     assert copy_event.aux == m.map_id
     assert copy_event.map_id == c.map_id
-
-
-def test_foreign_map_has_no_create_event():
-    s = TraceSession(start_open=False)
-    m = s.new_map()  # constructed before tracing begins
-    assert m.foreign
-    s.open()
-    m.put(IntKey(1), 1)
-    inside = s.new_map()
-    inside.put(IntKey(2), 2)
-    events = events_of(s)
-    created = {e.map_id for e in by_op(events, RawOpKind.CREATE)}
-    assert inside.map_id in created
-    assert m.map_id not in created
-    assert any(e.op is RawOpKind.PUT and e.map_id == m.map_id for e in events)
 
 
 def test_events_after_close_are_dropped():
@@ -176,6 +161,34 @@ def test_hash32_method_key_is_rejected_on_first_use():
     with pytest.raises(TypeError, match=r"OldStyleKey\.hash32 must be an int attribute, got method"):
         m.put(OldStyleKey(), 1)
     assert [e for e in events_of(s) if e.key_id is not None] == []  # nothing recorded
+
+
+@pytest.mark.parametrize("bad", [2**31, -(2**31) - 1])
+def test_out_of_range_hash_is_rejected_on_first_use(bad):
+    s = TraceSession()
+    m = s.new_map()
+    with pytest.raises(ConfigError, match=rf"IntKey\.hash32 is {bad}, outside signed 32 bits"):
+        m.put(IntKey(1, hash32=bad), 1)
+    assert m.size() == 0
+    m.put(IntKey(2), 2)  # the next key takes the first id: none was spent
+    events = events_of(s)
+    (put,) = [e for e in events if e.key_id is not None]
+    assert put.key_id == 1
+
+
+def test_hash_leaving_range_later_is_rejected_before_the_map_changes():
+    s = TraceSession()
+    m = s.new_map()
+    key = MutableHashKey(1)
+    m.put(key, 1)
+    key.h = 2**31
+    with pytest.raises(ConfigError, match=r"MutableHashKey\.hash32 is 2147483648"):
+        m.remove(key)
+    assert m.size() == 1
+    key.h = 100
+    assert m.get(key) == 1
+    ops = [e.op for e in events_of(s) if e.key_id is not None]
+    assert ops == [RawOpKind.PUT, RawOpKind.GET]
 
 
 # -- outcome bits --------------------------------------------------------------------
