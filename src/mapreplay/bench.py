@@ -153,6 +153,12 @@ class BenchConfig:
     def __post_init__(self) -> None:
         if self.runs < 1 or self.measured_iters < 1:
             raise ConfigError("runs and measured_iters must be >= 1")
+        # Checked here, not after every run has been timed.
+        if self.runs * self.measured_iters < 2:
+            raise ConfigError(
+                f"runs * measured_iters must be >= 2 for a bootstrap interval, "
+                f"not {self.runs} * {self.measured_iters}"
+            )
         if self.warmup_iters < 0:
             raise ConfigError(f"warmup_iters must be >= 0, not {self.warmup_iters}")
         # An iteration replays until its deadline; a NaN deadline never comes.
@@ -252,8 +258,14 @@ class BenchReport:
 
 
 def read_report(path: str | Path) -> BenchReport:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MapReplayError(
+            f"not a {REPORT_FORMAT} report: {path}: byte {exc.start} is not UTF-8"
+        ) from None
     kv: dict[str, str] = {}
-    for line in Path(path).read_text().splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line or "=" not in line:
             continue
@@ -261,39 +273,52 @@ def read_report(path: str | Path) -> BenchReport:
         kv[key] = value
     if kv.get("format") != REPORT_FORMAT:
         raise MapReplayError(f"not a {REPORT_FORMAT} report: {path}")
+
+    def get(key: str, parse=str):
+        try:
+            return parse(kv[key])
+        except KeyError:
+            raise MapReplayError(f"report {path}: missing {key}") from None
+        except ValueError:
+            raise MapReplayError(f"report {path}: bad {key}={kv[key]!r}") from None
+
     config = BenchConfig(
-        runs=int(kv["config.runs"]),
-        warmup_iters=int(kv["config.warmup_iters"]),
-        measured_iters=int(kv["config.measured_iters"]),
-        iter_duration=float(kv["config.iter_duration"]),
-        seed=int(kv["config.seed"]),
-        level=float(kv["config.level"]),
-        resamples=int(kv["config.resamples"]),
+        runs=get("config.runs", int),
+        warmup_iters=get("config.warmup_iters", int),
+        measured_iters=get("config.measured_iters", int),
+        iter_duration=get("config.iter_duration", float),
+        seed=get("config.seed", int),
+        level=get("config.level", float),
+        resamples=get("config.resamples", int),
     )
     variants = []
     i = 0
     while f"variant.{i}.label" in kv:
         p = f"variant.{i}"
         v = VariantResult(
-            label=kv[f"{p}.label"],
-            impl=kv[f"{p}.impl"],
-            dic=int(kv[f"{p}.dic"]),
-            lf_milli=int(kv[f"{p}.lf"]),
-            excluded=bool(int(kv[f"{p}.excluded"])),
+            label=get(f"{p}.label"),
+            impl=get(f"{p}.impl"),
+            dic=get(f"{p}.dic", int),
+            lf_milli=get(f"{p}.lf", int),
+            excluded=bool(get(f"{p}.excluded", int)),
         )
         if v.excluded:
             v.error = kv.get(f"{p}.error", "")
         else:
-            v.samples = [float(s) for s in kv[f"{p}.samples"].split(",") if s]
-            v.mean = float(kv[f"{p}.mean_ms"])
-            v.half_width = float(kv[f"{p}.half_width_ms"])
-            v.speedup = float(kv[f"{p}.speedup"])
-            v.diff_lo = float(kv[f"{p}.diff_lo"])
-            v.diff_hi = float(kv[f"{p}.diff_hi"])
-            v.significant = bool(int(kv[f"{p}.significant"]))
+            v.samples = get(f"{p}.samples", _parse_samples)
+            v.mean = get(f"{p}.mean_ms", float)
+            v.half_width = get(f"{p}.half_width_ms", float)
+            v.speedup = get(f"{p}.speedup", float)
+            v.diff_lo = get(f"{p}.diff_lo", float)
+            v.diff_hi = get(f"{p}.diff_hi", float)
+            v.significant = bool(get(f"{p}.significant", int))
         variants.append(v)
         i += 1
     return BenchReport(kv.get("label", "trace"), config, variants)
+
+
+def _parse_samples(text: str) -> list[float]:
+    return [float(s) for s in text.split(",") if s]
 
 
 def _iteration(

@@ -153,7 +153,9 @@ class MapIterator(ABC):
 
     `advance()` returns the next element or None once exhausted (repeated
     calls after exhaustion keep returning None). `remove()` unlinks the
-    last element yielded.
+    last element yielded, and raises RuntimeError when there is none to
+    unlink (before any advance, after a remove, or once the map changed
+    under the cursor); replay reports that as a fault of the trace.
     """
 
     @abstractmethod

@@ -3,7 +3,16 @@
 Setup preallocates every mockup key and the map/iterator slot arrays so the
 timed phase creates nothing but maps and iterators. Mockup keys are ints
 holding the recorded hashes (see MockupKey), built in C by one
-`list(map(MockupKey, hashes))`. The opcode stream is
+`list(map(MockupKey, hashes))` in a single burst with the cyclic garbage
+collector paused: each key is a tracked object, so building thousands would
+otherwise set off young collections that cascade into older generations in
+a long-lived process. When the collector was on, it is turned back on, and
+if the burst took the young generation past its threshold, one young
+collection settles it inside setup rather than in the caller's next timed
+region. A smaller burst leaves the young count where building the keys
+one by one would have, since collecting it would cost setup time and save
+nothing. A collector that was off stays off. The replay loop itself runs
+with the collector as the caller left it. The opcode stream is
 held as one packed `array("i")`, copied once from the decoded trace, so setup
 boxes no per-op ints and the stream costs 12 bytes per op. The replay phase
 is a single dispatch loop over that buffer, bound to exactly one adapter
@@ -24,14 +33,15 @@ The loop checks nothing per op. Setup rejects a negative word or operand
 once for the whole stream, since Python would wrap a negative index, and
 an iterator advance of more steps than the key table has keys (more than
 one step, when exhausted), which no map can yield and which would
-otherwise spin for up to 2^31 steps. A
-slot used after free or an operand out of range surfaces as the
-AttributeError or IndexError it causes, and is reported as a
-TraceIntegrityError naming the op index; FreeMap, FreeIter and the
-CreateCopy source check for a freed slot themselves. The loop keeps no op
-counter: on the error path only, the failing op's index is worked out from
-the words the iterator has left, `(n - left) // 3 - 1` for a stream of n
-words.
+otherwise spin for up to 2^31 steps. A slot used after free, an operand
+out of range or an IterNew view of 3 surfaces as the AttributeError or
+IndexError it causes, and is reported as a TraceIntegrityError naming the
+op index; FreeMap, FreeIter and the CreateCopy source check for a freed
+slot themselves. So are the ConfigError of a Create whose load factor or
+capacity no map accepts, and the RuntimeError of an iterator remove() with
+no entry to unlink. The loop keeps no op counter: on the error path only,
+the failing op's index is worked out from the words the iterator has
+left, `(n - left) // 3 - 1` for a stream of n words.
 
 Put always stores the one shared VALUE_TOKEN; recorded traces carry no
 value information. Copy construction uses the run's default configuration
@@ -40,6 +50,7 @@ value information. Copy construction uses the run's default configuration
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass
 
@@ -71,6 +82,9 @@ MODES = ("timing", "counting", "validating")
 _OP = RawOpKind
 #: Kinds whose second operand is a key index.
 _KEYED = (_OP.GET, _OP.PUT, _OP.REMOVE, _OP.CONTAINS_KEY)
+#: IterNew's view field, indexed by its value; the unused value 3 is an
+#: IndexError, which the loop reports as a trace fault.
+_VIEWS = (View.KEYS, View.VALUES, View.ENTRIES)
 
 
 class _ValueToken:
@@ -166,7 +180,19 @@ class ReplaySession:
                 f"trace has {n_keys} keys"
             )
         self.trace = trace
-        self.keys = list(map(MockupKey, trace.key_hashes.tolist()))
+        # One burst with the collector paused (see the module docstring).
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            hashes = memoryview(np.ascontiguousarray(trace.key_hashes, np.int32))
+            self.keys = list(map(MockupKey, hashes))
+        finally:
+            if enabled:
+                # Checked and collected while still paused: once enabled,
+                # the next allocation would start a collection of its own.
+                if gc.get_count()[0] > gc.get_threshold()[0]:
+                    gc.collect(0)
+                gc.enable()
         # One copy into a packed buffer; its ints are created as the loop
         # reads them, not all at once here. Imported here so that recording
         # and distilling, which import this module, never load `array`.
@@ -247,7 +273,7 @@ class ReplaySession:
             maps[a].clear()
 
         def iter_new(w, a, b):
-            iters[b] = maps[a].iterator(View((w >> VIEW_SHIFT) & VIEW_MASK))
+            iters[b] = maps[a].iterator(_VIEWS[(w >> VIEW_SHIFT) & VIEW_MASK])
 
         def iter_advance(w, a, b):
             step = iters[a].advance
@@ -311,6 +337,15 @@ class ReplaySession:
             raise FidelityError(str(exc), op_index=_failed_op(n, it)) from None
         except TraceIntegrityError as exc:
             raise TraceIntegrityError(f"op {_failed_op(n, it)}: {exc}") from None
+        except ConfigError as exc:
+            if w & OP_KIND_MASK != _OP.CREATE:
+                raise
+            raise TraceIntegrityError(f"op {_failed_op(n, it)}: {exc}") from None
+        except RuntimeError as exc:
+            # An iterator's remove() with no entry to unlink, by contract.
+            if w & OP_KIND_MASK != _OP.ITER_REMOVE:
+                raise
+            raise TraceIntegrityError(f"op {_failed_op(n, it)}: iterator slot {a}: {exc}") from None
         except (AttributeError, IndexError):
             fault = self._trace_fault(w, a, b, maps, iters)
             if fault is None:
@@ -341,6 +376,8 @@ class ReplaySession:
             return f"iterator slot {b} out of range"
         if kind not in (_OP.CREATE, _OP.CREATE_COPY) and slots[a] is None:
             return f"{what} slot {a} used after free"
+        if kind == _OP.ITER_NEW and (w >> VIEW_SHIFT) & VIEW_MASK >= len(_VIEWS):
+            return f"unknown iterator view {(w >> VIEW_SHIFT) & VIEW_MASK}"
         return None
 
 

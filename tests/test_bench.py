@@ -41,6 +41,14 @@ def test_bench_config_rejects_unbounded_or_negative_iterations(field, value):
         BenchConfig(**{field: value})
 
 
+def test_bench_config_needs_two_samples():
+    # One run of one measured iteration leaves bootstrap_ci_mean one sample.
+    with pytest.raises(ConfigError, match=r"runs \* measured_iters must be >= 2"):
+        BenchConfig(runs=1, measured_iters=1)
+    BenchConfig(runs=1, measured_iters=2)
+    BenchConfig(runs=2, measured_iters=1)
+
+
 def tiny_trace():
     s = TraceSession()
     m = s.new_map()

@@ -132,6 +132,17 @@ def test_replay_bad_key_index_is_a_trace_error(tmp_path, capsys, trace_of_words)
         assert "op 1: key index 5" in err
 
 
+def test_replay_unknown_view_is_a_trace_error(tmp_path, capsys, trace_of_words):
+    create = int(RawOpKind.CREATE) | (750 << 9) | (1 << 19)
+    bad = tmp_path / "bad-view.mpt"
+    write_processed(trace_of_words([create, 0, 16, int(RawOpKind.ITER_NEW) | (3 << 9), 0, 0],
+                                   iter_slots=1), bad)
+    for mode in ("timing", "counting", "validating"):
+        code, _, err = run(capsys, "replay", str(bad), "--mode", mode)
+        assert code == 2
+        assert err == "mapreplay replay: op 1: unknown iterator view 3\n"
+
+
 def test_replay_lf_alone_overrides_default_creates(tmp_path, capsys):
     raw = tmp_path / "t.mrt"
     mpt = tmp_path / "t.mpt"
@@ -163,6 +174,28 @@ def test_bench_rejects_unbounded_or_negative_iterations(flag, value, field, tmp_
     code, _, err = run(capsys, *bench, flag, value)
     assert code == 2
     assert f"mapreplay bench: {field}" in err
+
+
+def test_bench_rejects_a_single_sample_before_timing(tmp_path, capsys, trace_of_words):
+    mpt = tmp_path / "t.mpt"
+    write_processed(trace_of_words([int(RawOpKind.CREATE) | (750 << 9) | (1 << 19), 0, 16]), mpt)
+    code, _, err = run(capsys, "bench", str(mpt), "--runs", "1", "--iters", "1")
+    assert code == 2
+    assert "mapreplay bench: runs * measured_iters must be >= 2" in err
+
+
+@pytest.mark.parametrize("body, fault", [
+    (b"format=mapreplay-bench-v1\nlabel=x\n", "missing config.runs"),
+    (b"format=mapreplay-bench-v1\nlabel=x\nconfig.runs=abc\n", "bad config.runs='abc'"),
+    (b"format=mapreplay-bench-v1\nlabel=\xff\n", "byte 32 is not UTF-8"),
+], ids=["missing-key", "bad-int", "not-utf8"])
+def test_compare_names_what_is_wrong_with_a_report(body, fault, tmp_path, capsys):
+    report = tmp_path / "r.txt"
+    report.write_bytes(body)
+    code, _, err = run(capsys, "compare", str(report), str(report))
+    assert code == 2
+    assert err.startswith("mapreplay compare: ")
+    assert fault in err
 
 
 def test_unknown_workload_rejected_by_parser(capsys):

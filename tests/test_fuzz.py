@@ -1,0 +1,169 @@
+"""Fuzzing MPT1 inputs: every mutated file decodes and replays, or fails typed.
+
+Small built-in traces are mutated two ways: their fields (opcode words,
+operands, key hashes, slot bounds, the op list itself) are changed and
+re-encoded with `to_bytes`, or bytes of the encoded file are flipped. Each
+result must decode, set up and replay in every mode against RefMap, or raise
+a MapReplayError that says where: a TraceFormatError with a byte offset from
+decode, and a TraceIntegrityError or FidelityError naming the op from setup
+and replay. Examples are derandomized, so every run tries the same inputs.
+"""
+
+from functools import cache
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from mapreplay.errors import FidelityError, TraceFormatError, TraceIntegrityError
+from mapreplay.postproc import (
+    LF_MASK,
+    LF_SHIFT,
+    OP_KIND_MASK,
+    VIEW_MASK,
+    VIEW_SHIFT,
+    ProcessedTrace,
+    decode,
+    process,
+    to_bytes,
+)
+from mapreplay.refmap import RefMap
+from mapreplay.replay import MODES, ReplaySession
+from mapreplay.tracer import RawOpKind
+from mapreplay.workloads import WorkloadSpec, generate
+
+#: Small traces that between them use every op kind.
+BASES = (
+    WorkloadSpec("scan", seed=3, scale=1, params={"maps": 4}),
+    WorkloadSpec("random", seed=3, scale=1, params={"ops": 60, "universe": 12}),
+    WorkloadSpec("churn", seed=3, scale=1, params={"maps": 2, "cycles": 2}),
+    WorkloadSpec("populate-copy", seed=3, scale=1, params={"rounds": 3}),
+)
+
+#: A Create's capacity is a legal request that RefMap honours on its first
+#: put, with a table of up to 2^30 slots; mutants asking for more than this
+#: are skipped to keep the fuzzer's memory small.
+MAX_CAPACITY = 1 << 16
+
+# An example takes milliseconds; the deadline only flags one that runs away.
+FUZZ = settings(
+    max_examples=150,
+    deadline=2000,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@cache
+def _base(i: int) -> ProcessedTrace:
+    return process(generate(BASES[i]))
+
+
+def _replays_or_fails_typed(data: bytes) -> None:
+    try:
+        trace = decode(data)
+    except TraceFormatError as exc:
+        assert exc.offset is not None
+        return
+    creates = (trace.ops[0::3] & OP_KIND_MASK) == RawOpKind.CREATE
+    assume(not (trace.ops[2::3][creates] > MAX_CAPACITY).any())
+    try:
+        session = ReplaySession(trace)
+    except TraceIntegrityError as exc:
+        assert str(exc).startswith("op ")
+        return
+    for mode in MODES:
+        try:
+            session.replay(RefMap, mode)
+        except TraceIntegrityError as exc:
+            assert str(exc).startswith("op ")
+        except FidelityError as exc:
+            assert exc.op_index is not None
+
+
+_index = st.integers(0, 10**6)  # reduced modulo the length it indexes
+_operand = st.one_of(st.integers(-2, 70), st.sampled_from([2**31 - 1, -(2**31)]))
+_mutation = st.one_of(
+    st.tuples(st.just("kind"), _index, st.one_of(st.integers(0, 15), st.just(OP_KIND_MASK))),
+    st.tuples(st.just("bit"), _index, st.integers(0, 19)),
+    # The view of the nth IterNew and the load factor of the nth Create.
+    st.tuples(st.just("view"), _index, st.integers(0, VIEW_MASK)),
+    st.tuples(st.just("lf"), _index, st.integers(0, LF_MASK)),
+    st.tuples(st.just("operand"), _index, st.sampled_from([1, 2]), _operand),
+    st.tuples(st.just("key"), _index, st.integers(-(2**31), 2**31 - 1)),
+    st.tuples(st.just("slots"), st.sampled_from(["map", "iter"]), st.integers(0, 8)),
+    st.tuples(st.just("drop"), _index),
+    st.tuples(st.just("repeat"), _index),
+    st.tuples(st.just("swap"), _index, _index),
+)
+
+
+#: Word fields set by a mutation: (op kind, shift, mask).
+_FIELDS = {
+    "view": (RawOpKind.ITER_NEW, VIEW_SHIFT, VIEW_MASK),
+    "lf": (RawOpKind.CREATE, LF_SHIFT, LF_MASK),
+}
+
+
+def _mutate(trace: ProcessedTrace, mutations) -> ProcessedTrace:
+    ops = trace.ops.reshape(-1, 3).copy()
+    keys = trace.key_hashes.copy()
+    slots = {"map": trace.max_map_slots, "iter": trace.max_iter_slots}
+    for kind, *args in mutations:
+        if kind == "slots":
+            slots[args[0]] = args[1]
+            continue
+        if kind == "key":
+            if len(keys):
+                keys[args[0] % len(keys)] = args[1]
+            continue
+        if kind in _FIELDS:
+            op, shift, mask = _FIELDS[kind]
+            of_kind = np.flatnonzero((ops[:, 0] & OP_KIND_MASK) == op)
+            if len(of_kind):
+                i = of_kind[args[0] % len(of_kind)]
+                ops[i, 0] = (ops[i, 0] & ~(mask << shift)) | (args[1] << shift)
+            continue
+        if not len(ops):
+            continue
+        i = args[0] % len(ops)
+        if kind == "kind":
+            ops[i, 0] = (ops[i, 0] & ~OP_KIND_MASK) | args[1]
+        elif kind == "bit":
+            ops[i, 0] ^= 1 << args[1]
+        elif kind == "operand":
+            ops[i, args[1]] = args[2]
+        elif kind == "drop":
+            ops = np.delete(ops, i, axis=0)
+        elif kind == "repeat":
+            ops = np.insert(ops, i, ops[i], axis=0)
+        else:
+            j = args[1] % len(ops)
+            ops[[i, j]] = ops[[j, i]]
+    return ProcessedTrace(keys, slots["map"], slots["iter"], ops.reshape(-1))
+
+
+@FUZZ
+@given(st.integers(0, len(BASES) - 1), st.lists(_mutation, min_size=1, max_size=3))
+def test_mutated_fields_replay_or_fail_typed(base, mutations):
+    _replays_or_fails_typed(to_bytes(_mutate(_base(base), mutations)))
+
+
+@FUZZ
+@given(
+    st.integers(0, len(BASES) - 1),
+    st.lists(st.tuples(_index, st.integers(1, 255)), min_size=1, max_size=3),
+    st.one_of(st.none(), _index),
+)
+def test_flipped_file_bytes_replay_or_fail_typed(base, flips, cut):
+    data = bytearray(to_bytes(_base(base)))
+    for pos, xor in flips:
+        data[pos % len(data)] ^= xor
+    if cut is not None:
+        del data[cut % len(data):]
+    _replays_or_fails_typed(bytes(data))

@@ -1,7 +1,10 @@
 """Replay semantics: mockup keys, setup preallocation, modes, overrides."""
 
+import gc
+
 import pytest
 
+from mapreplay import replay
 from mapreplay.errors import ConfigError, FidelityError, TraceIntegrityError
 from mapreplay.postproc import OUTCOME_BIT, process, stats
 from mapreplay.refmap import DEFAULT_CONFIG, MapConfig, PyDictMap, RefMap
@@ -107,6 +110,74 @@ def test_setup_slot_arrays_match_header():
     session = ReplaySession(trace)
     result = session.replay(RefMap, mode="validating")
     assert result.ops_executed == trace.op_count
+
+
+def _many_keys_trace(trace_of_words):
+    # More than twice the young-generation threshold: built one by one under
+    # the collector, these keys would set off at least three collections.
+    n_keys = 4 * max(gc.get_threshold()[0], 100)
+    return trace_of_words(_CREATE, n_keys=n_keys)
+
+
+def _collections_during(fn):
+    """Generations of the collections that run during fn(), from an empty
+    young generation."""
+    seen = []
+
+    def watch(phase, info):
+        if phase == "start":
+            seen.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(watch)
+    try:
+        fn()
+    finally:
+        gc.callbacks.remove(watch)
+    return seen
+
+
+def test_setup_builds_keys_under_one_young_collection(trace_of_words):
+    trace = _many_keys_trace(trace_of_words)
+    sessions = []
+    assert gc.isenabled()
+    assert _collections_during(lambda: sessions.append(ReplaySession(trace))) == [0]
+    assert gc.isenabled()
+    # A burst that stays under the threshold is left to the collector.
+    few = trace_of_words(_CREATE, n_keys=10)
+    assert _collections_during(lambda: ReplaySession(few)) == []
+    keys = sessions[0].keys
+    assert [k.hash32 for k in keys] == trace.key_hashes.tolist()
+    assert all(type(k) is MockupKey for k in keys)
+    assert len({id(k) for k in keys}) == len(keys)
+
+
+def test_setup_leaves_a_disabled_collector_off(trace_of_words):
+    trace = _many_keys_trace(trace_of_words)
+    gc.disable()
+    try:
+        assert _collections_during(lambda: ReplaySession(trace)) == []
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_setup_restores_the_collector_when_key_construction_raises(enabled, monkeypatch,
+                                                                    trace_of_words):
+    def broken(h):
+        raise RuntimeError("no key")
+
+    monkeypatch.setattr(replay, "MockupKey", broken)
+    trace = trace_of_words(_CREATE, n_keys=3)
+    if not enabled:
+        gc.disable()
+    try:
+        with pytest.raises(RuntimeError, match="no key"):
+            ReplaySession(trace)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
 
 
 # -- modes ----------------------------------------------------------------------------
@@ -366,6 +437,9 @@ def test_use_after_free_raises_integrity_error(trace_of_words):
 def test_fault_op_index_is_exact_at_both_ends(mode, trace_of_words):
     # The loop counts no ops: the index comes from the words left unread.
     put, get, free_map = int(RawOpKind.PUT), int(RawOpKind.GET), int(RawOpKind.FREE_MAP)
+    create, iter_new = int(RawOpKind.CREATE), int(RawOpKind.ITER_NEW)
+    iter_remove = int(RawOpKind.ITER_REMOVE)
+    advance = int(RawOpKind.ITER_ADVANCE) | OUTCOME_BIT
     streams = [  # (opcode stream, index of the faulty op, fault)
         ([put, 0, 0] + _CREATE + [put, 0, 0], 0, "map slot 0 used after free"),
         ([free_map, 0, 0] + _CREATE, 0, "map slot 0 freed twice"),
@@ -373,9 +447,23 @@ def test_fault_op_index_is_exact_at_both_ends(mode, trace_of_words):
         (_CREATE + [put, 0, 0, free_map, 0, 0, get, 0, 0], 3, "map slot 0 used after free"),
         (_CREATE + [free_map, 0, 0, free_map, 0, 0], 2, "map slot 0 freed twice"),
         (_CREATE + [put, 0, 0, get, 0, 7], 2, "key index 7 out of range"),
+        # Malformed words: a view no iterator has, a config no map accepts,
+        # and an iterator remove with nothing to unlink.
+        (_CREATE + [iter_new | (3 << 9), 0, 0], 1, "unknown iterator view 3"),
+        (_CREATE + [free_map, 0, 0, create | (1 << 19), 0, 16], 2,
+         "load factor must be in (0, 1] thousandths, got 0"),
+        (_CREATE + [free_map, 0, 0, create | (1001 << 9), 0, 16], 2,
+         "load factor must be in (0, 1] thousandths, got 1001"),
+        (_CREATE + [free_map, 0, 0, create | (750 << 9), 0, 0], 2,
+         "initial capacity must be in [1, 2^31-1], got 0"),
+        (_CREATE + [iter_new, 0, 0, iter_remove, 0, 0], 2,
+         "iterator slot 0: remove() before advance() or after remove()"),
+        (_CREATE + [put, 0, 0, iter_new, 0, 0, advance, 0, 1, iter_remove, 0, 0,
+                    iter_remove, 0, 0], 5,
+         "iterator slot 0: remove() before advance() or after remove()"),
     ]
     for words, bad_op, fault in streams:
-        trace = trace_of_words(words, n_keys=1)
+        trace = trace_of_words(words, n_keys=1, iter_slots=1)
         with pytest.raises(TraceIntegrityError) as err:
             ReplaySession(trace).replay(RefMap, mode=mode)
         assert str(err.value) == f"op {bad_op}: {fault}"
@@ -425,13 +513,15 @@ def test_overlong_exhausted_advance_is_rejected_at_setup(n_keys, trace_of_words)
 
 @pytest.mark.parametrize("mode", ["timing", "counting", "validating"])
 def test_adapter_fault_is_not_reported_as_trace_fault(mode, trace_of_words):
-    class Broken(RefMap):
-        def get(self, key):
-            raise AttributeError("adapter bug")
-
     trace = trace_of_words(_CREATE + [int(RawOpKind.GET), 0, 0], n_keys=1)
-    with pytest.raises(AttributeError, match="adapter bug"):
-        ReplaySession(trace).replay(Broken, mode=mode)
+    for error in (AttributeError, RuntimeError, ConfigError):
+
+        class Broken(RefMap):
+            def get(self, key):
+                raise error("adapter bug")
+
+        with pytest.raises(error, match="adapter bug"):
+            ReplaySession(trace).replay(Broken, mode=mode)
 
 
 def test_value_token_is_shared_constant():
