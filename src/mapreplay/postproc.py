@@ -13,12 +13,25 @@ The pipeline turns a raw event stream into the replayable artifact:
                       indexes, and pack everything into int32 opcode
                       triples
 
-Every pass works on the columns of a RawTrace's structured record array
-(see `tracer.RAW_DTYPE`) with whole-array numpy operations; no pass builds
-a Python object per event. The one sequential loop left is slot
-assignment in `encode`, which visits only create and free rows. Passes
-never modify their input: each returns a new RawTrace, or the input's
-records unchanged when there is nothing to do.
+Each pass's logic is one column kernel: whole-array numpy operations that
+read the fields they need by name, either from a RawTrace's structured
+record array (see `tracer.RAW_DTYPE`) or from a dict of plain per-field
+arrays. Sanitize's kernel yields a keep mask, coalesce's the rows to merge
+away and the step counts to set, free insertion's the free rows and the
+row each follows, and encode's the opcode triples. No kernel builds a
+Python object per event; the one sequential loop left is slot assignment
+in encode, which visits only create and free rows.
+
+The public passes `sanitize`, `coalesce`, `insert_free_events` and
+`encode` wrap those kernels: each runs its kernel on the records and
+applies the result to them. They never modify their input: each returns a
+new RawTrace, or the input's records unchanged when there is nothing to
+do. `process` runs sanitize on the records, copies out only the columns
+the later passes read (op, map id, aux and outcome of each kept row, 18
+bytes against a record's 40, and key id and hash of each kept keyed row),
+and lets the records go, so the raw bytes are freed there when the caller
+holds no RawTrace. It runs the other three kernels on those columns and
+builds no record array after sanitize.
 
 A ProcessedTrace is the payload below and nothing else: its size is the
 size of the file it is written to or read from, and `stats()` tallies its
@@ -165,25 +178,24 @@ def _lookup(keys: np.ndarray, values: np.ndarray, queries: np.ndarray):
     return found, values[idx]
 
 
-def _iter_owners(records: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _iter_owners(t) -> tuple[np.ndarray, np.ndarray]:
     """Sorted iterator ids and their owning map ids, from IterNew rows.
 
     The iterator id is IterNew's `aux >> 2`; if an id repeats, its last
     IterNew wins.
     """
-    news = records[records["op"] == _OP.ITER_NEW]
-    iter_ids = news["aux"][::-1] >> 2
-    ids, last = np.unique(iter_ids, return_index=True)
-    return ids, news["map_id"][::-1][last]
+    news = np.flatnonzero(t["op"] == _OP.ITER_NEW)[::-1]
+    ids, last = np.unique(t["aux"][news] >> 2, return_index=True)
+    return ids, t["map_id"][news[last]]
 
 
-def _owners_of(records: np.ndarray, iter_ids: np.ndarray) -> np.ndarray:
+def _owners_of(owners: tuple[np.ndarray, np.ndarray], iter_ids: np.ndarray) -> np.ndarray:
     """Owning map id of each iterator; every one must have an IterNew."""
-    found, owners = _lookup(*_iter_owners(records), iter_ids)
+    found, maps = _lookup(*owners, iter_ids)
     if not found.all():
         bad = iter_ids[np.argmin(found)]
         raise TraceIntegrityError(f"iterator {bad} has no IterNew event")
-    return owners
+    return maps
 
 
 def _dense(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -202,19 +214,24 @@ def _unstable_keys(key_ids: np.ndarray, hashes: np.ndarray) -> np.ndarray:
     return _distinct(key_ids[hashes != some_hash[idx]])
 
 
-def sanitize(raw: RawTrace) -> RawTrace:
-    """Drop events that cannot be replayed consistently.
+# -- pass kernels ---------------------------------------------------------------------
+#
+# Kernels read columns by field name from `t`: a RAW_DTYPE record array or
+# a dict of plain per-row arrays. Only sanitize reads `key_id` and `hash`
+# per row. Coalescing removes only advance rows and free insertion adds
+# only free rows, so keyed rows pass through both in order, and `process`
+# carries their key ids and hashes as two arrays beside the row columns.
 
-    Removed: activity on maps with no creation event in the trace
-    (foreign maps), on maps that touched a key whose recorded hash was
-    unstable (poisoned), on copies of removed maps (transitively), and on
-    iterators of removed maps. Order of surviving events is unchanged.
-    """
-    r = raw.records
-    op, map_id, key_id, aux = r["op"], r["map_id"], r["key_id"], r["aux"]
+#: The per-row fields the passes after sanitize read.
+_ROW_FIELDS = ("op", "map_id", "aux", "outcome")
+
+
+def _kept_rows(t) -> np.ndarray:
+    """Sanitize's kernel: the mask of rows that survive."""
+    op, map_id, key_id, aux = t["op"], t["map_id"], t["key_id"], t["aux"]
 
     keyed = key_id != ABSENT_U64
-    poisoned_keys = _unstable_keys(key_id[keyed], r["hash"][keyed])
+    poisoned_keys = _unstable_keys(key_id[keyed], t["hash"][keyed])
     map_rows = _MAP_OPS[op]
     poisoned_maps = map_id[map_rows & keyed & _isin(key_id, poisoned_keys)]
 
@@ -230,10 +247,78 @@ def sanitize(raw: RawTrace) -> RawTrace:
         dropped = _distinct(np.concatenate((dropped, orphaned)))
 
     iter_rows = _ITER_OPS[op]
-    found, owners = _lookup(*_iter_owners(r), map_id[iter_rows])
+    found, owners = _lookup(*_iter_owners(t), map_id[iter_rows])
     keep = ~_isin(map_id, dropped)
     keep[iter_rows] = found & ~_isin(owners, dropped)
+    return keep
+
+
+def sanitize(raw: RawTrace) -> RawTrace:
+    """Drop events that cannot be replayed consistently.
+
+    Removed: activity on maps with no creation event in the trace
+    (foreign maps), on maps that touched a key whose recorded hash was
+    unstable (poisoned), on copies of removed maps (transitively), and on
+    iterators of removed maps. Order of surviving events is unchanged.
+    """
+    r = raw.records
+    keep = _kept_rows(r)
     return RawTrace(r if keep.all() else r[keep])
+
+
+class _Merge(NamedTuple):
+    """Coalesce's plan: rows to delete, then step counts to set."""
+
+    merged: np.ndarray  # sorted rows of advances folded into an earlier one
+    heads: np.ndarray  # each run's first advance, as a row after the deletion
+    steps: np.ndarray  # each run's step count
+
+
+def _merge_plan(t) -> _Merge | None:
+    """Coalesce's kernel; None when the stream has no advances."""
+    op, map_id = t["op"], t["map_id"]
+    adv = np.flatnonzero(op == _OP.ITER_ADVANCE)
+    if adv.size == 0:
+        return None
+    owners = _iter_owners(t)
+
+    # Only mutations between the first and last advance can split a run.
+    muts = np.flatnonzero(_RUN_BREAKERS[op[adv[0] : adv[-1]]]) + adv[0]
+    mut_maps = map_id[muts]
+    through_iter = op[muts] == _OP.ITER_REMOVE
+    mut_maps[through_iter] = _owners_of(owners, mut_maps[through_iter])
+
+    # Group the advances by iterator, in stream order within each group.
+    adv = adv[np.argsort(map_id[adv], kind="stable")]
+    iters = map_id[adv]
+    joins = np.zeros(adv.size, dtype=bool)
+    joins[1:] = iters[1:] == iters[:-1]
+    epochs = _epochs(mut_maps, muts, _owners_of(owners, iters), adv)
+    joins[1:] &= epochs[1:] == epochs[:-1]
+    outcomes = t["outcome"][adv]
+    joins[1:] &= outcomes[1:] == outcomes[:-1]
+
+    heads = np.flatnonzero(~joins)
+    steps = np.add.reduceat(t["aux"][adv], heads)
+    steps[outcomes[heads] == 0] = 1
+    merged = np.sort(adv[joins])
+    head_rows = adv[heads]
+    return _Merge(merged, head_rows - np.searchsorted(merged, head_rows), steps)
+
+
+def _epochs(mut_maps: np.ndarray, muts: np.ndarray, maps: np.ndarray, rows: np.ndarray):
+    """Mutation epoch of map `maps[i]` at row `rows[i]`.
+
+    The epoch is the number of mutations (`mut_maps`, `muts`) that sort
+    before (map, row) by map, then row. Between two rows of one map it
+    moves exactly when that map was mutated in between.
+    """
+    mutated, rank = _dense(mut_maps)
+    stride = max(int(muts.max(initial=0)), int(rows.max(initial=0))) + 1
+    keys = np.sort(rank * stride + muts)
+    found, at = _lookup(mutated, np.arange(mutated.size), maps)
+    # A map never mutated here has one epoch throughout; -1 sorts first.
+    return np.searchsorted(keys, np.where(found, at * stride + rows, -1))
 
 
 def coalesce(raw: RawTrace) -> RawTrace:
@@ -251,42 +336,11 @@ def coalesce(raw: RawTrace) -> RawTrace:
     count of that map's mutations so far in the stream.
     """
     r = raw.records
-    op, map_id = r["op"], r["map_id"]
-    adv = np.flatnonzero(op == _OP.ITER_ADVANCE)
-    if adv.size == 0:
+    merge = _merge_plan(r)
+    if merge is None:
         return RawTrace(r)
-    adv_iters = map_id[adv]
-
-    # Only mutations between the first and last advance can split a run.
-    muts = np.flatnonzero(_RUN_BREAKERS[op][adv[0] : adv[-1]]) + adv[0]
-    mut_maps = map_id[muts]
-    through_iter = op[muts] == _OP.ITER_REMOVE
-    mut_maps[through_iter] = _owners_of(r, mut_maps[through_iter])
-
-    # Sort mutations and advances by (map, position); a running count of
-    # mutations then differs between two advances of one map exactly when
-    # that map was mutated in between.
-    maps = np.concatenate((mut_maps, _owners_of(r, adv_iters)))
-    rows = np.concatenate((muts, adv))
-    by_map = np.lexsort((rows, maps))
-    epoch = np.empty(rows.size, dtype=np.int64)
-    epoch[by_map] = np.cumsum(by_map < muts.size)
-    epoch = epoch[muts.size:]
-
-    by_iter = np.lexsort((adv, adv_iters))
-    iters, outcomes, epochs = adv_iters[by_iter], r["outcome"][adv][by_iter], epoch[by_iter]
-    joins = np.zeros(adv.size, dtype=bool)
-    joins[1:] = (
-        (iters[1:] == iters[:-1]) & (outcomes[1:] == outcomes[:-1]) & (epochs[1:] == epochs[:-1])
-    )
-    heads = np.flatnonzero(~joins)
-    steps = np.add.reduceat(r["aux"][adv][by_iter], heads)
-    steps[outcomes[heads] == 0] = 1
-
-    merged = np.sort(adv[by_iter[joins]])
-    out = np.delete(r, merged)
-    head_rows = adv[by_iter[heads]]
-    out["aux"][head_rows - np.searchsorted(merged, head_rows)] = steps
+    out = np.delete(r, merge.merged)
+    out["aux"][merge.heads] = merge.steps
     return RawTrace(out)
 
 
@@ -305,9 +359,17 @@ def _last_use(ids: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return ids[final], rows[final]
 
 
-def _free_records(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The FreeIter/FreeMap records to insert, in order, and the row each follows."""
-    op, map_id, aux = r["op"], r["map_id"], r["aux"]
+class _Frees(NamedTuple):
+    """Free insertion's plan: the FreeIter/FreeMap rows, in stream order."""
+
+    op: np.ndarray  # FREE_ITER or FREE_MAP
+    ids: np.ndarray  # the iterator or map freed
+    after: np.ndarray  # the row each free follows, before insertion
+
+
+def _free_plan(t) -> _Frees:
+    """Free insertion's kernel."""
+    op, map_id, aux = t["op"], t["map_id"], t["aux"]
     iter_rows = np.flatnonzero(_ITER_OPS[op])
     copies = np.flatnonzero(op == _OP.CREATE_COPY)
     news = np.flatnonzero(op == _OP.ITER_NEW)
@@ -315,7 +377,7 @@ def _free_records(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Every row uses one map (iterator ops: the iterator's owner); reduce
     # that column to a last row per map, then add the uses by copies.
     map_of_row = map_id.copy()
-    map_of_row[iter_rows] = _owners_of(r, map_id[iter_rows])
+    map_of_row[iter_rows] = _owners_of(_iter_owners(t), map_id[iter_rows])
     maps, map_last = _last_rows(map_of_row)
     maps, map_last = _last_use(
         np.concatenate((maps, aux[copies])), np.concatenate((map_last, copies))
@@ -324,18 +386,24 @@ def _free_records(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         np.concatenate((map_id[iter_rows], aux[news] >> 2)), np.concatenate((iter_rows, news))
     )
 
-    frees = np.zeros(iters.size + maps.size, dtype=RAW_DTYPE)
+    ops = np.full(iters.size + maps.size, _OP.FREE_MAP, dtype=np.uint8)
+    ops[: iters.size] = _OP.FREE_ITER
+    ids = np.concatenate((iters, maps))
     after = np.concatenate((iter_last, map_last))
-    frees["op"][: iters.size] = _OP.FREE_ITER
-    frees["op"][iters.size :] = _OP.FREE_MAP
-    frees["map_id"] = np.concatenate((iters, maps))
-    order = np.lexsort((frees["map_id"], frees["op"] == _OP.FREE_MAP, after))
-    frees, after = frees[order], after[order]
-    frees["thread_id"] = r["thread_id"][after]
-    frees["key_id"] = ABSENT_U64
-    frees["hash"] = ABSENT_HASH
-    frees["outcome"] = ABSENT_OUTCOME
-    return frees, after
+    order = np.lexsort((ids, ops == _OP.FREE_MAP, after))
+    return _Frees(ops[order], ids[order], after[order])
+
+
+def _free_fields(frees: _Frees) -> dict:
+    """Field values of the inserted free rows, thread id aside."""
+    return {
+        "op": frees.op,
+        "map_id": frees.ids,
+        "key_id": ABSENT_U64,
+        "hash": ABSENT_HASH,
+        "aux": 0,
+        "outcome": ABSENT_OUTCOME,
+    }
 
 
 def insert_free_events(raw: RawTrace) -> RawTrace:
@@ -343,10 +411,16 @@ def insert_free_events(raw: RawTrace) -> RawTrace:
 
     A map's uses include every event of its iterators and every copy made
     from it, so the map is provably final when its free event runs. Frees
-    after one row come iterators first, then maps, each in id order.
+    after one row come iterators first, then maps, each in id order, and
+    take that row's thread id.
     """
-    frees, after = _free_records(raw.records)
-    return RawTrace(np.insert(raw.records, after + 1, frees))
+    r = raw.records
+    frees = _free_plan(r)
+    rows = np.zeros(frees.after.size, dtype=RAW_DTYPE)
+    for name, values in _free_fields(frees).items():
+        rows[name] = values
+    rows["thread_id"] = r["thread_id"][frees.after]
+    return RawTrace(np.insert(r, frees.after + 1, rows))
 
 
 class _Lifetimes(NamedTuple):
@@ -439,27 +513,23 @@ def _key_indexes(key_ids: np.ndarray, hashes: np.ndarray) -> tuple[np.ndarray, n
     return index, table
 
 
-def encode(raw: RawTrace) -> ProcessedTrace:
-    """Pack a sanitized, coalesced, free-annotated stream into opcode triples.
-
-    Every object must be created once, used only while live, and freed
-    once; anything else raises TraceIntegrityError.
-    """
-    r = raw.records
-    op, map_id, aux, outcome = r["op"], r["map_id"], r["aux"], r["outcome"]
-    triples = np.zeros((len(r), 3), dtype=np.int32)
+def _encode(t, key_ids: np.ndarray, hashes: np.ndarray) -> ProcessedTrace:
+    """Encode's kernel; `key_ids` and `hashes` hold the keyed rows' fields."""
+    op, map_id, aux, outcome = t["op"], t["map_id"], t["aux"], t["outcome"]
+    triples = np.zeros((op.size, 3), dtype=np.int32)
     words = triples[:, 0]
     words[:] = op
 
     keyed = _KEYED_OPS[op]
-    key_index, key_hashes = _key_indexes(r["key_id"][keyed], r["hash"][keyed])
+    key_index, key_hashes = _key_indexes(key_ids, hashes)
     triples[keyed, 2] = key_index
+    del key_index  # before the slot lookups' row-sized temporaries
 
     # Map slots. Every map op, creates and frees included, names its map in
     # map_id; iterator ops name their iterator there and are overwritten below.
     life = np.flatnonzero(_CREATES[op] | (op == _OP.FREE_MAP))
     map_lives, max_map_slots = _assign_slots(map_id[life], _CREATES[op[life]], life)
-    triples[:, 1] = _slots_at(map_lives, map_id, np.arange(len(r)), _MAP_OPS[op])
+    triples[:, 1] = _slots_at(map_lives, map_id, np.arange(op.size), _MAP_OPS[op])
     copies = np.flatnonzero(op == _OP.CREATE_COPY)
     sources = aux[copies]
     self_copies = np.flatnonzero(sources == map_id[copies])
@@ -503,6 +573,17 @@ def encode(raw: RawTrace) -> ProcessedTrace:
     )
 
 
+def encode(raw: RawTrace) -> ProcessedTrace:
+    """Pack a sanitized, coalesced, free-annotated stream into opcode triples.
+
+    Every object must be created once, used only while live, and freed
+    once; anything else raises TraceIntegrityError.
+    """
+    r = raw.records
+    keyed = _KEYED_OPS[r["op"]]
+    return _encode(r, r["key_id"][keyed], r["hash"][keyed])
+
+
 def _check_i32(values: np.ndarray, what: str) -> None:
     big = np.flatnonzero(values > _I32_MAX)
     if big.size:
@@ -512,14 +593,32 @@ def _check_i32(values: np.ndarray, what: str) -> None:
 def process(raw: RawTrace) -> ProcessedTrace:
     """Full post-processing pipeline: sanitize, coalesce, free-annotate, encode.
 
-    Only the latest stage's output is held, so each input can be freed as
-    soon as the next pass returns (unless the caller still holds `raw`).
+    Sanitize runs on the records; then only the columns the later passes
+    read are copied out (the row fields of the kept rows, and the key id
+    and hash of kept keyed rows), and the records are let go, so a caller
+    that holds no reference to `raw` has its bytes freed here. Coalescing,
+    free insertion and encoding run on those columns through the same
+    kernels as the public passes, and build no record array; the result
+    equals `encode(insert_free_events(coalesce(sanitize(raw))))`.
     """
-    trace = raw
+    records = raw.records
     del raw
-    for stage in (sanitize, coalesce, insert_free_events):
-        trace = stage(trace)
-    return encode(trace)
+    keep = _kept_rows(records)
+    keyed = keep & _KEYED_OPS[records["op"]]
+    key_ids, hashes = records["key_id"][keyed], records["hash"][keyed]
+    t = {name: records[name][keep] for name in _ROW_FIELDS}
+    del records, keep, keyed
+
+    merge = _merge_plan(t)
+    if merge is not None:
+        for name in _ROW_FIELDS:
+            t[name] = np.delete(t[name], merge.merged)
+        t["aux"][merge.heads] = merge.steps
+    frees = _free_plan(t)
+    values = _free_fields(frees)
+    for name in _ROW_FIELDS:
+        t[name] = np.insert(t[name], frees.after + 1, values[name])
+    return _encode(t, key_ids, hashes)
 
 
 def stats(trace: ProcessedTrace) -> Characterization:

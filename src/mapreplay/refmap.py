@@ -151,8 +151,9 @@ class OpCounters:
 class MapIterator(ABC):
     """Cursor over one view of a map.
 
-    `advance()` returns the next element or None once exhausted (repeated
-    calls after exhaustion keep returning None). `remove()` unlinks the
+    `advance()` returns the next element the map still holds, or None once
+    exhausted (repeated calls after exhaustion keep returning None); an
+    element removed from the map is never yielded. `remove()` unlinks the
     last element yielded, and raises RuntimeError when there is none to
     unlink (before any advance, after a remove, or once the map changed
     under the cursor); replay reports that as a fault of the trace.
@@ -578,6 +579,13 @@ class PyDictMap(MapAdapter):
 
 
 class _PyDictIterator(MapIterator):
+    """Cursor over a snapshot of the keys taken at creation.
+
+    Keys the map lost since then are skipped, so the cursor never yields
+    an element the map no longer holds. Values are never None, so a
+    lookup that returns None means the key is gone.
+    """
+
     __slots__ = ("_map", "_view", "_keys", "_pos", "_last")
 
     def __init__(self, map_: PyDictMap, view: View):
@@ -588,18 +596,22 @@ class _PyDictIterator(MapIterator):
         self._last: Any | None = None
 
     def advance(self) -> Any | None:
-        if self._pos >= len(self._keys):
-            return None
-        k = self._keys[self._pos]
-        self._pos += 1
-        self._last = k
-        if self._view is View.KEYS:
-            return k
-        v = self._map._d[k]
-        return v if self._view is View.VALUES else (k, v)
+        d = self._map._d
+        while self._pos < len(self._keys):
+            k = self._keys[self._pos]
+            self._pos += 1
+            v = d.get(k)
+            if v is None:
+                continue
+            self._last = k
+            if self._view is View.KEYS:
+                return k
+            return v if self._view is View.VALUES else (k, v)
+        return None
 
     def remove(self) -> None:
         if self._last is None:
             raise RuntimeError("remove() before advance() or after remove()")
-        del self._map._d[self._last]
+        if self._map._d.pop(self._last, None) is None:
+            raise RuntimeError("remove() of an element the map no longer holds")
         self._last = None

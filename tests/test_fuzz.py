@@ -1,12 +1,20 @@
-"""Fuzzing MPT1 inputs: every mutated file decodes and replays, or fails typed.
+"""Fuzzing trace files: every mutant is read, distilled and replayed, or fails typed.
 
-Small built-in traces are mutated two ways: their fields (opcode words,
-operands, key hashes, slot bounds, the op list itself) are changed and
-re-encoded with `to_bytes`, or bytes of the encoded file are flipped. Each
-result must decode, set up and replay in every mode against RefMap, or raise
-a MapReplayError that says where: a TraceFormatError with a byte offset from
-decode, and a TraceIntegrityError or FidelityError naming the op from setup
-and replay. Examples are derandomized, so every run tries the same inputs.
+MPT1: small built-in traces are mutated two ways: their fields (opcode
+words, operands, key hashes, slot bounds, the op list itself) are changed
+and re-encoded with `to_bytes`, or bytes of the encoded file are flipped.
+Each result must decode, set up and replay in every mode against RefMap
+and in timing mode against PyDictMap, or raise a MapReplayError that says
+where: a TraceFormatError with a byte offset from decode, and a
+TraceIntegrityError or FidelityError naming the op from setup and replay.
+
+MRT1: the raw records of the same traces are mutated (op byte, map, key
+and hash fields, the aux of Create, IterNew and IterAdvance) and the file
+may be cut short. Each result must be read, or raise a TraceFormatError
+with a byte offset; then `process` must give what the public passes give
+in turn: the same MPT1 bytes, or the same MapReplayError and message.
+
+Examples are derandomized, so every run tries the same inputs.
 """
 
 from functools import cache
@@ -19,7 +27,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from mapreplay.errors import FidelityError, TraceFormatError, TraceIntegrityError
+from mapreplay.errors import (
+    FidelityError,
+    MapReplayError,
+    TraceFormatError,
+    TraceIntegrityError,
+)
 from mapreplay.postproc import (
     LF_MASK,
     LF_SHIFT,
@@ -27,13 +40,23 @@ from mapreplay.postproc import (
     VIEW_MASK,
     VIEW_SHIFT,
     ProcessedTrace,
+    coalesce,
     decode,
+    encode,
+    insert_free_events,
     process,
+    sanitize,
     to_bytes,
 )
-from mapreplay.refmap import RefMap
+from mapreplay.refmap import PyDictMap, RefMap
 from mapreplay.replay import MODES, ReplaySession
-from mapreplay.tracer import RawOpKind
+from mapreplay.tracer import (
+    ABSENT_U64,
+    RAW_DTYPE,
+    RawOpKind,
+    raw_trace_from_bytes,
+    raw_trace_to_bytes,
+)
 from mapreplay.workloads import WorkloadSpec, generate
 
 #: Small traces that between them use every op kind.
@@ -77,9 +100,9 @@ def _replays_or_fails_typed(data: bytes) -> None:
     except TraceIntegrityError as exc:
         assert str(exc).startswith("op ")
         return
-    for mode in MODES:
+    for adapter, mode in [(RefMap, mode) for mode in MODES] + [(PyDictMap, "timing")]:
         try:
-            session.replay(RefMap, mode)
+            session.replay(adapter, mode)
         except TraceIntegrityError as exc:
             assert str(exc).startswith("op ")
         except FidelityError as exc:
@@ -167,3 +190,70 @@ def test_flipped_file_bytes_replay_or_fail_typed(base, flips, cut):
     if cut is not None:
         del data[cut % len(data):]
     _replays_or_fails_typed(bytes(data))
+
+
+# -- MRT1 -----------------------------------------------------------------------------
+
+
+@cache
+def _raw_base(i: int) -> bytes:
+    return raw_trace_to_bytes(generate(BASES[i]))
+
+
+def _distilled(distill, raw) -> bytes | tuple[type, str]:
+    try:
+        return to_bytes(distill(raw))
+    except MapReplayError as exc:
+        return type(exc), str(exc)
+
+
+def _pass_chain(raw):
+    return encode(insert_free_events(coalesce(sanitize(raw))))
+
+
+#: Ids and hashes near the small ones the base traces use, and absence.
+_id = st.one_of(st.integers(0, 14), st.just(ABSENT_U64))
+_aux = st.one_of(
+    st.integers(0, 70), st.sampled_from([2**31 - 1, 2**31, 2**32 - 1, (750 << 32) | 16, 2**64 - 1])
+)
+_raw_mutation = st.one_of(
+    st.tuples(st.just("op"), _index, st.integers(0, 15)),
+    st.tuples(st.just("map_id"), _index, _id),
+    st.tuples(st.just("key_id"), _index, _id),
+    st.tuples(st.just("hash"), _index, st.integers(-2, 14)),
+    # The aux of the nth record of one kind.
+    st.tuples(
+        st.just("aux"),
+        _index,
+        _aux,
+        st.sampled_from([RawOpKind.CREATE, RawOpKind.ITER_NEW, RawOpKind.ITER_ADVANCE]),
+    ),
+)
+
+
+def _mutate_raw(data: bytes, mutations) -> bytes:
+    header = 16  # magic, version, event count
+    records = np.frombuffer(data, dtype=RAW_DTYPE, offset=header).copy()
+    for field, i, value, *kind in mutations:
+        rows = np.flatnonzero(records["op"] == kind[0]) if kind else np.arange(len(records))
+        if len(rows):
+            records[field][rows[i % len(rows)]] = value
+    return data[:header] + records.tobytes()
+
+
+@FUZZ
+@given(
+    st.integers(0, len(BASES) - 1),
+    st.lists(_raw_mutation, min_size=1, max_size=3),
+    st.one_of(st.none(), _index),
+)
+def test_mutated_raw_records_distill_like_the_public_passes(base, mutations, cut):
+    data = _mutate_raw(_raw_base(base), mutations)
+    if cut is not None:
+        data = data[: cut % len(data)]
+    try:
+        raw = raw_trace_from_bytes(data)
+    except TraceFormatError as exc:
+        assert exc.offset is not None
+        return
+    assert _distilled(process, raw) == _distilled(_pass_chain, raw)

@@ -428,6 +428,13 @@ def test_process_and_write_compress_once(tmp_path, small_traces, monkeypatch):
     assert len(compressors) == 1
 
 
+def test_process_equals_the_public_pass_chain(small_traces):
+    # process() runs the passes' kernels on columns; the public passes run
+    # them on records. Both must give the same artifact.
+    for name, (_, raw, trace) in small_traces.items():
+        assert trace == encode(insert_free_events(coalesce(sanitize(raw)))), name
+
+
 def test_disjoint_lifetimes_share_slot_zero():
     def build(s):
         a = s.new_map()

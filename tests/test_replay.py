@@ -204,6 +204,27 @@ def test_pydict_validates_on_iterator_traces_without_removal():
         ReplaySession(trace).replay(PyDictMap, mode="validating")
 
 
+@pytest.mark.parametrize("mode", ["timing", "validating"])
+def test_pydict_iterator_skips_and_refuses_keys_the_map_lost(mode, trace_of_words):
+    # Its cursor walks a snapshot of the keys; one the map lost since must
+    # be skipped, not read, and an iterator remove of it is a trace fault.
+    put, remove = int(RawOpKind.PUT), int(RawOpKind.REMOVE) | OUTCOME_BIT
+    values = int(RawOpKind.ITER_NEW) | (1 << 9)
+    advance = int(RawOpKind.ITER_ADVANCE)
+    drained = trace_of_words(
+        _CREATE + [put, 0, 0, values, 0, 0, remove, 0, 0, advance, 0, 1], n_keys=1, iter_slots=1
+    )
+    assert ReplaySession(drained).replay(PyDictMap, mode=mode).ops_executed == 5
+    removed_twice = trace_of_words(
+        _CREATE + [put, 0, 0, values, 0, 0, advance | OUTCOME_BIT, 0, 1, remove, 0, 0,
+                   int(RawOpKind.ITER_REMOVE), 0, 0],
+        n_keys=1, iter_slots=1,
+    )
+    with pytest.raises(TraceIntegrityError) as err:
+        ReplaySession(removed_twice).replay(PyDictMap, mode=mode)
+    assert str(err.value) == "op 5: iterator slot 0: remove() of an element the map no longer holds"
+
+
 def test_iteration_order_divergence_is_flagged_on_iter_remove_traces():
     # An iterator-remove's victim depends on iteration order. A dict-backed
     # adapter iterates in insertion order, not bucket order, so membership
