@@ -13,25 +13,27 @@ The pipeline turns a raw event stream into the replayable artifact:
                       indexes, and pack everything into int32 opcode
                       triples
 
-Each pass's logic is one column kernel: whole-array numpy operations that
-read the fields they need by name, either from a RawTrace's structured
-record array (see `tracer.RAW_DTYPE`) or from a dict of plain per-field
-arrays. Sanitize's kernel yields a keep mask, coalesce's the rows to merge
-away and the step counts to set, free insertion's the free rows and the
-row each follows, and encode's the opcode triples. No kernel builds a
-Python object per event; the one sequential loop left is slot assignment
-in encode, which visits only create and free rows.
+The passes run on the events in ranked form: every map, iterator and key
+id renumbered to its dense int32 rank, and each event one int32 row
+(word, operand, operand) laid out like the MPT1 triple it becomes, beside
+small per-object tables (the raw id of each rank, each key's hash). Each
+pass's logic is one kernel of whole-array numpy operations on those rows.
+Sanitize's kernel yields a keep mask, coalesce's the rows to merge away
+and the step counts to set, free insertion's the free rows and the row
+each follows, and encode's kernel rewrites the rows into the opcode
+triples. No kernel builds a Python object per event; the one sequential
+loop left is slot assignment in encode, which visits only create and free
+rows.
 
 The public passes `sanitize`, `coalesce`, `insert_free_events` and
-`encode` wrap those kernels: each runs its kernel on the records and
-applies the result to them. They never modify their input: each returns a
-new RawTrace, or the input's records unchanged when there is nothing to
-do. `process` runs sanitize on the records, copies out only the columns
-the later passes read (op, map id, aux and outcome of each kept row, 18
-bytes against a record's 40, and key id and hash of each kept keyed row),
-and lets the records go, so the raw bytes are freed there when the caller
-holds no RawTrace. It runs the other three kernels on those columns and
-builds no record array after sanitize.
+`encode` rank their RawTrace's records, run their kernel, and apply its
+result to the records. They never modify their input: each returns a new
+RawTrace, or the input's records unchanged when there is nothing to do.
+`process` ranks the records once, a block of records at a time, so while
+the records are alive the only row-sized array beside them is the int32
+rows (12 bytes an event against a record's 40). It then lets the records
+go, so the raw bytes are freed there when the caller holds no RawTrace,
+and runs the four kernels on the rows.
 
 A ProcessedTrace is the payload below and nothing else: its size is the
 size of the file it is written to or read from, and `stats()` tallies its
@@ -63,6 +65,7 @@ from __future__ import annotations
 
 import heapq
 import struct
+import sys
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -102,6 +105,10 @@ _MAP_OPS = _op_table(
 _ITER_OPS = _op_table(_OP.ITER_ADVANCE, _OP.ITER_REMOVE, _OP.FREE_ITER)
 _KEYED_OPS = _op_table(_OP.GET, _OP.PUT, _OP.REMOVE, _OP.CONTAINS_KEY)
 _CREATES = _op_table(_OP.CREATE, _OP.CREATE_COPY)
+#: Ops whose word carries an outcome bit, and the outcome bytes that set it.
+_OUTCOME_OPS = _op_table(_OP.GET, _OP.PUT, _OP.REMOVE, _OP.CONTAINS_KEY, _OP.ITER_ADVANCE)
+_YIELDED = np.ones(256, dtype=bool)
+_YIELDED[[0, ABSENT_OUTCOME]] = False
 # Ops that end an open advance run: map mutations, direct or through an iterator.
 _RUN_BREAKERS = _op_table(_OP.PUT, _OP.REMOVE, _OP.CLEAR, _OP.ITER_REMOVE)
 
@@ -156,100 +163,289 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[first]
 
 
-def _search(keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index of each query in sorted, distinct, non-empty `keys`, and a found mask."""
-    idx = np.searchsorted(keys, queries)
-    np.minimum(idx, keys.size - 1, out=idx)
-    return idx, keys[idx] == queries
-
-
 def _isin(values: np.ndarray, distinct: np.ndarray) -> np.ndarray:
     """Mask of the values present in sorted, distinct `distinct`."""
     if distinct.size == 0:
         return np.zeros(values.shape, dtype=bool)
-    return _search(distinct, values)[1]
+    idx = np.searchsorted(distinct, values)
+    np.minimum(idx, distinct.size - 1, out=idx)
+    return distinct[idx] == values
 
 
-def _lookup(keys: np.ndarray, values: np.ndarray, queries: np.ndarray):
-    """(found mask, value) of each query in sorted, distinct `keys`."""
-    if keys.size == 0:
-        return np.zeros(queries.shape, dtype=bool), np.zeros(queries.shape, values.dtype)
-    idx, found = _search(keys, queries)
-    return found, values[idx]
+# -- the ranked stream ----------------------------------------------------------------
+#
+# Every map, iterator and key id becomes its rank among the distinct ids of
+# its kind, so rank order is id order. One event is one int32 row:
+#
+#     word       op kind, outcome bit, IterNew view, Create load factor and
+#                spread, as in MPT1; an IterAdvance also keeps its recorded
+#                outcome byte in bits 20-27, which coalescing compares
+#     operand 1  iterator rank for IterAdvance, IterRemove and FreeIter,
+#                map rank for every other op
+#     operand 2  key entry for Get/Put/Remove/ContainsKey, source map rank
+#                for CreateCopy, iterator rank for IterNew, requested
+#                capacity for Create, step count for IterAdvance, else 0
+#
+# A capacity or step count above 2^31-1 is stored as -(j + 1), its u64
+# value in `big[j]`. Key entry e below len(keys) is key rank e with the
+# hash recorded for that key; a keyed op that recorded another hash gets
+# an entry of its own in `extra`. Both references travel with their row,
+# so deleting and inserting rows keeps every field of every event exact.
+
+_RAW_OUTCOME_SHIFT = 20
+_RAW_OUTCOME_BITS = 0xFF << _RAW_OUTCOME_SHIFT
+#: The word's low byte, the op kind, within a row's 12 bytes.
+_OP_BYTE = 0 if sys.byteorder == "little" else 3
+#: Records ranked per block: the block's temporaries stay small beside the
+#: records and the int32 rows, the only row-sized arrays while both live.
+_BLOCK = 1 << 10
 
 
-def _iter_owners(t) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted iterator ids and their owning map ids, from IterNew rows.
+class _Ranked(NamedTuple):
+    """A raw event stream as int32 rows and the tables their ranks index."""
 
-    The iterator id is IterNew's `aux >> 2`; if an id repeats, its last
-    IterNew wins.
+    rows: np.ndarray  # int32 (n, 3): word, operand, operand
+    maps: np.ndarray  # u64 raw id of each map rank, sorted
+    iters: np.ndarray  # u64 raw id of each iterator rank, sorted
+    keys: np.ndarray  # u64 raw id of each key rank, sorted
+    key_hash: np.ndarray  # int32 hash recorded for each key rank
+    extra: np.ndarray  # int32 (m, 2): (key rank, hash) of key entries from len(keys) on
+    big: np.ndarray  # u64 capacities and step counts above 2^31-1
+    unstable: np.ndarray  # bool per key rank: recorded with two hashes
+    stray: np.ndarray  # int32 (m, 2): (map rank, key rank) of keyless map ops naming a key
+
+
+def _ops(rows: np.ndarray) -> np.ndarray:
+    """The op kind of each row: a uint8 view of the words' low bytes."""
+    return rows.view(np.uint8)[:, _OP_BYTE]
+
+
+def _blocks(records: np.ndarray, size: int = _BLOCK):
+    for start in range(0, len(records), size):
+        yield start, records[start : start + size]
+
+
+def _with_ids(ids: np.ndarray, more: np.ndarray) -> np.ndarray:
+    """Sorted distinct `ids` merged with the distinct values of `more`."""
+    more = _distinct(more)
+    new = more[~_isin(more, ids)]
+    return np.insert(ids, np.searchsorted(ids, new), new) if new.size else ids
+
+
+def _id_tables(records: np.ndarray) -> list[np.ndarray]:
+    """Sorted distinct map, iterator and key ids of the records."""
+    tables = [np.empty(0, dtype=np.uint64)] * 3
+    # No rows exist yet, so these blocks can be larger: fewer table merges.
+    for _, block in _blocks(records, 4 * _BLOCK):
+        op, map_id, aux, key_id = block["op"], block["map_id"], block["aux"], block["key_id"]
+        iter_rows = _ITER_OPS[op]
+        found = (
+            (map_id[~iter_rows], aux[op == _OP.CREATE_COPY]),
+            (map_id[iter_rows], aux[op == _OP.ITER_NEW] >> 2),
+            (key_id[(key_id != ABSENT_U64) | _KEYED_OPS[op]],),
+        )
+        tables = [_with_ids(t, np.concatenate(ids)) for t, ids in zip(tables, found)]
+    return tables
+
+
+def _operand(values: np.ndarray, big: list) -> np.ndarray:
+    """int32 operands of u64 values; a value above 2^31-1 is appended to
+    `big` and stored as -(its index there + 1)."""
+    out = values.astype(np.int32)
+    over = np.flatnonzero(values > _I32_MAX)
+    if over.size:
+        start = sum(map(len, big))
+        out[over] = -1 - np.arange(start, start + over.size)
+        big.append(values[over])
+    return out
+
+
+def _u64(t: _Ranked, operands: np.ndarray) -> np.ndarray:
+    """The u64 values of capacity or step-count operands."""
+    values = operands.astype(np.uint64)
+    over = np.flatnonzero(operands < 0)
+    values[over] = t.big[-1 - operands[over]]
+    return values
+
+
+def _rank(records: np.ndarray) -> _Ranked:
+    """Rank a RAW_DTYPE record array, one block of records at a time."""
+    maps, iters, keys = _id_tables(records)
+    # While ranking, `extra`, `big` and `stray` are lists of arrays.
+    t = _Ranked(
+        rows=np.zeros((len(records), 3), dtype=np.int32),
+        maps=maps,
+        iters=iters,
+        keys=keys,
+        key_hash=np.zeros(keys.size, dtype=np.int32),
+        extra=[],
+        big=[],
+        unstable=np.zeros(keys.size, dtype=bool),
+        stray=[],
+    )
+    seen = np.zeros(keys.size, dtype=bool)
+    t.rows[:, 0] = records["op"]
+    for start, block in _blocks(records):
+        row = t.rows[start : start + block.size]
+        _rank_objects(t, block, row)
+        _rank_keys(t, seen, block, row)
+        _rank_arguments(t, block, row)
+    return t._replace(
+        extra=np.concatenate([np.empty((0, 2), dtype=np.int32), *t.extra]),
+        big=np.concatenate([np.empty(0, dtype=np.uint64), *t.big]),
+        stray=np.concatenate([np.empty((0, 2), dtype=np.int32), *t.stray]),
+    )
+
+
+def _rank_objects(t: _Ranked, block: np.ndarray, row: np.ndarray) -> None:
+    """The map or iterator rank of each record of a block."""
+    map_id, first = block["map_id"], row[:, 1]
+    iter_rows = _ITER_OPS[block["op"]]
+    if iter_rows.any():
+        first[iter_rows] = np.searchsorted(t.iters, map_id[iter_rows])
+        iter_rows = ~iter_rows
+        first[iter_rows] = np.searchsorted(t.maps, map_id[iter_rows])
+    else:
+        first[:] = np.searchsorted(t.maps, map_id)
+
+
+def _rank_keys(t: _Ranked, seen: np.ndarray, block: np.ndarray, row: np.ndarray) -> None:
+    """Key entries of a block's keyed ops, and sanitize's hash analysis.
+
+    The keys are those named on any op, and those of keyed ops even when
+    absent, which encode indexes like any other. Each key's recorded hash
+    is fixed by the block that first names it; a key is unstable when a
+    record naming it, on any op, differs from that hash.
     """
-    news = np.flatnonzero(t["op"] == _OP.ITER_NEW)[::-1]
-    ids, last = np.unique(t["aux"][news] >> 2, return_index=True)
-    return ids, t["map_id"][news[last]]
+    op, key_id = block["op"], block["key_id"]
+    named = key_id != ABSENT_U64
+    keyed = _KEYED_OPS[op]
+    at = np.flatnonzero(named | keyed)
+    key = np.searchsorted(t.keys, key_id[at]).astype(np.int32)
+    hashes = block["hash"][at]
+    fresh = ~seen[key]
+    if fresh.any():
+        t.key_hash[key[fresh]] = hashes[fresh]
+        seen[key[fresh]] = True
+    named, keyed = named[at], keyed[at]
+    other = hashes != t.key_hash[key]
+    if other.any():
+        t.unstable[key[other & named]] = True
+        # A keyed op recording another hash than its key's gets an entry.
+        other &= keyed
+        if other.any():
+            entries = t.keys.size + sum(map(len, t.extra))
+            t.extra.append(np.column_stack((key[other], hashes[other])))
+            key[other] = np.arange(entries, entries + len(t.extra[-1]))
+    second = row[:, 2]
+    second[at[keyed]] = key[keyed]
+    if not keyed.all():
+        # A map op that takes no key can still poison its map with one.
+        off = ~keyed & _MAP_OPS[op[at]]
+        t.stray.append(np.column_stack((row[at[off], 1], key[off])))
 
 
-def _owners_of(owners: tuple[np.ndarray, np.ndarray], iter_ids: np.ndarray) -> np.ndarray:
-    """Owning map id of each iterator; every one must have an IterNew."""
-    found, maps = _lookup(*owners, iter_ids)
-    if not found.all():
-        bad = iter_ids[np.argmin(found)]
+def _rank_arguments(t: _Ranked, block: np.ndarray, row: np.ndarray) -> None:
+    """The word flags and argument operands of a block's records."""
+    op, aux, outcome = block["op"], block["aux"], block["outcome"]
+    words, second = row[:, 0], row[:, 2]
+    words[_OUTCOME_OPS[op] & _YIELDED[outcome]] |= OUTCOME_BIT
+    count = np.bincount(op, minlength=256)
+    if count[_OP.ITER_ADVANCE]:
+        advances = np.flatnonzero(op == _OP.ITER_ADVANCE)
+        words[advances] |= outcome[advances].astype(np.int32) << _RAW_OUTCOME_SHIFT
+        second[advances] = _operand(aux[advances], t.big)
+    if count[_OP.CREATE]:
+        creates = np.flatnonzero(op == _OP.CREATE)
+        create_aux = aux[creates]
+        lf = (create_aux >> 32) & LF_MASK
+        spread = (create_aux >> 42) & 1
+        words[creates] |= ((lf << LF_SHIFT) | (spread * SPREAD_BIT)).astype(np.int32)
+        second[creates] = _operand(create_aux & 0xFFFFFFFF, t.big)
+    if count[_OP.ITER_NEW]:
+        news = np.flatnonzero(op == _OP.ITER_NEW)
+        words[news] |= ((aux[news] & VIEW_MASK) << VIEW_SHIFT).astype(np.int32)
+        second[news] = np.searchsorted(t.iters, aux[news] >> 2)
+    if count[_OP.CREATE_COPY]:
+        copies = np.flatnonzero(op == _OP.CREATE_COPY)
+        second[copies] = np.searchsorted(t.maps, aux[copies])
+
+
+def _entry_keys(t: _Ranked, entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The key rank and the recorded hash of each key entry."""
+    if not t.extra.size:
+        return entries, t.key_hash[entries]
+    own = np.flatnonzero(entries >= t.keys.size)
+    ranks = entries.copy()
+    ranks[own] = t.extra[entries[own] - t.keys.size, 0]
+    hashes = t.key_hash[ranks]
+    hashes[own] = t.extra[entries[own] - t.keys.size, 1]
+    return ranks, hashes
+
+
+def _owners(t: _Ranked) -> np.ndarray:
+    """The map rank owning each iterator rank, -1 for one with no IterNew.
+
+    The owner is the map of the iterator's last IterNew row.
+    """
+    news = np.flatnonzero(_ops(t.rows) == _OP.ITER_NEW)[::-1]
+    its, last = np.unique(t.rows[news, 2], return_index=True)
+    owner = np.full(t.iters.size, -1, dtype=np.int32)
+    owner[its] = t.rows[news[last], 1]
+    return owner
+
+
+def _owners_of(t: _Ranked, owner: np.ndarray, iter_ranks: np.ndarray) -> np.ndarray:
+    """Owning map rank of each iterator; every one must have an IterNew."""
+    maps = owner[iter_ranks]
+    missing = np.flatnonzero(maps < 0)
+    if missing.size:
+        bad = t.iters[iter_ranks[missing[0]]]
         raise TraceIntegrityError(f"iterator {bad} has no IterNew event")
     return maps
 
 
-def _dense(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct ids, and each element's index among them."""
-    distinct = _distinct(ids)
-    return distinct, np.searchsorted(distinct, ids)
-
-
-def _unstable_keys(key_ids: np.ndarray, hashes: np.ndarray) -> np.ndarray:
-    """Key ids recorded with more than one distinct hash."""
-    ids, idx = _dense(key_ids)
-    # Store any one recorded hash per key: a key with a second hash has a
-    # row that disagrees with the stored one, whichever write won.
-    some_hash = np.empty(ids.size, dtype=hashes.dtype)
-    some_hash[idx] = hashes
-    return _distinct(key_ids[hashes != some_hash[idx]])
-
-
 # -- pass kernels ---------------------------------------------------------------------
 #
-# Kernels read columns by field name from `t`: a RAW_DTYPE record array or
-# a dict of plain per-row arrays. Only sanitize reads `key_id` and `hash`
-# per row. Coalescing removes only advance rows and free insertion adds
-# only free rows, so keyed rows pass through both in order, and `process`
-# carries their key ids and hashes as two arrays beside the row columns.
-
-#: The per-row fields the passes after sanitize read.
-_ROW_FIELDS = ("op", "map_id", "aux", "outcome")
+# Each kernel reads a _Ranked stream and returns what its pass changes. The
+# public passes rank their RawTrace's records and apply the result to
+# those records; `process` ranks once and applies each result to the rows.
 
 
-def _kept_rows(t) -> np.ndarray:
+def _kept_rows(t: _Ranked) -> np.ndarray:
     """Sanitize's kernel: the mask of rows that survive."""
-    op, map_id, key_id, aux = t["op"], t["map_id"], t["key_id"], t["aux"]
+    rows = t.rows
+    op = _ops(rows)
+    map_of = rows[:, 1]  # a map rank on every row but the iterator ops'
 
-    keyed = key_id != ABSENT_U64
-    poisoned_keys = _unstable_keys(key_id[keyed], t["hash"][keyed])
-    map_rows = _MAP_OPS[op]
-    poisoned_maps = map_id[map_rows & keyed & _isin(key_id, poisoned_keys)]
+    dropped = np.zeros(t.maps.size, dtype=bool)  # poisoned, foreign, and copies of those
+    if t.unstable.any():
+        keyed = np.flatnonzero(_KEYED_OPS[op])
+        poisoned = t.unstable[_entry_keys(t, rows[keyed, 2])[0]]
+        dropped[map_of[keyed[poisoned]]] = True
+        dropped[t.stray[t.unstable[t.stray[:, 1]], 0]] = True
 
-    copies = op == _OP.CREATE_COPY
-    copy_ids, sources = map_id[copies], aux[copies]
-    referenced = _distinct(np.concatenate((map_id[map_rows], sources)))
-    foreign = referenced[~_isin(referenced, _distinct(map_id[_CREATES[op]]))]
-    dropped = _distinct(np.concatenate((foreign, poisoned_maps)))
+    copies = np.flatnonzero(op == _OP.CREATE_COPY)
+    copy_ids, sources = map_of[copies], rows[copies, 2]
+    referenced = np.zeros(t.maps.size, dtype=bool)
+    referenced[map_of[_MAP_OPS[op]]] = True
+    referenced[sources] = True
+    created = np.zeros(t.maps.size, dtype=bool)
+    created[map_of[_CREATES[op]]] = True
+    dropped |= referenced & ~created
     while True:  # copies of dropped maps, transitively
-        orphaned = copy_ids[_isin(sources, dropped) & ~_isin(copy_ids, dropped)]
+        orphaned = copy_ids[dropped[sources] & ~dropped[copy_ids]]
         if orphaned.size == 0:
             break
-        dropped = _distinct(np.concatenate((dropped, orphaned)))
+        dropped[orphaned] = True
 
     iter_rows = _ITER_OPS[op]
-    found, owners = _lookup(*_iter_owners(t), map_id[iter_rows])
-    keep = ~_isin(map_id, dropped)
-    keep[iter_rows] = found & ~_isin(owners, dropped)
+    keep = np.empty(len(rows), dtype=bool)
+    keep[~iter_rows] = ~dropped[map_of[~iter_rows]]
+    owner = _owners(t)[map_of[iter_rows]]
+    owned = owner >= 0
+    owned[owned] = ~dropped[owner[owned]]
+    keep[iter_rows] = owned
     return keep
 
 
@@ -262,7 +458,7 @@ def sanitize(raw: RawTrace) -> RawTrace:
     iterators of removed maps. Order of surviving events is unchanged.
     """
     r = raw.records
-    keep = _kept_rows(r)
+    keep = _kept_rows(_rank(r))
     return RawTrace(r if keep.all() else r[keep])
 
 
@@ -271,35 +467,36 @@ class _Merge(NamedTuple):
 
     merged: np.ndarray  # sorted rows of advances folded into an earlier one
     heads: np.ndarray  # each run's first advance, as a row after the deletion
-    steps: np.ndarray  # each run's step count
+    steps: np.ndarray  # each run's step count, u64
 
 
-def _merge_plan(t) -> _Merge | None:
+def _merge_plan(t: _Ranked) -> _Merge | None:
     """Coalesce's kernel; None when the stream has no advances."""
-    op, map_id = t["op"], t["map_id"]
+    rows = t.rows
+    op = _ops(rows)
     adv = np.flatnonzero(op == _OP.ITER_ADVANCE)
     if adv.size == 0:
         return None
-    owners = _iter_owners(t)
+    owner = _owners(t)
 
     # Only mutations between the first and last advance can split a run.
     muts = np.flatnonzero(_RUN_BREAKERS[op[adv[0] : adv[-1]]]) + adv[0]
-    mut_maps = map_id[muts]
+    mut_maps = rows[muts, 1]
     through_iter = op[muts] == _OP.ITER_REMOVE
-    mut_maps[through_iter] = _owners_of(owners, mut_maps[through_iter])
+    mut_maps[through_iter] = _owners_of(t, owner, mut_maps[through_iter])
 
     # Group the advances by iterator, in stream order within each group.
-    adv = adv[np.argsort(map_id[adv], kind="stable")]
-    iters = map_id[adv]
+    adv = adv[np.argsort(rows[adv, 1], kind="stable")]
+    iters = rows[adv, 1]
     joins = np.zeros(adv.size, dtype=bool)
     joins[1:] = iters[1:] == iters[:-1]
-    epochs = _epochs(mut_maps, muts, _owners_of(owners, iters), adv)
+    epochs = _epochs(mut_maps, muts, _owners_of(t, owner, iters), adv)
     joins[1:] &= epochs[1:] == epochs[:-1]
-    outcomes = t["outcome"][adv]
+    outcomes = rows[adv, 0] & _RAW_OUTCOME_BITS
     joins[1:] &= outcomes[1:] == outcomes[:-1]
 
     heads = np.flatnonzero(~joins)
-    steps = np.add.reduceat(t["aux"][adv], heads)
+    steps = np.add.reduceat(_u64(t, rows[adv, 2]), heads)
     steps[outcomes[heads] == 0] = 1
     merged = np.sort(adv[joins])
     head_rows = adv[heads]
@@ -307,18 +504,15 @@ def _merge_plan(t) -> _Merge | None:
 
 
 def _epochs(mut_maps: np.ndarray, muts: np.ndarray, maps: np.ndarray, rows: np.ndarray):
-    """Mutation epoch of map `maps[i]` at row `rows[i]`.
+    """Mutation epoch of map rank `maps[i]` at row `rows[i]`.
 
     The epoch is the number of mutations (`mut_maps`, `muts`) that sort
     before (map, row) by map, then row. Between two rows of one map it
     moves exactly when that map was mutated in between.
     """
-    mutated, rank = _dense(mut_maps)
     stride = max(int(muts.max(initial=0)), int(rows.max(initial=0))) + 1
-    keys = np.sort(rank * stride + muts)
-    found, at = _lookup(mutated, np.arange(mutated.size), maps)
-    # A map never mutated here has one epoch throughout; -1 sorts first.
-    return np.searchsorted(keys, np.where(found, at * stride + rows, -1))
+    keys = np.sort(mut_maps.astype(np.int64) * stride + muts)
+    return np.searchsorted(keys, maps.astype(np.int64) * stride + rows)
 
 
 def coalesce(raw: RawTrace) -> RawTrace:
@@ -336,12 +530,19 @@ def coalesce(raw: RawTrace) -> RawTrace:
     count of that map's mutations so far in the stream.
     """
     r = raw.records
-    merge = _merge_plan(r)
+    merge = _merge_plan(_rank(r))
     if merge is None:
         return RawTrace(r)
     out = np.delete(r, merge.merged)
     out["aux"][merge.heads] = merge.steps
     return RawTrace(out)
+
+
+def _coalesced(t: _Ranked, merge: _Merge) -> _Ranked:
+    rows = np.delete(t.rows, merge.merged, axis=0)
+    big = [t.big]
+    rows[merge.heads, 2] = _operand(merge.steps, big)
+    return t._replace(rows=rows, big=np.concatenate(big))
 
 
 def _last_rows(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -363,27 +564,29 @@ class _Frees(NamedTuple):
     """Free insertion's plan: the FreeIter/FreeMap rows, in stream order."""
 
     op: np.ndarray  # FREE_ITER or FREE_MAP
-    ids: np.ndarray  # the iterator or map freed
+    ids: np.ndarray  # the rank of the iterator or map freed
     after: np.ndarray  # the row each free follows, before insertion
 
 
-def _free_plan(t) -> _Frees:
+def _free_plan(t: _Ranked) -> _Frees:
     """Free insertion's kernel."""
-    op, map_id, aux = t["op"], t["map_id"], t["aux"]
+    rows = t.rows
+    op = _ops(rows)
     iter_rows = np.flatnonzero(_ITER_OPS[op])
     copies = np.flatnonzero(op == _OP.CREATE_COPY)
     news = np.flatnonzero(op == _OP.ITER_NEW)
 
     # Every row uses one map (iterator ops: the iterator's owner); reduce
     # that column to a last row per map, then add the uses by copies.
-    map_of_row = map_id.copy()
-    map_of_row[iter_rows] = _owners_of(_iter_owners(t), map_id[iter_rows])
+    map_of_row = rows[:, 1].copy()
+    map_of_row[iter_rows] = _owners_of(t, _owners(t), rows[iter_rows, 1])
     maps, map_last = _last_rows(map_of_row)
+    del map_of_row
     maps, map_last = _last_use(
-        np.concatenate((maps, aux[copies])), np.concatenate((map_last, copies))
+        np.concatenate((maps, rows[copies, 2])), np.concatenate((map_last, copies))
     )
     iters, iter_last = _last_use(
-        np.concatenate((map_id[iter_rows], aux[news] >> 2)), np.concatenate((iter_rows, news))
+        np.concatenate((rows[iter_rows, 1], rows[news, 2])), np.concatenate((iter_rows, news))
     )
 
     ops = np.full(iters.size + maps.size, _OP.FREE_MAP, dtype=np.uint8)
@@ -392,18 +595,6 @@ def _free_plan(t) -> _Frees:
     after = np.concatenate((iter_last, map_last))
     order = np.lexsort((ids, ops == _OP.FREE_MAP, after))
     return _Frees(ops[order], ids[order], after[order])
-
-
-def _free_fields(frees: _Frees) -> dict:
-    """Field values of the inserted free rows, thread id aside."""
-    return {
-        "op": frees.op,
-        "map_id": frees.ids,
-        "key_id": ABSENT_U64,
-        "hash": ABSENT_HASH,
-        "aux": 0,
-        "outcome": ABSENT_OUTCOME,
-    }
 
 
 def insert_free_events(raw: RawTrace) -> RawTrace:
@@ -415,16 +606,29 @@ def insert_free_events(raw: RawTrace) -> RawTrace:
     take that row's thread id.
     """
     r = raw.records
-    frees = _free_plan(r)
+    t = _rank(r)
+    frees = _free_plan(t)
     rows = np.zeros(frees.after.size, dtype=RAW_DTYPE)
-    for name, values in _free_fields(frees).items():
-        rows[name] = values
+    rows["op"] = frees.op
+    of_iter = frees.op == _OP.FREE_ITER
+    rows["map_id"][of_iter] = t.iters[frees.ids[of_iter]]
+    rows["map_id"][~of_iter] = t.maps[frees.ids[~of_iter]]
+    rows["key_id"] = ABSENT_U64
+    rows["hash"] = ABSENT_HASH
+    rows["outcome"] = ABSENT_OUTCOME
     rows["thread_id"] = r["thread_id"][frees.after]
     return RawTrace(np.insert(r, frees.after + 1, rows))
 
 
+def _freed(t: _Ranked, frees: _Frees) -> _Ranked:
+    rows = np.zeros((frees.after.size, 3), dtype=np.int32)
+    rows[:, 0] = frees.op
+    rows[:, 1] = frees.ids
+    return t._replace(rows=np.insert(t.rows, frees.after + 1, rows, axis=0))
+
+
 class _Lifetimes(NamedTuple):
-    """One row per object, sorted by id: its slot and first and last row."""
+    """One row per object, sorted by rank: its slot and first and last row."""
 
     ids: np.ndarray
     slot: np.ndarray
@@ -432,16 +636,17 @@ class _Lifetimes(NamedTuple):
     last: np.ndarray
 
 
-def _assign_slots(obj_ids: np.ndarray, acquires: np.ndarray, rows: np.ndarray):
+def _assign_slots(obj_ids: np.ndarray, acquires: np.ndarray, rows: np.ndarray, names):
     """Lowest-free-first slots over one object kind's create/free rows.
 
     `obj_ids`, `acquires` and `rows` describe the create (acquire) and free
-    rows in stream order. Returns the lifetimes and the slot-table size.
+    rows in stream order; `names` holds the raw id of each object rank.
+    Returns the lifetimes and the slot-table size.
     """
     created = obj_ids[acquires]
     ids, first = np.unique(created, return_index=True)
     if ids.size != created.size:
-        twice = np.delete(created, first)[0]
+        twice = names[np.delete(created, first)[0]]
         raise TraceIntegrityError(f"object {twice} is created more than once")
 
     slots = np.empty(obj_ids.size, dtype=np.int32)
@@ -459,7 +664,7 @@ def _assign_slots(obj_ids: np.ndarray, acquires: np.ndarray, rows: np.ndarray):
         else:
             slot = live.pop(obj, None)
             if slot is None:
-                raise TraceIntegrityError(f"object {obj} is not live")
+                raise TraceIntegrityError(f"object {names[obj]} is not live")
             heapq.heappush(free, slot)
         slots[j] = slot
     if live:
@@ -470,7 +675,7 @@ def _assign_slots(obj_ids: np.ndarray, acquires: np.ndarray, rows: np.ndarray):
     return lives, high_water
 
 
-def _slots_at(lives: _Lifetimes, obj_ids: np.ndarray, rows: np.ndarray, uses=None):
+def _slots_at(lives: _Lifetimes, obj_ids: np.ndarray, rows: np.ndarray, names, uses=None):
     """Slot of the object named at each row.
 
     Every object named where `uses` is set (everywhere by default) must be
@@ -491,85 +696,74 @@ def _slots_at(lives: _Lifetimes, obj_ids: np.ndarray, rows: np.ndarray, uses=Non
     dead = np.flatnonzero(uses & ~live)
     if dead.size:
         bad = dead[0]
-        raise TraceIntegrityError(f"object {obj_ids[bad]} is not live at event {rows[bad]}")
+        raise TraceIntegrityError(f"object {names[obj_ids[bad]]} is not live at event {rows[bad]}")
     return lives.slot[i] if lives.ids.size else i.astype(np.int32)
 
 
-def _key_indexes(key_ids: np.ndarray, hashes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dense key index per keyed row, in first-use order, and the hash table."""
-    ids, idx = _dense(key_ids)
-    first_use = np.full(ids.size, key_ids.size)
-    np.minimum.at(first_use, idx, np.arange(key_ids.size))
-    by_first_use = np.argsort(first_use)
-    rank = np.empty(ids.size, dtype=np.int32)
-    rank[by_first_use] = np.arange(ids.size, dtype=np.int32)
-    index = rank[idx]
+def _key_indexes(t: _Ranked, entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense key index of each keyed row's entry, in first-use order, and
+    the hash table."""
+    ranks, hashes = _entry_keys(t, entries)
+    first_use = np.full(t.keys.size, ranks.size)
+    np.minimum.at(first_use, ranks, np.arange(ranks.size))
+    by_first_use = np.argsort(first_use)[: np.count_nonzero(first_use < ranks.size)]
+    index_of = np.empty(t.keys.size, dtype=np.int32)
+    index_of[by_first_use] = np.arange(by_first_use.size, dtype=np.int32)
+    index = index_of[ranks]
     table = hashes[first_use[by_first_use]]
     changed = np.flatnonzero(hashes != table[index])
     if changed.size:
         raise TraceIntegrityError(
-            f"key {key_ids[changed[0]]} hash changed; trace was not sanitized"
+            f"key {t.keys[ranks[changed[0]]]} hash changed; trace was not sanitized"
         )
     return index, table
 
 
-def _encode(t, key_ids: np.ndarray, hashes: np.ndarray) -> ProcessedTrace:
-    """Encode's kernel; `key_ids` and `hashes` hold the keyed rows' fields."""
-    op, map_id, aux, outcome = t["op"], t["map_id"], t["aux"], t["outcome"]
-    triples = np.zeros((op.size, 3), dtype=np.int32)
-    words = triples[:, 0]
-    words[:] = op
+def _encode(t: _Ranked) -> ProcessedTrace:
+    """Encode's kernel: rewrites `t.rows` into the opcode triples, in place."""
+    rows = t.rows
+    op = _ops(rows)
 
-    keyed = _KEYED_OPS[op]
-    key_index, key_hashes = _key_indexes(key_ids, hashes)
-    triples[keyed, 2] = key_index
-    del key_index  # before the slot lookups' row-sized temporaries
+    keyed = np.flatnonzero(_KEYED_OPS[op])
+    key_index, key_hashes = _key_indexes(t, rows[keyed, 2])
+    rows[keyed, 2] = key_index
+    del keyed, key_index  # before the slot lookups' row-sized temporaries
+
+    # Read the iterator and copy operands before map slots overwrite them.
+    iter_rows = np.flatnonzero(_ITER_OPS[op])
+    iter_ranks = rows[iter_rows, 1]
+    iter_life = np.flatnonzero((op == _OP.ITER_NEW) | (op == _OP.FREE_ITER))
+    news = op[iter_life] == _OP.ITER_NEW
+    iter_ids = np.where(news, rows[iter_life, 2], rows[iter_life, 1])
+    copies = np.flatnonzero(op == _OP.CREATE_COPY)
+    copy_ids, sources = rows[copies, 1], rows[copies, 2]
 
     # Map slots. Every map op, creates and frees included, names its map in
-    # map_id; iterator ops name their iterator there and are overwritten below.
+    # operand 1; iterator ops name their iterator there and are rewritten below.
     life = np.flatnonzero(_CREATES[op] | (op == _OP.FREE_MAP))
-    map_lives, max_map_slots = _assign_slots(map_id[life], _CREATES[op[life]], life)
-    triples[:, 1] = _slots_at(map_lives, map_id, np.arange(op.size), _MAP_OPS[op])
-    copies = np.flatnonzero(op == _OP.CREATE_COPY)
-    sources = aux[copies]
-    self_copies = np.flatnonzero(sources == map_id[copies])
+    map_lives, max_map_slots = _assign_slots(rows[life, 1], _CREATES[op[life]], life, t.maps)
+    rows[:, 1] = _slots_at(map_lives, rows[:, 1], np.arange(len(rows)), t.maps, _MAP_OPS[op])
+    self_copies = np.flatnonzero(sources == copy_ids)
     if self_copies.size:
-        raise TraceIntegrityError(f"map {sources[self_copies[0]]} is not live before its copy")
-    triples[copies, 2] = _slots_at(map_lives, sources, copies)
+        raise TraceIntegrityError(
+            f"map {t.maps[sources[self_copies[0]]]} is not live before its copy"
+        )
+    rows[copies, 2] = _slots_at(map_lives, sources, copies, t.maps)
 
-    # Iterator slots: IterNew acquires the iterator in its aux, FreeIter releases.
-    life = np.flatnonzero((op == _OP.ITER_NEW) | (op == _OP.FREE_ITER))
-    news = op[life] == _OP.ITER_NEW
-    iter_ids = np.where(news, aux[life] >> 2, map_id[life])
-    iter_lives, max_iter_slots = _assign_slots(iter_ids, news, life)
-    triples[life[news], 2] = _slots_at(iter_lives, iter_ids[news], life[news])
-    iter_rows = np.flatnonzero(_ITER_OPS[op])
-    triples[iter_rows, 1] = _slots_at(iter_lives, map_id[iter_rows], iter_rows)
+    # Iterator slots: IterNew acquires the iterator in operand 2, FreeIter releases.
+    iter_lives, max_iter_slots = _assign_slots(iter_ids, news, iter_life, t.iters)
+    rows[iter_life[news], 2] = _slots_at(iter_lives, iter_ids[news], iter_life[news], t.iters)
+    rows[iter_rows, 1] = _slots_at(iter_lives, iter_ranks, iter_rows, t.iters)
 
-    flagged = keyed | (op == _OP.ITER_ADVANCE)
-    words[flagged & (outcome != 0) & (outcome != ABSENT_OUTCOME)] |= OUTCOME_BIT
-
-    creates = np.flatnonzero(op == _OP.CREATE)
-    create_aux = aux[creates]
-    capacity = create_aux & 0xFFFFFFFF
-    _check_i32(capacity, "requested capacity")
-    lf = (create_aux >> 32) & LF_MASK
-    spread = (create_aux >> 42) & 1
-    words[creates] |= ((lf << LF_SHIFT) | (spread * SPREAD_BIT)).astype(np.int32)
-    triples[creates, 2] = capacity
-
-    news = np.flatnonzero(op == _OP.ITER_NEW)
-    words[news] |= ((aux[news] & VIEW_MASK) << VIEW_SHIFT).astype(np.int32)
-
-    advances = np.flatnonzero(op == _OP.ITER_ADVANCE)
-    _check_i32(aux[advances], "advance step count")
-    triples[advances, 2] = aux[advances]
+    rows[:, 0] &= ~_RAW_OUTCOME_BITS
+    _check_i32(t, rows[op == _OP.CREATE, 2], "requested capacity")
+    _check_i32(t, rows[op == _OP.ITER_ADVANCE, 2], "advance step count")
 
     return ProcessedTrace(
-        key_hashes=key_hashes.astype(np.int32),
+        key_hashes=key_hashes,
         max_map_slots=max_map_slots,
         max_iter_slots=max_iter_slots,
-        ops=triples.ravel(),
+        ops=rows.ravel(),
     )
 
 
@@ -579,46 +773,37 @@ def encode(raw: RawTrace) -> ProcessedTrace:
     Every object must be created once, used only while live, and freed
     once; anything else raises TraceIntegrityError.
     """
-    r = raw.records
-    keyed = _KEYED_OPS[r["op"]]
-    return _encode(r, r["key_id"][keyed], r["hash"][keyed])
+    return _encode(_rank(raw.records))
 
 
-def _check_i32(values: np.ndarray, what: str) -> None:
-    big = np.flatnonzero(values > _I32_MAX)
+def _check_i32(t: _Ranked, operands: np.ndarray, what: str) -> None:
+    big = np.flatnonzero(operands < 0)
     if big.size:
-        raise TraceIntegrityError(f"{what} {values[big[0]]} overflows i32")
+        raise TraceIntegrityError(f"{what} {t.big[-1 - operands[big[0]]]} overflows i32")
 
 
 def process(raw: RawTrace) -> ProcessedTrace:
     """Full post-processing pipeline: sanitize, coalesce, free-annotate, encode.
 
-    Sanitize runs on the records; then only the columns the later passes
-    read are copied out (the row fields of the kept rows, and the key id
-    and hash of kept keyed rows), and the records are let go, so a caller
-    that holds no reference to `raw` has its bytes freed here. Coalescing,
-    free insertion and encoding run on those columns through the same
-    kernels as the public passes, and build no record array; the result
-    equals `encode(insert_free_events(coalesce(sanitize(raw))))`.
+    The records are ranked once, a block at a time, into int32 rows and
+    small per-object tables, and then let go, so a caller that holds no
+    reference to `raw` has its bytes freed here. Sanitizing, coalescing
+    and free insertion select, delete and insert rows through the same
+    kernels as the public passes, and encoding rewrites the rows into the
+    opcode triples in place; the result equals
+    `encode(insert_free_events(coalesce(sanitize(raw))))`.
     """
-    records = raw.records
+    t = _rank(raw.records)
     del raw
-    keep = _kept_rows(records)
-    keyed = keep & _KEYED_OPS[records["op"]]
-    key_ids, hashes = records["key_id"][keyed], records["hash"][keyed]
-    t = {name: records[name][keep] for name in _ROW_FIELDS}
-    del records, keep, keyed
-
+    keep = _kept_rows(t)
+    if not keep.all():
+        t = t._replace(rows=t.rows[keep])
+    del keep
     merge = _merge_plan(t)
     if merge is not None:
-        for name in _ROW_FIELDS:
-            t[name] = np.delete(t[name], merge.merged)
-        t["aux"][merge.heads] = merge.steps
-    frees = _free_plan(t)
-    values = _free_fields(frees)
-    for name in _ROW_FIELDS:
-        t[name] = np.insert(t[name], frees.after + 1, values[name])
-    return _encode(t, key_ids, hashes)
+        t = _coalesced(t, merge)
+    t = _freed(t, _free_plan(t))
+    return _encode(t)
 
 
 def stats(trace: ProcessedTrace) -> Characterization:
@@ -667,7 +852,7 @@ def decode(data: bytes) -> ProcessedTrace:
     if version != VERSION:
         raise TraceFormatError(f"unsupported version {version}", offset=4)
     try:
-        payload = zlib.decompress(data[8:])
+        payload = zlib.decompress(memoryview(data)[8:])
     except zlib.error as exc:
         raise TraceFormatError(f"corrupt DEFLATE payload: {exc}", offset=8) from None
 

@@ -9,8 +9,9 @@ where: a TraceFormatError with a byte offset from decode, and a
 TraceIntegrityError or FidelityError naming the op from setup and replay.
 
 MRT1: the raw records of the same traces are mutated (op byte, map, key
-and hash fields, the aux of Create, IterNew and IterAdvance) and the file
-may be cut short. Each result must be read, or raise a TraceFormatError
+and hash fields, the aux of Create, IterNew and IterAdvance, and the source
+map of CreateCopy; ids include ones above 32 bits, as the tracer allocates
+them for thread slot 1) and the file may be cut short. Each result must be read, or raise a TraceFormatError
 with a byte offset; then `process` must give what the public passes give
 in turn: the same MPT1 bytes, or the same MapReplayError and message.
 
@@ -211,8 +212,11 @@ def _pass_chain(raw):
     return encode(insert_free_events(coalesce(sanitize(raw))))
 
 
-#: Ids and hashes near the small ones the base traces use, and absence.
-_id = st.one_of(st.integers(0, 14), st.just(ABSENT_U64))
+#: Ids near the small ones the base traces use, the same ids as the tracer
+#: allocates them for thread slot 1, and absence.
+_id = st.one_of(
+    st.integers(0, 14), st.integers(0, 14).map(lambda k: (1 << 40) | k), st.just(ABSENT_U64)
+)
 _aux = st.one_of(
     st.integers(0, 70), st.sampled_from([2**31 - 1, 2**31, 2**32 - 1, (750 << 32) | 16, 2**64 - 1])
 )
@@ -221,13 +225,14 @@ _raw_mutation = st.one_of(
     st.tuples(st.just("map_id"), _index, _id),
     st.tuples(st.just("key_id"), _index, _id),
     st.tuples(st.just("hash"), _index, st.integers(-2, 14)),
-    # The aux of the nth record of one kind.
+    # The aux of the nth record of one kind; a CreateCopy's is its source map.
     st.tuples(
         st.just("aux"),
         _index,
         _aux,
         st.sampled_from([RawOpKind.CREATE, RawOpKind.ITER_NEW, RawOpKind.ITER_ADVANCE]),
     ),
+    st.tuples(st.just("aux"), _index, _id, st.just(RawOpKind.CREATE_COPY)),
 )
 
 

@@ -429,10 +429,49 @@ def test_process_and_write_compress_once(tmp_path, small_traces, monkeypatch):
 
 
 def test_process_equals_the_public_pass_chain(small_traces):
-    # process() runs the passes' kernels on columns; the public passes run
-    # them on records. Both must give the same artifact.
+    # process() ranks the records once and runs every kernel on the ranked
+    # rows; each public pass ranks its input and applies its kernel's result
+    # to the records. Both must give the same artifact.
     for name, (_, raw, trace) in small_traces.items():
         assert trace == encode(insert_free_events(coalesce(sanitize(raw)))), name
+
+
+# Ids as the tracer allocates them for thread slots 1 and 2: above 32 bits,
+# and equal in their low bits.
+A, B, C = (1 << 40) | 1, (2 << 40) | 1, (2 << 40) | 2
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (
+            [(OP.CREATE, A, None, None, 0, None, 1), (OP.CREATE, B, None, None, 0, None, 2),
+             (OP.PUT, B, C, 7, 0, 0, 2), (OP.FREE_MAP, B, None, None, 0, None, 2),
+             (OP.GET, B, C, 7, 0, 1, 2), (OP.PUT, A, C, 7, 0, 0, 1)],
+            f"object {B} is not live",
+        ),
+        (
+            [(OP.CREATE, A, None, None, 0, None, 1), (OP.CREATE, B, None, None, 0, None, 2),
+             (OP.PUT, A, C, 7, 0, 0, 1), (OP.CREATE, B, None, None, 0, None, 2)],
+            f"object {B} is created more than once",
+        ),
+        (
+            [(OP.CREATE, A, None, None, 0, None, 1), (OP.CREATE_COPY, B, None, None, C, None, 2),
+             (OP.CREATE, C, None, None, 0, None, 2), (OP.PUT, A, B, 7, 0, 0, 1)],
+            f"object {C} is not live at event 1",
+        ),
+    ],
+    ids=["use-after-free", "create-twice", "copy-of-a-later-map"],
+)
+def test_process_errors_name_raw_ids(rows, message, raw_records):
+    # Ranks are dense and small (here 0 and 1), so a message naming one
+    # would not show the raw id.
+    raw = RawTrace(raw_records(rows))
+    with pytest.raises(TraceIntegrityError) as chain:
+        encode(insert_free_events(coalesce(sanitize(raw))))
+    with pytest.raises(TraceIntegrityError) as distilled:
+        process(raw)
+    assert str(distilled.value) == str(chain.value) == message
 
 
 def test_disjoint_lifetimes_share_slot_zero():
