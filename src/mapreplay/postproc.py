@@ -45,6 +45,21 @@ zlib/DEFLATE stream compressing the payload:
     u32 key count | i32 key hashes | u32 max_map_slots | u32 max_iter_slots |
     u64 op-triple count | op triples (3 x i32 each)
 
+`decode` inflates the payload in one call into a buffer of exactly its
+size. It first inflates only the header prefix (the key count, the key
+hashes, the slot bounds and the op count) and computes the payload size
+from it; a size beyond DEFLATE's 1032:1 limit over the stream is not
+trusted and allocates nothing. The whole stream then goes through the
+host's libdeflate (`libdeflate_zlib_decompress_ex`, loaded by soname on
+the first decode) into an uninitialized buffer of that size, or, where
+the library does not load, through `zlib.decompress` with that buffer
+size. Both check the stream's adler32 and, like zlib, ignore input after
+the stream's end. Any libdeflate result other than exactly that many
+bytes falls back to `zlib.decompress`, so every error (a corrupt stream,
+a truncated payload, trailing bytes) is raised from zlib's result and
+reads the same on every host. The decoded arrays are read-only views of
+the payload.
+
 Each triple is (word, operand1, operand2). The word carries the op kind in
 bits 0-7 plus op-specific flags: outcome in bit 8 (hit/update/yielded);
 for IterNew the view in bits 9-10; for Create the load factor thousandths
@@ -68,6 +83,7 @@ import struct
 import sys
 import zlib
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 from typing import NamedTuple
 
@@ -843,6 +859,85 @@ def to_bytes(trace: ProcessedTrace) -> bytes:
     return b"".join(parts)
 
 
+#: DEFLATE's largest expansion: a 258-byte match costs at least 2 bits.
+_MAX_INFLATE_RATIO = 1032
+_LIBDEFLATE_SONAMES = ("libdeflate.so.0", "libdeflate.0.dylib", "libdeflate.dll")
+
+
+def _payload_size(body: memoryview) -> int | None:
+    """The payload size the stream's header prefix declares, or None when
+    the prefix does not inflate or the size exceeds what the stream can
+    inflate to."""
+    limit = _MAX_INFLATE_RATIO * len(body)
+    z = zlib.decompressobj()
+    try:
+        head = z.decompress(body, 4)
+        if len(head) < 4:
+            return None
+        prefix = 4 + 4 * struct.unpack("<I", head)[0] + 16
+        if prefix > limit:
+            return None
+        rest = z.decompress(z.unconsumed_tail, prefix - 4)
+    except zlib.error:
+        return None
+    if len(rest) < prefix - 4:
+        return None
+    size = prefix + 12 * struct.unpack_from("<Q", rest, len(rest) - 8)[0]
+    return size if size <= limit else None
+
+
+@cache
+def _libdeflate():
+    """An inflater `(body, size) -> read-only uint8 array | None` backed by
+    the host's libdeflate, or None when the library does not load.
+
+    Loaded on the first decode, by fixed sonames: `ctypes.util.find_library`
+    would start ldconfig or compiler subprocesses. The inflater returns
+    None unless the stream inflates to exactly `size` bytes with a good
+    adler32. It allocates a decompressor per call, since ctypes releases
+    the GIL and a decompressor is not thread-safe.
+    """
+    import ctypes
+
+    for name in _LIBDEFLATE_SONAMES:
+        try:
+            lib = ctypes.CDLL(name)
+            run = lib.libdeflate_zlib_decompress_ex
+        except (OSError, AttributeError):
+            continue
+        break
+    else:
+        return None
+    size_p = ctypes.POINTER(ctypes.c_size_t)
+    alloc, free = lib.libdeflate_alloc_decompressor, lib.libdeflate_free_decompressor
+    alloc.argtypes, alloc.restype = [], ctypes.c_void_p
+    free.argtypes, free.restype = [ctypes.c_void_p], None
+    run.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t,
+                    ctypes.c_void_p, ctypes.c_size_t, size_p, size_p]
+    run.restype = ctypes.c_int
+
+    def inflate(body: memoryview, size: int) -> np.ndarray | None:
+        src = np.frombuffer(body, dtype=np.uint8)
+        out = np.empty(size, dtype=np.uint8)
+        d = alloc()
+        if not d:
+            return None
+        used, made = ctypes.c_size_t(), ctypes.c_size_t()
+        try:
+            # 0 is LIBDEFLATE_SUCCESS; with both counts asked for, input
+            # after the stream's end is allowed, as zlib allows it.
+            result = run(d, src.ctypes.data, src.size, out.ctypes.data, size,
+                         ctypes.byref(used), ctypes.byref(made))
+        finally:
+            free(d)
+        if result != 0 or made.value != size:
+            return None
+        out.flags.writeable = False
+        return out
+
+    return inflate
+
+
 def decode(data: bytes) -> ProcessedTrace:
     if len(data) < 8:
         raise TraceFormatError("shorter than the 8-byte header", offset=0)
@@ -851,10 +946,15 @@ def decode(data: bytes) -> ProcessedTrace:
     (version,) = struct.unpack_from("<I", data, 4)
     if version != VERSION:
         raise TraceFormatError(f"unsupported version {version}", offset=4)
-    try:
-        payload = zlib.decompress(memoryview(data)[8:])
-    except zlib.error as exc:
-        raise TraceFormatError(f"corrupt DEFLATE payload: {exc}", offset=8) from None
+    body = memoryview(data)[8:]
+    size = _payload_size(body)
+    inflate = _libdeflate() if size is not None else None
+    payload = inflate(body, size) if inflate is not None else None
+    if payload is None:
+        try:
+            payload = zlib.decompress(body, bufsize=size or zlib.DEF_BUF_SIZE)
+        except zlib.error as exc:
+            raise TraceFormatError(f"corrupt DEFLATE payload: {exc}", offset=8) from None
 
     # Offsets below are relative to the decompressed payload.
     pos = 0

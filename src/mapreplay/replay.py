@@ -29,11 +29,13 @@ handler calls:
                 each outcome bit against the recorded one; the FreeMap hook
                 captures the map's state digest
 
-The loop checks nothing per op. Setup rejects a negative word or operand
-once for the whole stream, since Python would wrap a negative index, and
-an iterator advance of more steps than the key table has keys (more than
-one step, when exhausted), which no map can yield and which would
-otherwise spin for up to 2^31 steps. A slot used after free, an operand
+The loop checks nothing per op. Setup rejects, once for the whole stream,
+a negative word or operand, since Python would wrap a negative index; an
+iterator advance of more steps than the key table has keys (more than one
+step, when exhausted), which no map can yield and which would otherwise
+spin for up to 2^31 steps; and a Create whose capacity normalizes to a
+table of more than `max_table_slots` slots (2^24 by default), since a map
+allocates its whole table on the first put. A slot used after free, an operand
 out of range or an IterNew view of 3 surfaces as the AttributeError or
 IndexError it causes, and is reported as a TraceIntegrityError naming the
 op index; FreeMap, FreeIter and the CreateCopy source check for a freed
@@ -69,15 +71,22 @@ from .postproc import (
 )
 from .refmap import (
     DEFAULT_CONFIG,
+    MAX_CAPACITY,
     MapConfig,
     OpCounters,
     PyDictMap,
     RefMap,
     View,
+    normalize_capacity,
 )
 from .tracer import RawOpKind
 
 MODES = ("timing", "counting", "validating")
+
+#: Default bound on the normalized capacity a trace's Create may ask for:
+#: a table is one list allocated whole, 8 bytes a slot, so 2^24 slots is
+#: 128 MiB, where 2^30 would be 8 GiB.
+MAX_TABLE_SLOTS = 1 << 24
 
 _OP = RawOpKind
 #: Kinds whose second operand is a key index.
@@ -155,7 +164,9 @@ class ReplayResult:
 class ReplaySession:
     """Decoded trace plus everything preallocated for repeated replays."""
 
-    def __init__(self, trace: ProcessedTrace):
+    def __init__(self, trace: ProcessedTrace, *, max_table_slots: int = MAX_TABLE_SLOTS):
+        if not isinstance(max_table_slots, int) or max_table_slots < 1:
+            raise ConfigError(f"max_table_slots must be a positive int, got {max_table_slots!r}")
         # Valid words and operands are never negative; a negative index
         # would wrap around the slot and key lists instead of failing.
         if trace.ops.size and trace.ops.min() < 0:
@@ -164,20 +175,37 @@ class ReplaySession:
         # A yielding advance run visits distinct entries of one unmutated
         # map, so its count never exceeds the key count; an exhausted run
         # is one step, since coalesce collapses repeats that change nothing.
-        # Only the few ops whose second operand exceeds the key count are
-        # looked at further.
+        # A Create's table is allocated whole on its first put, and the
+        # largest capacity that normalizes within the budget is the largest
+        # power of two in it, or any capacity once the budget reaches the
+        # cap. Only the few ops whose second operand exceeds one of those
+        # two are looked at further.
         n_keys = len(trace.key_hashes)
-        over = np.flatnonzero(trace.ops[2::3] > n_keys)
+        fits = 1 << (max_table_slots.bit_length() - 1)
+        if fits >= MAX_CAPACITY:
+            fits = 2**31 - 1
+        over = np.flatnonzero(trace.ops[2::3] > min(n_keys, fits))
         words = trace.ops[3 * over]
+        kinds = words & OP_KIND_MASK
+        second = trace.ops[3 * over + 2]
         too_long = over[
-            ((words & OP_KIND_MASK) == _OP.ITER_ADVANCE)
-            & (((words & OUTCOME_BIT) != 0) | (trace.ops[3 * over + 2] > 1))
+            (kinds == _OP.ITER_ADVANCE)
+            & (second > n_keys)
+            & (((words & OUTCOME_BIT) != 0) | (second > 1))
         ]
+        too_big = over[(kinds == _OP.CREATE) & (second > fits)]
         if too_long.size:
             i = too_long[0]
             raise TraceIntegrityError(
                 f"op {i}: iterator advance of {trace.ops[3 * i + 2]} steps but the "
                 f"trace has {n_keys} keys"
+            )
+        if too_big.size:
+            i = too_big[0]
+            slots = normalize_capacity(int(trace.ops[3 * i + 2]))
+            raise TraceIntegrityError(
+                f"op {i}: create of a {slots}-slot table exceeds "
+                f"max_table_slots={max_table_slots}"
             )
         self.trace = trace
         # One burst with the collector paused (see the module docstring).

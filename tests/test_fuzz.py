@@ -1,12 +1,16 @@
 """Fuzzing trace files: every mutant is read, distilled and replayed, or fails typed.
 
-MPT1: small built-in traces are mutated two ways: their fields (opcode
+MPT1: small built-in traces are mutated three ways: their fields (opcode
 words, operands, key hashes, slot bounds, the op list itself) are changed
-and re-encoded with `to_bytes`, or bytes of the encoded file are flipped.
-Each result must decode, set up and replay in every mode against RefMap
-and in timing mode against PyDictMap, or raise a MapReplayError that says
-where: a TraceFormatError with a byte offset from decode, and a
-TraceIntegrityError or FidelityError naming the op from setup and replay.
+and re-encoded with `to_bytes`, the key count or op count of the payload
+header is forged, near the true count or beyond what the stream can
+inflate to, or bytes of the encoded file are flipped. Each result must
+decode alike through libdeflate and through zlib (the same trace, or the
+same TraceFormatError message and byte offset), then set up and replay in
+every mode against RefMap and in timing mode against PyDictMap, or raise a
+MapReplayError that says where: a TraceIntegrityError or FidelityError
+naming the op from setup and replay. Where libdeflate does not load, both
+decodes take the zlib path.
 
 MRT1: the raw records of the same traces are mutated (op byte, map, key
 and hash fields, the aux of Create, IterNew and IterAdvance, and the source
@@ -18,16 +22,20 @@ in turn: the same MPT1 bytes, or the same MapReplayError and message.
 Examples are derandomized, so every run tries the same inputs.
 """
 
+import struct
+import zlib
 from functools import cache
+from unittest import mock
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
+from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from mapreplay import postproc
 from mapreplay.errors import (
     FidelityError,
     MapReplayError,
@@ -68,11 +76,6 @@ BASES = (
     WorkloadSpec("populate-copy", seed=3, scale=1, params={"rounds": 3}),
 )
 
-#: A Create's capacity is a legal request that RefMap honours on its first
-#: put, with a table of up to 2^30 slots; mutants asking for more than this
-#: are skipped to keep the fuzzer's memory small.
-MAX_CAPACITY = 1 << 16
-
 # An example takes milliseconds; the deadline only flags one that runs away.
 FUZZ = settings(
     max_examples=150,
@@ -88,14 +91,27 @@ def _base(i: int) -> ProcessedTrace:
     return process(generate(BASES[i]))
 
 
+_LIBDEFLATE = postproc._libdeflate
+
+
+def _no_libdeflate():
+    return None
+
+
+def _decoded(data: bytes, loader) -> ProcessedTrace | tuple[str, int]:
+    with mock.patch.object(postproc, "_libdeflate", loader):
+        try:
+            return decode(data)
+        except TraceFormatError as exc:
+            assert exc.offset is not None
+            return str(exc), exc.offset
+
+
 def _replays_or_fails_typed(data: bytes) -> None:
-    try:
-        trace = decode(data)
-    except TraceFormatError as exc:
-        assert exc.offset is not None
+    trace = _decoded(data, _LIBDEFLATE)
+    assert _decoded(data, _no_libdeflate) == trace
+    if not isinstance(trace, ProcessedTrace):
         return
-    creates = (trace.ops[0::3] & OP_KIND_MASK) == RawOpKind.CREATE
-    assume(not (trace.ops[2::3][creates] > MAX_CAPACITY).any())
     try:
         session = ReplaySession(trace)
     except TraceIntegrityError as exc:
@@ -176,6 +192,31 @@ def _mutate(trace: ProcessedTrace, mutations) -> ProcessedTrace:
 @given(st.integers(0, len(BASES) - 1), st.lists(_mutation, min_size=1, max_size=3))
 def test_mutated_fields_replay_or_fail_typed(base, mutations):
     _replays_or_fails_typed(to_bytes(_mutate(_base(base), mutations)))
+
+
+#: A forged count: a step from the true one, or far beyond what any base
+#: trace's stream can inflate to (1032 payload bytes per stream byte).
+_forgery = st.one_of(
+    st.integers(-2, 2).map(lambda d: ("by", d)),
+    st.sampled_from([2**24, 2**31, 2**32 - 1, 2**40, 2**64 - 1]).map(lambda v: ("to", v)),
+)
+
+
+def _forge(trace: ProcessedTrace, field: str, forgery) -> bytes:
+    """The MPT1 bytes of `trace` with its key count or op count forged."""
+    payload = bytearray(zlib.decompress(to_bytes(trace)[8:]))
+    fmt, at = ("<I", 0) if field == "keys" else ("<Q", 4 + 4 * len(trace.key_hashes) + 8)
+    how, value = forgery
+    if how == "by":
+        value += struct.unpack_from(fmt, payload, at)[0]
+    struct.pack_into(fmt, payload, at, value % (256 ** struct.calcsize(fmt)))
+    return to_bytes(trace)[:8] + zlib.compress(payload)
+
+
+@FUZZ
+@given(st.integers(0, len(BASES) - 1), st.sampled_from(["keys", "ops"]), _forgery)
+def test_forged_counts_replay_or_fail_typed(base, field, forgery):
+    _replays_or_fails_typed(_forge(_base(base), field, forgery))
 
 
 @FUZZ

@@ -136,3 +136,25 @@ def test_record_and_distill_do_not_load_array():
         "print('array' in sys.modules)"
     )
     assert _run_fresh(code) == "False"
+
+
+def test_only_decode_loads_libdeflate(tmp_path):
+    # Recording, distilling and writing never run the libdeflate loader,
+    # and import ctypes no more than numpy does: numpy 2 imports it itself
+    # (numpy._core._internal), so in this process it is there from the
+    # start. The first decode runs the loader, which imports ctypes.
+    path = str(tmp_path / "churn.mpt")
+    code = (
+        "import sys\n"
+        "import numpy\n"
+        "numpy_ctypes = 'ctypes' in sys.modules\n"
+        "from mapreplay import postproc\n"
+        "from mapreplay.workloads import WorkloadSpec, generate\n"
+        "loads = postproc._libdeflate.cache_info\n"
+        "trace = postproc.process(generate(WorkloadSpec('churn', seed=1)))\n"
+        f"postproc.write_processed(trace, {path!r})\n"
+        "print(('ctypes' in sys.modules) == numpy_ctypes, loads().currsize)\n"
+        f"assert postproc.read_processed({path!r}) == trace\n"
+        "print('ctypes' in sys.modules, loads().currsize)"
+    )
+    assert _run_fresh(code).splitlines() == ["True 0", "True 1"]

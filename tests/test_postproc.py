@@ -1,6 +1,7 @@
 """Post-processing: sanitization, coalescing, free placement, encoding, stats."""
 
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -32,7 +33,7 @@ from mapreplay.tracer import (
     pack_iternew_aux,
     unpack_iternew_aux,
 )
-from mapreplay.workloads import IntKey, WorkloadSpec, generate
+from mapreplay.workloads import WORKLOADS, IntKey, WorkloadSpec, generate
 
 OP = RawOpKind
 
@@ -504,6 +505,76 @@ def test_slot_bound_matches_interval_overlap_oracle(small_traces):
     for name, (_, raw, trace) in small_traces.items():
         annotated = insert_free_events(coalesce(sanitize(raw)))
         assert trace.max_map_slots == _interval_overlap_oracle(annotated.events), name
+
+
+@pytest.fixture(params=["libdeflate", "zlib"])
+def inflated(request, monkeypatch):
+    """Make decode inflate through one path. On the libdeflate path the
+    list it returns records, for each call, whether libdeflate gave the
+    exact payload; on the zlib path it returns None."""
+    if request.param == "zlib":
+        monkeypatch.setattr(postproc, "_libdeflate", lambda: None)
+        return None
+    made = []
+    inflate = postproc._libdeflate()
+    if inflate is None:
+        pytest.skip("libdeflate does not load on this host; the zlib half still runs")
+
+    def recorded(body, size):
+        out = inflate(body, size)
+        made.append(out is not None)
+        return out
+
+    monkeypatch.setattr(postproc, "_libdeflate", lambda: recorded)
+    return made
+
+
+def test_decode_paths_agree_on_every_workload(small_traces, inflated):
+    traces = {name: trace for name, (_, _, trace) in small_traces.items()}
+    traces["wordfreq"] = process(generate(WorkloadSpec("wordfreq", seed=1)))
+    assert set(traces) == set(WORKLOADS)
+    for name, trace in traces.items():
+        decoded = decode(to_bytes(trace))
+        assert decoded == trace, name
+        assert not decoded.ops.flags.writeable and not decoded.key_hashes.flags.writeable
+    assert inflated in (None, [True] * len(traces))
+
+
+@pytest.mark.parametrize("field", ["keys", "ops"])
+def test_decode_forged_count_allocates_nothing(small_traces, inflated, field):
+    # A count forged past DEFLATE's 1032:1 limit over the stream is not
+    # trusted: decode allocates no buffer of the declared size and reports
+    # the payload as truncated, as a plain zlib.decompress does.
+    _, _, trace = small_traces["random"]
+    payload = bytearray(zlib.decompress(to_bytes(trace)[8:]))
+    limit = 1032 * len(zlib.compress(payload))
+    if field == "keys":
+        struct.pack_into("<I", payload, 0, limit // 2)
+        what = "key hashes"
+    else:
+        struct.pack_into("<Q", payload, 4 + 4 * len(trace.key_hashes) + 8, limit // 6)
+        what = "op triples"
+    forged = MAGIC + (1).to_bytes(4, "little") + zlib.compress(payload)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TraceFormatError, match=f"payload truncated reading {what}"):
+            decode(forged)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit // 4
+    assert not inflated
+
+
+def test_decode_checks_adler32_and_ignores_input_after_the_stream(small_traces, inflated):
+    _, _, trace = small_traces["random"]
+    data = to_bytes(trace)
+    assert decode(data + b"\x00junk") == trace  # as zlib.decompress allows
+    bad_check = data[:-1] + bytes([data[-1] ^ 1])
+    with pytest.raises(TraceFormatError, match="incorrect data check") as err:
+        decode(bad_check)
+    assert err.value.offset == 8
+    assert inflated in (None, [True, False])
 
 
 def test_decode_bad_magic():

@@ -532,6 +532,33 @@ def test_overlong_exhausted_advance_is_rejected_at_setup(n_keys, trace_of_words)
     assert ReplaySession(once).replay(RefMap, mode="validating").ops_executed == 3
 
 
+def test_create_above_the_table_budget_is_rejected_at_setup(trace_of_words):
+    # Without the setup check, one Create and one Put ask RefMap for a
+    # whole table of up to 2^30 slots (8 GiB of list). Only setup is
+    # exercised where the table would be large.
+    create, put = int(RawOpKind.CREATE) | (750 << 9), int(RawOpKind.PUT)
+
+    def trace(capacity, n_keys=1):
+        return trace_of_words([create, 0, 16, create, 0, capacity, put, 0, 0], n_keys=n_keys)
+
+    for capacity, slots in [(2**31 - 1, 2**30), (2**24 + 1, 2**25)]:
+        with pytest.raises(TraceIntegrityError) as err:
+            ReplaySession(trace(capacity))
+        assert str(err.value) == f"op 1: create of a {slots}-slot table exceeds " \
+                                 f"max_table_slots={2**24}"
+    ReplaySession(trace(2**24))
+    ReplaySession(trace(2**31 - 1), max_table_slots=2**30)
+    # The budget binds below the key count too, and a budget between two
+    # powers of two admits the lower one.
+    with pytest.raises(TraceIntegrityError, match="op 1: create of a 32-slot table"):
+        ReplaySession(trace(17, n_keys=40), max_table_slots=31)
+    assert ReplaySession(trace(16, n_keys=40), max_table_slots=31).replay(
+        RefMap, mode="validating").ops_executed == 3
+    for bad in (0, -1, 2.5):
+        with pytest.raises(ConfigError, match="max_table_slots"):
+            ReplaySession(trace(16), max_table_slots=bad)
+
+
 @pytest.mark.parametrize("mode", ["timing", "counting", "validating"])
 def test_adapter_fault_is_not_reported_as_trace_fault(mode, trace_of_words):
     trace = trace_of_words(_CREATE + [int(RawOpKind.GET), 0, 0], n_keys=1)
