@@ -45,20 +45,19 @@ zlib/DEFLATE stream compressing the payload:
     u32 key count | i32 key hashes | u32 max_map_slots | u32 max_iter_slots |
     u64 op-triple count | op triples (3 x i32 each)
 
-`decode` inflates the payload in one call into a buffer of exactly its
-size. It first inflates only the header prefix (the key count, the key
-hashes, the slot bounds and the op count) and computes the payload size
-from it; a size beyond DEFLATE's 1032:1 limit over the stream is not
-trusted and allocates nothing. The whole stream then goes through the
-host's libdeflate (`libdeflate_zlib_decompress_ex`, loaded by soname on
-the first decode) into an uninitialized buffer of that size, or, where
-the library does not load, through `zlib.decompress` with that buffer
-size. Both check the stream's adler32 and, like zlib, ignore input after
-the stream's end. Any libdeflate result other than exactly that many
-bytes falls back to `zlib.decompress`, so every error (a corrupt stream,
-a truncated payload, trailing bytes) is raised from zlib's result and
-reads the same on every host. The decoded arrays are read-only views of
-the payload.
+`decode` inflates the payload with the host's libdeflate
+(`libdeflate_zlib_decompress_ex`, loaded by soname on the first decode)
+when it loads, in one call into an uninitialized buffer of exactly the
+payload's size. It first inflates only the header prefix (the key count,
+the key hashes, the slot bounds and the op count), in 16 KiB slices of
+the stream, and computes the payload size from it; a size beyond
+DEFLATE's 1032:1 limit over the stream is not trusted and allocates
+nothing. libdeflate checks the stream's adler32 and, like zlib, ignores
+input after the stream's end. Where the library does not load, or its
+result is anything but exactly that many bytes, decode makes one plain
+`zlib.decompress` call, so every error (a corrupt stream, a truncated
+payload, trailing bytes) is raised from zlib's result and reads the same
+on every host. The decoded arrays are read-only views of the payload.
 
 Each triple is (word, operand1, operand2). The word carries the op kind in
 bits 0-7 plus op-specific flags: outcome in bit 8 (hit/update/yielded);
@@ -862,27 +861,38 @@ def to_bytes(trace: ProcessedTrace) -> bytes:
 #: DEFLATE's largest expansion: a 258-byte match costs at least 2 bits.
 _MAX_INFLATE_RATIO = 1032
 _LIBDEFLATE_SONAMES = ("libdeflate.so.0", "libdeflate.0.dylib", "libdeflate.dll")
+_PREFIX_CHUNK = 1 << 14
 
 
 def _payload_size(body: memoryview) -> int | None:
     """The payload size the stream's header prefix declares, or None when
     the prefix does not inflate or the size exceeds what the stream can
-    inflate to."""
+    inflate to.
+
+    The stream is fed in slices of `_PREFIX_CHUNK` bytes, so the input a
+    decompressor keeps once it has inflated enough (its `unconsumed_tail`,
+    a copy) is at most one slice, not the rest of the body.
+    """
     limit = _MAX_INFLATE_RATIO * len(body)
     z = zlib.decompressobj()
+    out = bytearray()
+    want, pos = 4, 0
     try:
-        head = z.decompress(body, 4)
-        if len(head) < 4:
-            return None
-        prefix = 4 + 4 * struct.unpack("<I", head)[0] + 16
-        if prefix > limit:
-            return None
-        rest = z.decompress(z.unconsumed_tail, prefix - 4)
+        while len(out) < want:
+            if z.unconsumed_tail:
+                chunk = z.unconsumed_tail
+            elif pos < len(body) and not z.eof:
+                chunk, pos = body[pos : pos + _PREFIX_CHUNK], pos + _PREFIX_CHUNK
+            else:
+                return None
+            out += z.decompress(chunk, want - len(out))
+            if want == 4 and len(out) == 4:
+                want = 4 + 4 * struct.unpack("<I", out)[0] + 16
+                if want > limit:
+                    return None
     except zlib.error:
         return None
-    if len(rest) < prefix - 4:
-        return None
-    size = prefix + 12 * struct.unpack_from("<Q", rest, len(rest) - 8)[0]
+    size = want + 12 * struct.unpack_from("<Q", out, want - 8)[0]
     return size if size <= limit else None
 
 
@@ -947,12 +957,12 @@ def decode(data: bytes) -> ProcessedTrace:
     if version != VERSION:
         raise TraceFormatError(f"unsupported version {version}", offset=4)
     body = memoryview(data)[8:]
-    size = _payload_size(body)
-    inflate = _libdeflate() if size is not None else None
-    payload = inflate(body, size) if inflate is not None else None
+    inflate = _libdeflate()
+    size = _payload_size(body) if inflate is not None else None
+    payload = inflate(body, size) if size is not None else None
     if payload is None:
         try:
-            payload = zlib.decompress(body, bufsize=size or zlib.DEF_BUF_SIZE)
+            payload = zlib.decompress(body)
         except zlib.error as exc:
             raise TraceFormatError(f"corrupt DEFLATE payload: {exc}", offset=8) from None
 

@@ -33,17 +33,21 @@ The loop checks nothing per op. Setup rejects, once for the whole stream,
 a negative word or operand, since Python would wrap a negative index; an
 iterator advance of more steps than the key table has keys (more than one
 step, when exhausted), which no map can yield and which would otherwise
-spin for up to 2^31 steps; and a Create whose capacity normalizes to a
-table of more than `max_table_slots` slots (2^24 by default), since a map
-allocates its whole table on the first put. A slot used after free, an operand
-out of range or an IterNew view of 3 surfaces as the AttributeError or
-IndexError it causes, and is reported as a TraceIntegrityError naming the
-op index; FreeMap, FreeIter and the CreateCopy source check for a freed
-slot themselves. So are the ConfigError of a Create whose load factor or
-capacity no map accepts, and the RuntimeError of an iterator remove() with
-no entry to unlink. The loop keeps no op counter: on the error path only,
-the failing op's index is worked out from the words the iterator has
-left, `(n - left) // 3 - 1` for a stream of n words.
+spin for up to 2^31 steps; and a Create or CreateCopy whose map can reach
+a table of more than MAX_TABLE_SLOTS slots, since a map allocates its
+whole table at once. A map's table is the larger of its normalized
+capacity and the table its load factor needs to hold every key of the
+trace, since no map holds more entries than that; a ConfigOverride is the
+caller's own configuration and is not bounded. A slot used after free, an
+operand out of range or an IterNew view of 3 surfaces as the
+AttributeError or IndexError it causes, and is reported as a
+TraceIntegrityError naming the op index; FreeMap, FreeIter and the
+CreateCopy source check for a freed slot themselves. So are the
+ConfigError of a Create whose load factor or capacity no map accepts, and
+the RuntimeError of an iterator remove() with no entry to unlink. The loop
+keeps no op counter: on the error path only, the failing op's index is
+worked out from the words the iterator has left, `(n - left) // 3 - 1` for
+a stream of n words.
 
 Put always stores the one shared VALUE_TOKEN; recorded traces carry no
 value information. Copy construction uses the run's default configuration
@@ -71,7 +75,6 @@ from .postproc import (
 )
 from .refmap import (
     DEFAULT_CONFIG,
-    MAX_CAPACITY,
     MapConfig,
     OpCounters,
     PyDictMap,
@@ -83,9 +86,9 @@ from .tracer import RawOpKind
 
 MODES = ("timing", "counting", "validating")
 
-#: Default bound on the normalized capacity a trace's Create may ask for:
-#: a table is one list allocated whole, 8 bytes a slot, so 2^24 slots is
-#: 128 MiB, where 2^30 would be 8 GiB.
+#: The largest table a trace's map may reach, a power of two below
+#: MAX_CAPACITY: a table is one list allocated whole, 8 bytes a slot, so
+#: 2^24 slots is 128 MiB, where 2^30 would be 8 GiB.
 MAX_TABLE_SLOTS = 1 << 24
 
 _OP = RawOpKind
@@ -164,9 +167,7 @@ class ReplayResult:
 class ReplaySession:
     """Decoded trace plus everything preallocated for repeated replays."""
 
-    def __init__(self, trace: ProcessedTrace, *, max_table_slots: int = MAX_TABLE_SLOTS):
-        if not isinstance(max_table_slots, int) or max_table_slots < 1:
-            raise ConfigError(f"max_table_slots must be a positive int, got {max_table_slots!r}")
+    def __init__(self, trace: ProcessedTrace):
         # Valid words and operands are never negative; a negative index
         # would wrap around the slot and key lists instead of failing.
         if trace.ops.size and trace.ops.min() < 0:
@@ -175,16 +176,12 @@ class ReplaySession:
         # A yielding advance run visits distinct entries of one unmutated
         # map, so its count never exceeds the key count; an exhausted run
         # is one step, since coalesce collapses repeats that change nothing.
-        # A Create's table is allocated whole on its first put, and the
-        # largest capacity that normalizes within the budget is the largest
-        # power of two in it, or any capacity once the budget reaches the
-        # cap. Only the few ops whose second operand exceeds one of those
-        # two are looked at further.
+        # A Create's capacity normalizes above the table limit exactly when
+        # it exceeds it. Only the few ops whose second operand exceeds the
+        # key count or the limit are looked at further.
         n_keys = len(trace.key_hashes)
-        fits = 1 << (max_table_slots.bit_length() - 1)
-        if fits >= MAX_CAPACITY:
-            fits = 2**31 - 1
-        over = np.flatnonzero(trace.ops[2::3] > min(n_keys, fits))
+        limit = MAX_TABLE_SLOTS
+        over = np.flatnonzero(trace.ops[2::3] > min(n_keys, limit))
         words = trace.ops[3 * over]
         kinds = words & OP_KIND_MASK
         second = trace.ops[3 * over + 2]
@@ -193,19 +190,29 @@ class ReplaySession:
             & (second > n_keys)
             & (((words & OUTCOME_BIT) != 0) | (second > 1))
         ]
-        too_big = over[(kinds == _OP.CREATE) & (second > fits)]
         if too_long.size:
             i = too_long[0]
             raise TraceIntegrityError(
                 f"op {i}: iterator advance of {trace.ops[3 * i + 2]} steps but the "
                 f"trace has {n_keys} keys"
             )
-        if too_big.size:
-            i = too_big[0]
-            slots = normalize_capacity(int(trace.ops[3 * i + 2]))
+        too_big = over[(kinds == _OP.CREATE) & (second > limit)]
+        outgrown = _outgrown(trace.ops[0::3], n_keys, limit)
+        if too_big.size or outgrown.size:
+            i = min(too_big[:1].tolist() + outgrown[:1].tolist())
+            w, capacity = int(trace.ops[3 * i]), int(trace.ops[3 * i + 2])
+            if w & OP_KIND_MASK == _OP.CREATE and capacity > limit:
+                raise TraceIntegrityError(
+                    f"op {i}: create of a {normalize_capacity(capacity)}-slot table "
+                    f"exceeds the {limit}-slot limit"
+                )
+            lf = DEFAULT_CONFIG.load_factor_milli  # a CreateCopy's, before any override
+            if w & OP_KIND_MASK == _OP.CREATE:
+                lf = (w >> LF_SHIFT) & LF_MASK
+            slots = normalize_capacity(-(-n_keys * 1000 // lf))
             raise TraceIntegrityError(
-                f"op {i}: create of a {slots}-slot table exceeds "
-                f"max_table_slots={max_table_slots}"
+                f"op {i}: a map with load factor {lf}/1000 grows to a {slots}-slot "
+                f"table holding the trace's {n_keys} keys, above the {limit}-slot limit"
             )
         self.trace = trace
         # One burst with the collector paused (see the module docstring).
@@ -422,6 +429,29 @@ def _check(what: str, hit: bool, w: int) -> None:
             f"{what}: replay produced {'hit' if hit else 'miss'} but the "
             f"trace recorded {'hit' if recorded else 'miss'}"
         )
+
+
+def _outgrown(words: np.ndarray, n_keys: int, limit: int) -> np.ndarray:
+    """Indices of the Create and CreateCopy ops whose map outgrows a table
+    of `limit` slots once it holds `n_keys` entries.
+
+    A map whose load factor is lf thousandths holds n entries in
+    ceil(1000 n / lf) slots, rounded up to a power of two, which exceeds
+    the power of two `limit` exactly when 1000 n > limit * lf. Only a trace with more than
+    limit / 1000 keys can do that, at the lowest load factor, so a smaller
+    one makes no pass over the words. A load factor of 0 fails when the
+    map is built, and is left to that check.
+    """
+    if 1000 * n_keys <= limit:
+        return np.empty(0, np.intp)
+    kinds = words & OP_KIND_MASK
+    creates = np.flatnonzero((kinds == _OP.CREATE) | (kinds == _OP.CREATE_COPY))
+    lf = np.where(
+        kinds[creates] == _OP.CREATE,
+        (words[creates] >> LF_SHIFT) & LF_MASK,
+        DEFAULT_CONFIG.load_factor_milli,
+    ).astype(np.int64)
+    return creates[(lf >= 1) & (lf * limit < 1000 * n_keys)]
 
 
 def _create_config(word: int, capacity: int, override: ConfigOverride | None) -> MapConfig:

@@ -13,6 +13,7 @@ from mapreplay.postproc import (
     MAGIC,
     OP_KIND_MASK,
     Characterization,
+    ProcessedTrace,
     coalesce,
     decode,
     encode,
@@ -575,6 +576,28 @@ def test_decode_checks_adler32_and_ignores_input_after_the_stream(small_traces, 
         decode(bad_check)
     assert err.value.offset == 8
     assert inflated in (None, [True, False])
+
+
+def test_payload_size_reads_a_long_prefix_in_bounded_slices():
+    # 6,000 incompressible key hashes put the prefix across several 16 KiB
+    # slices of the stream; the ops behind it make the body far larger than
+    # the prefix. Only the prefix and about one slice of input are held.
+    rng = np.random.default_rng(7)
+    trace = ProcessedTrace(
+        key_hashes=rng.integers(-(2**31), 2**31, 6000, dtype=np.int32),
+        max_map_slots=1,
+        max_iter_slots=0,
+        ops=rng.integers(0, 2**31, 3 * 60_000, dtype=np.int32),
+    )
+    body = memoryview(to_bytes(trace))[8:]
+    tracemalloc.start()
+    try:
+        size = postproc._payload_size(body)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size == len(zlib.decompress(body))
+    assert peak < 4 * 6000 + 4 * (1 << 14) + (64 << 10) < len(body) // 4
 
 
 def test_decode_bad_magic():

@@ -532,31 +532,75 @@ def test_overlong_exhausted_advance_is_rejected_at_setup(n_keys, trace_of_words)
     assert ReplaySession(once).replay(RefMap, mode="validating").ops_executed == 3
 
 
-def test_create_above_the_table_budget_is_rejected_at_setup(trace_of_words):
+def test_create_above_the_table_limit_is_rejected_at_setup(trace_of_words):
     # Without the setup check, one Create and one Put ask RefMap for a
     # whole table of up to 2^30 slots (8 GiB of list). Only setup is
     # exercised where the table would be large.
     create, put = int(RawOpKind.CREATE) | (750 << 9), int(RawOpKind.PUT)
 
-    def trace(capacity, n_keys=1):
-        return trace_of_words([create, 0, 16, create, 0, capacity, put, 0, 0], n_keys=n_keys)
+    def trace(capacity):
+        return trace_of_words([create, 0, 16, create, 0, capacity, put, 0, 0], n_keys=1)
 
     for capacity, slots in [(2**31 - 1, 2**30), (2**24 + 1, 2**25)]:
         with pytest.raises(TraceIntegrityError) as err:
             ReplaySession(trace(capacity))
-        assert str(err.value) == f"op 1: create of a {slots}-slot table exceeds " \
-                                 f"max_table_slots={2**24}"
+        assert str(err.value) == f"op 1: create of a {slots}-slot table exceeds the " \
+                                 f"{2**24}-slot limit"
     ReplaySession(trace(2**24))
-    ReplaySession(trace(2**31 - 1), max_table_slots=2**30)
-    # The budget binds below the key count too, and a budget between two
-    # powers of two admits the lower one.
-    with pytest.raises(TraceIntegrityError, match="op 1: create of a 32-slot table"):
-        ReplaySession(trace(17, n_keys=40), max_table_slots=31)
-    assert ReplaySession(trace(16, n_keys=40), max_table_slots=31).replay(
-        RefMap, mode="validating").ops_executed == 3
-    for bad in (0, -1, 2.5):
-        with pytest.raises(ConfigError, match="max_table_slots"):
-            ReplaySession(trace(16), max_table_slots=bad)
+
+
+def _puts(n_keys, slot=0):
+    return [w for k in range(n_keys) for w in (int(RawOpKind.PUT), slot, k)]
+
+
+def test_growth_above_the_table_limit_is_rejected_at_setup(trace_of_words):
+    # A load factor of 1/1000 makes a 16-slot map double until its table
+    # has 1000 slots per entry: 2^15 puts would build 2^25 slots.
+    create = int(RawOpKind.CREATE) | (1 << 9)
+    trace = trace_of_words([create, 0, 16] + _puts(2**15), n_keys=2**15)
+    with pytest.raises(TraceIntegrityError) as err:
+        ReplaySession(trace)
+    assert str(err.value) == (
+        f"op 0: a map with load factor 1/1000 grows to a {2**25}-slot table holding "
+        f"the trace's {2**15} keys, above the {2**24}-slot limit"
+    )
+
+
+class _Largest(RefMap):
+    """RefMap recording the largest table any of its maps reached."""
+
+    seen = 0
+
+    def put(self, key, value):
+        out = super().put(key, value)
+        _Largest.seen = max(_Largest.seen, self.capacity())
+        return out
+
+
+@pytest.mark.parametrize(
+    "n_keys, lf, copy, rejected_op",
+    [(64, 63, False, None), (64, 62, False, 0), (768, 1000, True, None), (769, 1000, True, 770)],
+)
+def test_table_limit_is_tight(n_keys, lf, copy, rejected_op, monkeypatch, trace_of_words):
+    # A map that reaches exactly the limit replays; one more slot's worth
+    # is rejected. With lf 63/1000, 64 entries need 1016 slots, with 62
+    # they need 1033. A copy is sized with the default 750/1000: its 768
+    # entries need 1024 slots, 769 need 1026.
+    monkeypatch.setattr(replay, "MAX_TABLE_SLOTS", 1 << 10)
+    create = int(RawOpKind.CREATE) | (lf << 9)
+    ops = [create, 0, 16] + _puts(n_keys) + [int(RawOpKind.CREATE_COPY), 1, 0] * copy
+    trace = trace_of_words(ops, n_keys=n_keys, map_slots=2)
+    if rejected_op is not None:
+        with pytest.raises(TraceIntegrityError, match=(
+            f"op {rejected_op}: a map with load factor {750 if copy else lf}/1000 "
+            f"grows to a 2048-slot table holding the trace's {n_keys} keys, above "
+            f"the 1024-slot limit"
+        )):
+            ReplaySession(trace)
+        return
+    _Largest.seen = 0
+    ReplaySession(trace).replay(_Largest, mode="validating")
+    assert _Largest.seen == 1 << 10
 
 
 @pytest.mark.parametrize("mode", ["timing", "counting", "validating"])
