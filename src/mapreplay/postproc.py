@@ -29,11 +29,11 @@ The public passes `sanitize`, `coalesce`, `insert_free_events` and
 `encode` rank their RawTrace's records, run their kernel, and apply its
 result to the records. They never modify their input: each returns a new
 RawTrace, or the input's records unchanged when there is nothing to do.
-`process` ranks the records once, a block of records at a time, so while
-the records are alive the only row-sized array beside them is the int32
-rows (12 bytes an event against a record's 40). It then lets the records
-go, so the raw bytes are freed there when the caller holds no RawTrace,
-and runs the four kernels on the rows.
+`process` never holds the records: it ranks them from `RawTrace.blocks`,
+one block at a time, in two passes (the id tables, then the rows), so a
+trace read from a file is ranked straight from it and the only row-sized
+array is the int32 rows (12 bytes an event against a record's 40). It
+then runs the four kernels on the rows.
 
 A ProcessedTrace is the payload below and nothing else: its size is the
 size of the file it is written to or read from, and `stats()` tallies its
@@ -211,9 +211,10 @@ _RAW_OUTCOME_SHIFT = 20
 _RAW_OUTCOME_BITS = 0xFF << _RAW_OUTCOME_SHIFT
 #: The word's low byte, the op kind, within a row's 12 bytes.
 _OP_BYTE = 0 if sys.byteorder == "little" else 3
-#: Records ranked per block: the block's temporaries stay small beside the
-#: records and the int32 rows, the only row-sized arrays while both live.
-_BLOCK = 1 << 10
+#: Records ranked per block (160 KiB of them): a block and its
+#: temporaries stay small beside the int32 rows, the only row-sized array
+#: while ranking, and a file-backed trace is read in few calls.
+_BLOCK = 1 << 12
 
 
 class _Ranked(NamedTuple):
@@ -235,11 +236,6 @@ def _ops(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.uint8)[:, _OP_BYTE]
 
 
-def _blocks(records: np.ndarray, size: int = _BLOCK):
-    for start in range(0, len(records), size):
-        yield start, records[start : start + size]
-
-
 def _with_ids(ids: np.ndarray, more: np.ndarray) -> np.ndarray:
     """Sorted distinct `ids` merged with the distinct values of `more`."""
     more = _distinct(more)
@@ -247,11 +243,11 @@ def _with_ids(ids: np.ndarray, more: np.ndarray) -> np.ndarray:
     return np.insert(ids, np.searchsorted(ids, new), new) if new.size else ids
 
 
-def _id_tables(records: np.ndarray) -> list[np.ndarray]:
+def _id_tables(raw: RawTrace) -> list[np.ndarray]:
     """Sorted distinct map, iterator and key ids of the records."""
     tables = [np.empty(0, dtype=np.uint64)] * 3
     # No rows exist yet, so these blocks can be larger: fewer table merges.
-    for _, block in _blocks(records, 4 * _BLOCK):
+    for block in raw.blocks(2 * _BLOCK):
         op, map_id, aux, key_id = block["op"], block["map_id"], block["aux"], block["key_id"]
         iter_rows = _ITER_OPS[op]
         found = (
@@ -283,12 +279,13 @@ def _u64(t: _Ranked, operands: np.ndarray) -> np.ndarray:
     return values
 
 
-def _rank(records: np.ndarray) -> _Ranked:
-    """Rank a RAW_DTYPE record array, one block of records at a time."""
-    maps, iters, keys = _id_tables(records)
+def _rank(raw: RawTrace) -> _Ranked:
+    """Rank a raw trace's records, one block at a time, in two passes:
+    the id tables, then the rows."""
+    maps, iters, keys = _id_tables(raw)
     # While ranking, `extra`, `big` and `stray` are lists of arrays.
     t = _Ranked(
-        rows=np.zeros((len(records), 3), dtype=np.int32),
+        rows=np.zeros((len(raw), 3), dtype=np.int32),
         maps=maps,
         iters=iters,
         keys=keys,
@@ -299,9 +296,11 @@ def _rank(records: np.ndarray) -> _Ranked:
         stray=[],
     )
     seen = np.zeros(keys.size, dtype=bool)
-    t.rows[:, 0] = records["op"]
-    for start, block in _blocks(records):
+    start = 0
+    for block in raw.blocks(_BLOCK):
         row = t.rows[start : start + block.size]
+        start += block.size
+        row[:, 0] = block["op"]
         _rank_objects(t, block, row)
         _rank_keys(t, seen, block, row)
         _rank_arguments(t, block, row)
@@ -473,7 +472,7 @@ def sanitize(raw: RawTrace) -> RawTrace:
     iterators of removed maps. Order of surviving events is unchanged.
     """
     r = raw.records
-    keep = _kept_rows(_rank(r))
+    keep = _kept_rows(_rank(RawTrace(r)))
     return RawTrace(r if keep.all() else r[keep])
 
 
@@ -545,7 +544,7 @@ def coalesce(raw: RawTrace) -> RawTrace:
     count of that map's mutations so far in the stream.
     """
     r = raw.records
-    merge = _merge_plan(_rank(r))
+    merge = _merge_plan(_rank(RawTrace(r)))
     if merge is None:
         return RawTrace(r)
     out = np.delete(r, merge.merged)
@@ -621,7 +620,7 @@ def insert_free_events(raw: RawTrace) -> RawTrace:
     take that row's thread id.
     """
     r = raw.records
-    t = _rank(r)
+    t = _rank(RawTrace(r))
     frees = _free_plan(t)
     rows = np.zeros(frees.after.size, dtype=RAW_DTYPE)
     rows["op"] = frees.op
@@ -690,29 +689,40 @@ def _assign_slots(obj_ids: np.ndarray, acquires: np.ndarray, rows: np.ndarray, n
     return lives, high_water
 
 
-def _slots_at(lives: _Lifetimes, obj_ids: np.ndarray, rows: np.ndarray, names, uses=None):
+#: Entries looked up per chunk by `_slots_at`, so that its intp and int64
+#: temporaries stay small beside the int32 rows.
+_LOOKUP_CHUNK = 1 << 13
+
+
+def _slots_at(
+    lives: _Lifetimes, obj_ids: np.ndarray, rows: np.ndarray | None, names, uses=None
+):
     """Slot of the object named at each row.
 
-    Every object named where `uses` is set (everywhere by default) must be
-    live at its row, its own create and free rows included. Other rows get
-    an arbitrary slot.
+    `rows` holds the row of each entry of `obj_ids`; None means entry j
+    is row j. Every object named where `uses` is set (everywhere by
+    default) must be live at its row, its own create and free rows
+    included. Other rows get an arbitrary slot.
     """
-    if uses is None:
-        uses = np.ones(obj_ids.shape, dtype=bool)
-    if lives.ids.size == 0:
-        live = np.zeros(obj_ids.shape, dtype=bool)
-        i = np.zeros(obj_ids.shape, dtype=np.intp)
-    else:
-        i = np.searchsorted(lives.ids, obj_ids)
-        np.minimum(i, lives.ids.size - 1, out=i)
-        live = lives.ids[i] == obj_ids
-        live &= lives.first[i] <= rows
-        live &= rows <= lives.last[i]
-    dead = np.flatnonzero(uses & ~live)
-    if dead.size:
-        bad = dead[0]
-        raise TraceIntegrityError(f"object {names[obj_ids[bad]]} is not live at event {rows[bad]}")
-    return lives.slot[i] if lives.ids.size else i.astype(np.int32)
+    slots = np.zeros(obj_ids.size, dtype=np.int32)
+    for start in range(0, obj_ids.size, _LOOKUP_CHUNK):
+        part = slice(start, start + _LOOKUP_CHUNK)
+        ids = obj_ids[part]
+        at = np.arange(start, start + ids.size) if rows is None else rows[part]
+        if lives.ids.size == 0:
+            live = np.zeros(ids.shape, dtype=bool)
+        else:
+            i = np.searchsorted(lives.ids, ids)
+            np.minimum(i, lives.ids.size - 1, out=i)
+            live = lives.ids[i] == ids
+            live &= lives.first[i] <= at
+            live &= at <= lives.last[i]
+            slots[part] = lives.slot[i]
+        dead = np.flatnonzero(~live if uses is None else uses[part] & ~live)
+        if dead.size:
+            bad = dead[0]
+            raise TraceIntegrityError(f"object {names[ids[bad]]} is not live at event {at[bad]}")
+    return slots
 
 
 def _key_indexes(t: _Ranked, entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -739,10 +749,10 @@ def _encode(t: _Ranked) -> ProcessedTrace:
     rows = t.rows
     op = _ops(rows)
 
-    keyed = np.flatnonzero(_KEYED_OPS[op])
+    keyed = _KEYED_OPS[op]
     key_index, key_hashes = _key_indexes(t, rows[keyed, 2])
     rows[keyed, 2] = key_index
-    del keyed, key_index  # before the slot lookups' row-sized temporaries
+    del keyed, key_index
 
     # Read the iterator and copy operands before map slots overwrite them.
     iter_rows = np.flatnonzero(_ITER_OPS[op])
@@ -757,7 +767,7 @@ def _encode(t: _Ranked) -> ProcessedTrace:
     # operand 1; iterator ops name their iterator there and are rewritten below.
     life = np.flatnonzero(_CREATES[op] | (op == _OP.FREE_MAP))
     map_lives, max_map_slots = _assign_slots(rows[life, 1], _CREATES[op[life]], life, t.maps)
-    rows[:, 1] = _slots_at(map_lives, rows[:, 1], np.arange(len(rows)), t.maps, _MAP_OPS[op])
+    rows[:, 1] = _slots_at(map_lives, rows[:, 1], None, t.maps, _MAP_OPS[op])
     self_copies = np.flatnonzero(sources == copy_ids)
     if self_copies.size:
         raise TraceIntegrityError(
@@ -788,7 +798,7 @@ def encode(raw: RawTrace) -> ProcessedTrace:
     Every object must be created once, used only while live, and freed
     once; anything else raises TraceIntegrityError.
     """
-    return _encode(_rank(raw.records))
+    return _encode(_rank(raw))
 
 
 def _check_i32(t: _Ranked, operands: np.ndarray, what: str) -> None:
@@ -800,15 +810,16 @@ def _check_i32(t: _Ranked, operands: np.ndarray, what: str) -> None:
 def process(raw: RawTrace) -> ProcessedTrace:
     """Full post-processing pipeline: sanitize, coalesce, free-annotate, encode.
 
-    The records are ranked once, a block at a time, into int32 rows and
-    small per-object tables, and then let go, so a caller that holds no
-    reference to `raw` has its bytes freed here. Sanitizing, coalescing
-    and free insertion select, delete and insert rows through the same
-    kernels as the public passes, and encoding rewrites the rows into the
-    opcode triples in place; the result equals
-    `encode(insert_free_events(coalesce(sanitize(raw))))`.
+    The records are ranked from `raw.blocks`, one block at a time, into
+    int32 rows and small per-object tables; a trace from `read_raw_trace`
+    is read from its file block by block and never held whole, and an
+    in-memory one is let go here when the caller holds no other reference
+    to it. Sanitizing, coalescing and free insertion select, delete and
+    insert rows through the same kernels as the public passes, and
+    encoding rewrites the rows into the opcode triples in place; the
+    result equals `encode(insert_free_events(coalesce(sanitize(raw))))`.
     """
-    t = _rank(raw.records)
+    t = _rank(raw)
     del raw
     keep = _kept_rows(t)
     if not keep.all():

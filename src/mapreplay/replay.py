@@ -36,8 +36,9 @@ step, when exhausted), which no map can yield and which would otherwise
 spin for up to 2^31 steps; and a Create or CreateCopy whose map can reach
 a table of more than MAX_TABLE_SLOTS slots, since a map allocates its
 whole table at once. A map's table is the larger of its normalized
-capacity and the table its load factor needs to hold every key of the
-trace, since no map holds more entries than that; a ConfigOverride is the
+capacity and the table its load factor needs to hold its entries: for a
+CreateCopy every key of the trace, for a Create, when that would pass
+the limit, the distinct keys put into its map. A ConfigOverride is the
 caller's own configuration and is not bounded. A slot used after free, an
 operand out of range or an IterNew view of 3 surfaces as the
 AttributeError or IndexError it causes, and is reported as a
@@ -178,26 +179,30 @@ class ReplaySession:
         # is one step, since coalesce collapses repeats that change nothing.
         # A Create's capacity normalizes above the table limit exactly when
         # it exceeds it. Only the few ops whose second operand exceeds the
-        # key count or the limit are looked at further.
+        # key count or the limit are looked at further, and only when one
+        # strided max says there are any.
         n_keys = len(trace.key_hashes)
         limit = MAX_TABLE_SLOTS
-        over = np.flatnonzero(trace.ops[2::3] > min(n_keys, limit))
-        words = trace.ops[3 * over]
-        kinds = words & OP_KIND_MASK
-        second = trace.ops[3 * over + 2]
-        too_long = over[
-            (kinds == _OP.ITER_ADVANCE)
-            & (second > n_keys)
-            & (((words & OUTCOME_BIT) != 0) | (second > 1))
-        ]
-        if too_long.size:
-            i = too_long[0]
-            raise TraceIntegrityError(
-                f"op {i}: iterator advance of {trace.ops[3 * i + 2]} steps but the "
-                f"trace has {n_keys} keys"
-            )
-        too_big = over[(kinds == _OP.CREATE) & (second > limit)]
-        outgrown = _outgrown(trace.ops[0::3], n_keys, limit)
+        seconds = trace.ops[2::3]
+        too_big = np.empty(0, np.intp)
+        if seconds.size and seconds.max() > min(n_keys, limit):
+            over = np.flatnonzero(seconds > min(n_keys, limit))
+            words = trace.ops[3 * over]
+            kinds = words & OP_KIND_MASK
+            second = seconds[over]
+            too_long = over[
+                (kinds == _OP.ITER_ADVANCE)
+                & (second > n_keys)
+                & (((words & OUTCOME_BIT) != 0) | (second > 1))
+            ]
+            if too_long.size:
+                i = too_long[0]
+                raise TraceIntegrityError(
+                    f"op {i}: iterator advance of {trace.ops[3 * i + 2]} steps but the "
+                    f"trace has {n_keys} keys"
+                )
+            too_big = over[(kinds == _OP.CREATE) & (second > limit)]
+        outgrown, held = _outgrown(trace.ops, n_keys, limit)
         if too_big.size or outgrown.size:
             i = min(too_big[:1].tolist() + outgrown[:1].tolist())
             w, capacity = int(trace.ops[3 * i]), int(trace.ops[3 * i + 2])
@@ -209,10 +214,12 @@ class ReplaySession:
             lf = DEFAULT_CONFIG.load_factor_milli  # a CreateCopy's, before any override
             if w & OP_KIND_MASK == _OP.CREATE:
                 lf = (w >> LF_SHIFT) & LF_MASK
-            slots = normalize_capacity(-(-n_keys * 1000 // lf))
+            k = int(held[0])
+            slots = normalize_capacity(-(-k * 1000 // lf))
+            keys = f"the trace's {n_keys}" if k == n_keys else f"{k} of the trace's {n_keys}"
             raise TraceIntegrityError(
                 f"op {i}: a map with load factor {lf}/1000 grows to a {slots}-slot "
-                f"table holding the trace's {n_keys} keys, above the {limit}-slot limit"
+                f"table holding {keys} keys, above the {limit}-slot limit"
             )
         self.trace = trace
         # One burst with the collector paused (see the module docstring).
@@ -431,27 +438,61 @@ def _check(what: str, hit: bool, w: int) -> None:
         )
 
 
-def _outgrown(words: np.ndarray, n_keys: int, limit: int) -> np.ndarray:
+def _outgrown(ops: np.ndarray, n_keys: int, limit: int) -> tuple[np.ndarray, np.ndarray]:
     """Indices of the Create and CreateCopy ops whose map outgrows a table
-    of `limit` slots once it holds `n_keys` entries.
+    of `limit` slots, and the entries each is bounded by.
 
     A map whose load factor is lf thousandths holds n entries in
     ceil(1000 n / lf) slots, rounded up to a power of two, which exceeds
-    the power of two `limit` exactly when 1000 n > limit * lf. Only a trace with more than
-    limit / 1000 keys can do that, at the lowest load factor, so a smaller
-    one makes no pass over the words. A load factor of 0 fails when the
-    map is built, and is left to that check.
+    the power of two `limit` exactly when 1000 n > limit * lf. No map
+    holds more entries than the trace has keys, so only a trace with more
+    than limit / 1000 keys can outgrow the limit, at the lowest load
+    factor, and a smaller one makes no pass over the words. A Create that
+    this bound flags is bounded again by the distinct keys put into its
+    map, up to its slot's next FreeMap; a CreateCopy keeps the trace's
+    key count. A load factor of 0 fails when the map is built, and is
+    left to that check.
     """
     if 1000 * n_keys <= limit:
-        return np.empty(0, np.intp)
+        return np.empty(0, np.intp), np.empty(0, np.int64)
+    words = ops[0::3]
     kinds = words & OP_KIND_MASK
     creates = np.flatnonzero((kinds == _OP.CREATE) | (kinds == _OP.CREATE_COPY))
+    is_create = kinds[creates] == _OP.CREATE
     lf = np.where(
-        kinds[creates] == _OP.CREATE,
-        (words[creates] >> LF_SHIFT) & LF_MASK,
-        DEFAULT_CONFIG.load_factor_milli,
+        is_create, (words[creates] >> LF_SHIFT) & LF_MASK, DEFAULT_CONFIG.load_factor_milli
     ).astype(np.int64)
-    return creates[(lf >= 1) & (lf * limit < 1000 * n_keys)]
+    flagged = (lf >= 1) & (lf * limit < 1000 * n_keys)
+    creates, lf, is_create = creates[flagged], lf[flagged], is_create[flagged]
+    held = np.full(creates.size, n_keys, dtype=np.int64)
+    if is_create.any():
+        held[is_create] = np.minimum(_keys_put(ops, kinds, creates[is_create]), n_keys)
+    over = lf * limit < 1000 * held
+    return creates[over], held[over]
+
+
+def _keys_put(ops: np.ndarray, kinds: np.ndarray, creates: np.ndarray) -> np.ndarray:
+    """The distinct keys put into the map of each Create in `creates`
+    (sorted op indices) before its slot next holds another map or none:
+    its next Create, CreateCopy or FreeMap."""
+    slots, keys = ops[1::3], ops[2::3]
+    puts = kinds == _OP.PUT
+    events = np.flatnonzero(puts | (kinds == _OP.CREATE) | (kinds == _OP.CREATE_COPY)
+                            | (kinds == _OP.FREE_MAP))
+    # By slot, then in stream order: a put's map was begun by the latest
+    # non-put event before it, when that event is on the put's slot.
+    events = events[np.lexsort((events, slots[events]))]
+    begins = ~puts[events]
+    at = np.flatnonzero(~begins)
+    begun = events[np.maximum.accumulate(np.where(begins, np.arange(events.size), 0))[at]]
+    at = events[at]
+    j = np.minimum(np.searchsorted(creates, begun), creates.size - 1)
+    into = (creates[j] == begun) & (slots[begun] == slots[at])
+    # Distinct (Create, key) pairs; keys are non-negative int32.
+    pairs = np.sort((j[into].astype(np.int64) << 32) | keys[at[into]])
+    first = np.ones(pairs.size, dtype=bool)
+    first[1:] = pairs[1:] != pairs[:-1]
+    return np.bincount(pairs[first] >> 32, minlength=creates.size)
 
 
 def _create_config(word: int, capacity: int, override: ConfigOverride | None) -> MapConfig:

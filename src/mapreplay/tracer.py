@@ -10,12 +10,21 @@ its own canonical-key table, so the table dies with the map; the session
 keeps only the record buffers and id counters.
 
 Records are packed straight into per-thread-slot byte buffers in the MRT1
-record layout below; no Python object is kept per event. A RawTrace is a
-columnar view of those bytes and is built from nothing else: it wraps one
-read-only numpy structured array in RAW_DTYPE, one row per event. Reading
-a raw file maps its body onto that dtype without copying.
-`RawTrace.events` materializes RawEvent objects on demand, as a debug view
-that the layer benchmark still counts through.
+record layout below; no Python object is kept per event. A RawTrace is
+consumed a block of records at a time, each block a read-only numpy
+structured array in RAW_DTYPE, one row per event. It holds its records in
+one of two ways. Built from an array (by `TraceSession.close`,
+`raw_trace_from_bytes` or a public post-processing pass) it wraps that
+array, and its blocks are slices of it. Returned by `read_raw_trace` it
+holds no records at all: reading checks the header, the event count
+against the file size and every record, a block at a time, and keeps only
+the path and the file's identity, size and modification time. Each later
+pass reads the body back from the file, checks every block again, and
+checks that the file has not changed, so a truncated, rewritten or
+replaced file raises TraceFormatError rather than yield other records.
+`RawTrace.records` loads the whole checked body as one array, and
+`RawTrace.events` materializes RawEvent objects from it on demand, as a
+debug view that the layer benchmark still counts through.
 
 Raw trace file format (little-endian):
 
@@ -39,8 +48,11 @@ id in the map_id field.
 from __future__ import annotations
 
 import itertools
+import os
 import struct
 import threading
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
@@ -112,11 +124,13 @@ class RawEvent:
 class RawTrace:
     """Serialized-order event stream, before or after sanitization.
 
-    `records` is a read-only, contiguous RAW_DTYPE array laid out exactly
-    like the MRT1 body; it is the only thing a RawTrace is built from.
+    Its records are laid out exactly like the MRT1 body and are read
+    through `blocks(n)`. A trace built from a RAW_DTYPE array wraps it,
+    read-only and contiguous; one from `read_raw_trace` reads its body
+    back from the file on each pass (see the module docstring).
     """
 
-    __slots__ = ("records",)
+    __slots__ = ("_records", "_source", "_count")
 
     def __init__(self, records: np.ndarray):
         dtype = getattr(records, "dtype", type(records).__name__)
@@ -124,13 +138,44 @@ class RawTrace:
             raise TypeError(f"raw records must be an array of RAW_DTYPE, not {dtype}")
         records = np.ascontiguousarray(records).view()
         records.flags.writeable = False
-        self.records = records
+        self._records = records
+        self._source: tuple[Path, tuple[int, ...]] | None = None
+        self._count = len(records)
+
+    @classmethod
+    def _of_file(cls, path: Path, stamp: tuple[int, ...], count: int) -> "RawTrace":
+        trace = cls.__new__(cls)
+        trace._records = None
+        trace._source = (path, stamp)
+        trace._count = count
+        return trace
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self._count
 
     def __repr__(self) -> str:
         return f"RawTrace({len(self)} events)"
+
+    def blocks(self, n: int) -> Iterator[np.ndarray]:
+        """The records in order, as read-only arrays of at most `n` each.
+
+        A file-backed trace opens its file for each call, and reads and
+        checks one block at a time; a block is a fresh array, so a caller
+        may keep what it slices from one.
+        """
+        if self._source is None:
+            r = self._records
+            return (r[start : start + n] for start in range(0, len(r), n))
+        return _read_blocks(*self._source, self._count, n)
+
+    @property
+    def records(self) -> np.ndarray:
+        """Every record as one read-only array; a file-backed trace reads
+        and checks its whole body again on each access."""
+        if self._source is None:
+            return self._records
+        whole = list(self.blocks(max(len(self), 1)))
+        return whole[0] if whole else np.empty(0, dtype=RAW_DTYPE)
 
     @property
     def events(self) -> list[RawEvent]:
@@ -423,22 +468,32 @@ class TracedIterator:
 # -- raw trace file I/O ---------------------------------------------------------
 
 
-def _check_records(records: np.ndarray) -> None:
+#: Records checked per block by `read_raw_trace`: what reading holds.
+_CHECK_BLOCK = 1 << 12
+#: The op bytes and IterNew views a record may hold, as plain ints: the
+#: check runs on every block, and numpy compares with an IntEnum slowly.
+_FIRST_OP, _LAST_OP = int(RawOpKind.CREATE), int(RawOpKind.FREE_ITER)
+_ITER_NEW = int(RawOpKind.ITER_NEW)
+_LAST_VIEW = int(max(View))
+
+
+def _check_records(records: np.ndarray, first: int = 0) -> None:
     """Reject unknown ops and IterNew views in one vectorized pass.
 
-    Errors name the byte offset of the bad field in the MRT1 file.
+    `records` start at event `first` of the file; errors name the byte
+    offset of the bad field in the MRT1 file.
     """
     op = records["op"]
-    if op.size and (op.min() < RawOpKind.CREATE or op.max() > RawOpKind.FREE_ITER):
-        i = int(np.argmax((op < RawOpKind.CREATE) | (op > RawOpKind.FREE_ITER)))
-        raise TraceFormatError(f"unknown op {op[i]}", offset=_field_offset(i, "op"))
-    news = np.flatnonzero(op == RawOpKind.ITER_NEW)
+    if op.size and (op.min() < _FIRST_OP or op.max() > _LAST_OP):
+        i = int(np.argmax((op < _FIRST_OP) | (op > _LAST_OP)))
+        raise TraceFormatError(f"unknown op {op[i]}", offset=_field_offset(first + i, "op"))
+    news = np.flatnonzero(op == _ITER_NEW)
     views = records["aux"][news] & 0x3
-    bad = np.flatnonzero(views > max(View))
+    bad = np.flatnonzero(views > _LAST_VIEW)
     if bad.size:
         raise TraceFormatError(
             f"IterNew view {views[bad[0]]} is not a valid view",
-            offset=_field_offset(int(news[bad[0]]), "aux"),
+            offset=_field_offset(first + int(news[bad[0]]), "aux"),
         )
 
 
@@ -454,38 +509,103 @@ def write_raw_trace(trace: RawTrace, path: str | Path) -> None:
     """Write with a sentinel count first, patching it in last.
 
     A crash mid-write leaves the sentinel in place, which readers treat as
-    a missing end-marker.
+    a missing end-marker. A file-backed trace is loaded before the file is
+    opened, so it can be written over the file it was read from.
     """
     path = Path(path)
+    records = trace.records
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, _SENTINEL_COUNT))
-        fh.write(trace.records.data)
+        fh.write(records.data)
         fh.flush()
         fh.seek(len(MAGIC) + 4)
         fh.write(struct.pack("<Q", len(trace)))
 
 
-def raw_trace_from_bytes(data: bytes) -> RawTrace:
-    """Map the records onto RAW_DTYPE without copying, then validate them."""
-    if len(data) < _HEADER.size:
+def _event_count(header: bytes, size: int) -> int:
+    """The event count of an MRT1 file of `size` bytes that starts with
+    `header`, once the header and the size agree with it."""
+    if len(header) < _HEADER.size:
         raise TraceFormatError("raw trace shorter than header", offset=0)
-    magic, version, count = _HEADER.unpack_from(data, 0)
+    magic, version, count = _HEADER.unpack_from(header, 0)
     if magic != MAGIC:
         raise TraceFormatError(f"bad magic {magic!r}, expected {MAGIC!r}", offset=0)
     if version != VERSION:
         raise TraceFormatError(f"unsupported raw trace version {version}", offset=4)
     if count == _SENTINEL_COUNT:
         raise TraceFormatError("missing end-marker: trace truncated at close", offset=8)
-    body = len(data) - _HEADER.size
+    body = size - _HEADER.size
     if body != count * _RECORD.size:
         raise TraceFormatError(
             f"event count {count} disagrees with body of {body} bytes",
             offset=_HEADER.size,
         )
+    return count
+
+
+def raw_trace_from_bytes(data: bytes) -> RawTrace:
+    """Map the records onto RAW_DTYPE without copying, then validate them."""
+    count = _event_count(data[: _HEADER.size], len(data))
     records = np.frombuffer(data, dtype=RAW_DTYPE, count=count, offset=_HEADER.size)
     _check_records(records)
     return RawTrace(records)
 
 
+def _stamp(st: os.stat_result) -> tuple[int, ...]:
+    """What identifies one version of a file: device, inode, size, mtime."""
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _check_unchanged(fh, stamp: tuple[int, ...]) -> None:
+    """Raise unless the open file `fh` is the version `stamp` describes."""
+    now = _stamp(os.fstat(fh.fileno()))
+    if now == stamp:
+        return
+    size, was = now[2], stamp[2]
+    if size != was:
+        raise TraceFormatError(
+            f"raw trace file changed since it was read: now {size} bytes, was {was}",
+            offset=min(size, was),
+        )
+    raise TraceFormatError("raw trace file rewritten or replaced since it was read", offset=0)
+
+
+def _read_blocks(path: Path, stamp: tuple[int, ...], count: int, n: int) -> Iterator[np.ndarray]:
+    """Read and check the `count` records of an MRT1 file, `n` at a time."""
+    with open(path, "rb") as fh:
+        _check_unchanged(fh, stamp)
+        fh.seek(_HEADER.size)
+        for first in range(0, count, n):
+            # Built in a call of its own, so this frame holds no block.
+            yield _read_block(fh, first, min(n, count - first), count)
+        _check_unchanged(fh, stamp)
+
+
+def _read_block(fh, first: int, n: int, count: int) -> np.ndarray:
+    """Records `first` to `first + n` of `count`, read from `fh` and checked."""
+    block = np.empty(n, dtype=RAW_DTYPE)
+    got = fh.readinto(block)
+    if got != block.nbytes:
+        raise TraceFormatError(
+            f"raw trace ends inside event {first + got // _RECORD.size} of {count}",
+            offset=_HEADER.size + first * _RECORD.size + got,
+        )
+    _check_records(block, first)
+    block.flags.writeable = False
+    return block
+
+
 def read_raw_trace(path: str | Path) -> RawTrace:
-    return raw_trace_from_bytes(Path(path).read_bytes())
+    """Check an MRT1 file and return a trace that reads it back on each pass.
+
+    The header, the event count against the file size and every record
+    are checked here, one block at a time, so a malformed file fails here
+    with the byte offset at fault. No record is kept.
+    """
+    path = Path(path).absolute()
+    with open(path, "rb") as fh:
+        header = fh.read(_HEADER.size)
+        stamp = _stamp(os.fstat(fh.fileno()))
+    trace = RawTrace._of_file(path, stamp, _event_count(header, stamp[2]))
+    deque(trace.blocks(_CHECK_BLOCK), maxlen=0)  # consumed without holding a block
+    return trace

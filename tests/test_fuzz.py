@@ -15,9 +15,11 @@ decodes take the zlib path.
 MRT1: the raw records of the same traces are mutated (op byte, map, key
 and hash fields, the aux of Create, IterNew and IterAdvance, and the source
 map of CreateCopy; ids include ones above 32 bits, as the tracer allocates
-them for thread slot 1) and the file may be cut short. Each result must be read, or raise a TraceFormatError
-with a byte offset; then `process` must give what the public passes give
-in turn: the same MPT1 bytes, or the same MapReplayError and message.
+them for thread slot 1) and the file may be cut short. Each result is read
+from its bytes and, written to a file, with `read_raw_trace`: both must
+read, or raise the same TraceFormatError message and byte offset; then
+`process` of either must give what the public passes give in turn: the
+same MPT1 bytes, or the same MapReplayError and message.
 
 Examples are derandomized, so every run tries the same inputs.
 """
@@ -65,6 +67,7 @@ from mapreplay.tracer import (
     RawOpKind,
     raw_trace_from_bytes,
     raw_trace_to_bytes,
+    read_raw_trace,
 )
 from mapreplay.workloads import WorkloadSpec, generate
 
@@ -287,19 +290,36 @@ def _mutate_raw(data: bytes, mutations) -> bytes:
     return data[:header] + records.tobytes()
 
 
+@pytest.fixture(scope="module")
+def mutant_path(tmp_path_factory):
+    """One file that each MRT1 mutant is written to in turn."""
+    return tmp_path_factory.mktemp("mrt1") / "mutant.mrt"
+
+
+def _read(read, source) -> object:
+    try:
+        return read(source)
+    except TraceFormatError as exc:
+        assert exc.offset is not None
+        return str(exc), exc.offset
+
+
 @FUZZ
 @given(
     st.integers(0, len(BASES) - 1),
     st.lists(_raw_mutation, min_size=1, max_size=3),
     st.one_of(st.none(), _index),
 )
-def test_mutated_raw_records_distill_like_the_public_passes(base, mutations, cut):
+def test_mutated_raw_records_distill_like_the_public_passes(mutant_path, base, mutations, cut):
     data = _mutate_raw(_raw_base(base), mutations)
     if cut is not None:
         data = data[: cut % len(data)]
-    try:
-        raw = raw_trace_from_bytes(data)
-    except TraceFormatError as exc:
-        assert exc.offset is not None
+    mutant_path.write_bytes(data)
+    raw = _read(raw_trace_from_bytes, data)
+    from_file = _read(read_raw_trace, mutant_path)
+    if isinstance(raw, tuple):
+        assert from_file == raw
         return
-    assert _distilled(process, raw) == _distilled(_pass_chain, raw)
+    expected = _distilled(_pass_chain, raw)
+    assert _distilled(process, raw) == expected
+    assert _distilled(process, from_file) == expected

@@ -566,6 +566,27 @@ def test_growth_above_the_table_limit_is_rejected_at_setup(trace_of_words):
     )
 
 
+@pytest.mark.parametrize("held", [1, 2**15 - 1])
+def test_growth_is_bounded_by_the_keys_put_into_each_map(held, trace_of_words):
+    # A trace of 2^15 keys whose map of load factor 1/1000 holds `held` of
+    # them, each put twice; the puts into its slot after its FreeMap are
+    # another map's. One entry needs a 1024-slot table and replays;
+    # 2^15 - 1 need 2^25 slots.
+    tiny = int(RawOpKind.CREATE) | (1 << 9)
+    create, free = int(RawOpKind.CREATE) | (750 << 9), int(RawOpKind.FREE_MAP)
+    ops = [tiny, 0, 16] + _puts(held) * 2 + [free, 0, 0, create, 0, 16] + _puts(2**15)
+    trace = trace_of_words(ops, n_keys=2**15)
+    if held == 1:
+        assert ReplaySession(trace).replay(RefMap).ops_executed == len(ops) // 3
+        return
+    with pytest.raises(TraceIntegrityError) as err:
+        ReplaySession(trace)
+    assert str(err.value) == (
+        f"op 0: a map with load factor 1/1000 grows to a {2**25}-slot table holding "
+        f"{held} of the trace's {2**15} keys, above the {2**24}-slot limit"
+    )
+
+
 class _Largest(RefMap):
     """RefMap recording the largest table any of its maps reached."""
 

@@ -1,13 +1,17 @@
 """Tracer behavior: canonical keys, outcome bits, raw file format, thread slots."""
 
 import gc
+import os
 import struct
+import warnings
 import weakref
 
 import numpy as np
 import pytest
 
+from mapreplay import tracer
 from mapreplay.errors import ConfigError, TraceFormatError
+from mapreplay.postproc import process, to_bytes
 from mapreplay.refmap import DEFAULT_CONFIG, MapConfig, RefMap, View, bucket_index
 from mapreplay.tracer import (
     ABSENT_HASH,
@@ -25,7 +29,7 @@ from mapreplay.tracer import (
     unpack_iternew_aux,
     write_raw_trace,
 )
-from mapreplay.workloads import IntKey
+from mapreplay.workloads import WORKLOADS, IntKey, WorkloadSpec, generate
 
 
 def events_of(session):
@@ -379,6 +383,102 @@ def test_raw_trace_from_events_validates_like_a_file(raw_records):
     with pytest.raises(TraceFormatError) as err:
         raw_trace_from_bytes(raw_trace_to_bytes(RawTrace(records)))
     assert err.value.offset == 16 + 40 + 8
+
+
+# -- file-backed raw traces -------------------------------------------------------------
+
+
+def test_read_raw_trace_keeps_no_records_and_reads_blocks_back(tmp_path):
+    trace = _session_with_traffic().close()
+    path = tmp_path / "t.mrt"
+    write_raw_trace(trace, path)
+    raw = read_raw_trace(path)
+    assert raw._records is None and len(raw) == len(trace) == 24
+    for source in (trace, raw):
+        blocks = list(source.blocks(5))
+        assert [len(b) for b in blocks] == [5, 5, 5, 5, 4]
+        assert not any(b.flags.writeable for b in blocks)
+        assert np.concatenate(blocks).tobytes() == trace.records.tobytes()
+    # An in-memory trace's blocks are slices of its array.
+    assert all(np.shares_memory(b, trace.records) for b in trace.blocks(5))
+    assert raw.records.tobytes() == trace.records.tobytes()
+    assert not raw.records.flags.writeable
+
+
+def test_file_backed_trace_can_be_written_over_its_file(tmp_path):
+    trace = _session_with_traffic().close()
+    path = tmp_path / "t.mrt"
+    write_raw_trace(trace, path)
+    write_raw_trace(read_raw_trace(path), path)
+    assert path.read_bytes() == raw_trace_to_bytes(trace)
+
+
+def _truncate(path, data):
+    os.truncate(path, len(data) - 100)
+
+
+def _rewrite_in_place(path, data):
+    # Event 1's op byte becomes 99; the stamp or the block check catches it.
+    with open(path, "r+b") as fh:
+        fh.seek(16 + 40 + 8)
+        fh.write(bytes([99]))
+
+
+def _touch(path, data):
+    # The same bytes with another modification time: only the stamp can tell.
+    st = os.stat(path)
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+
+
+def _replace(path, data):
+    other = path.with_name("other.mrt")
+    other.write_bytes(data)
+    os.replace(other, path)
+
+
+@pytest.mark.parametrize("change", [_truncate, _rewrite_in_place, _touch, _replace])
+def test_file_changed_after_read_fails_with_an_offset(tmp_path, change):
+    path = tmp_path / "t.mrt"
+    generate(WorkloadSpec("churn", seed=1), path)
+    raw = read_raw_trace(path)
+    change(path, path.read_bytes())
+    for consume in (process, lambda raw: raw.records, lambda raw: list(raw.blocks(64))):
+        with pytest.raises(TraceFormatError) as err:
+            consume(raw)
+        assert err.value.offset is not None
+
+
+def test_short_read_names_where_the_body_ends(tmp_path):
+    path = tmp_path / "t.mrt"
+    write_raw_trace(_session_with_traffic().close(), path)
+    count = len(read_raw_trace(path))
+    os.truncate(path, 16 + 5 * 40 + 12)
+    # A file cut while it is being read: its stamp still checks out.
+    blocks = tracer._read_blocks(path, tracer._stamp(os.stat(path)), count, 4)
+    with pytest.raises(TraceFormatError, match=f"ends inside event 5 of {count}") as err:
+        list(blocks)
+    assert err.value.offset == 16 + 5 * 40 + 12
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_file_backed_and_in_memory_traces_distill_alike(tmp_path, name):
+    path = tmp_path / f"{name}.mrt"
+    generate(WorkloadSpec(name, seed=1), path)
+    from_file = to_bytes(process(read_raw_trace(path)))
+    assert from_file == to_bytes(process(raw_trace_from_bytes(path.read_bytes())))
+
+
+def test_file_backed_trace_leaves_no_handle_open(tmp_path):
+    path = tmp_path / "t.mrt"
+    write_raw_trace(_session_with_traffic().close(), path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        raw = read_raw_trace(path)
+        process(raw)
+        next(raw.blocks(2))  # a pass dropped after its first block
+        del raw
+        gc.collect()
+    assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_raw_trace_wraps_only_raw_records():
