@@ -32,8 +32,16 @@ RawTrace, or the input's records unchanged when there is nothing to do.
 `process` never holds the records: it ranks them from `RawTrace.blocks`,
 one block at a time, in two passes (the id tables, then the rows), so a
 trace read from a file is ranked straight from it and the only row-sized
-array is the int32 rows (12 bytes an event against a record's 40). It
-then runs the four kernels on the rows.
+array is one int32 row buffer (12 bytes an event against a record's 40).
+The buffer is allocated once, once the id tables are known, with room
+after the events for one free row per distinct map and iterator id, the
+most free insertion can add. It then runs the four kernels and edits the
+rows in place in that buffer: sanitize's and coalesce's deletions move
+the kept rows toward the front, and free insertion moves rows toward the
+back, starting from the end, and writes the free rows into the gaps, each
+a chunk of rows at a time. No pass copies the rows; the plans over them
+(coalesce's per-advance index arrays, the last row of each object, the
+key indexes, the slot lookups) are int32 or built a chunk at a time.
 
 A ProcessedTrace is the payload below and nothing else: its size is the
 size of the file it is written to or read from, and `stats()` tallies its
@@ -84,6 +92,7 @@ import zlib
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -103,10 +112,13 @@ LF_MASK = 0x3FF
 SPREAD_BIT = 1 << 19
 _I32_MAX = 0x7FFFFFFF
 
-_OP = RawOpKind
+#: The op bytes as plain ints: numpy compares a uint8 column with an
+#: IntEnum member through int64 buffers, several times slower than with
+#: an int.
+_OP = SimpleNamespace(**{op.name: int(op) for op in RawOpKind})
 
 
-def _op_table(*ops: RawOpKind) -> np.ndarray:
+def _op_table(*ops: int) -> np.ndarray:
     """Membership table indexed by op byte: `_op_table(...)[op]` is a mask."""
     table = np.zeros(256, dtype=bool)
     table[list(ops)] = True
@@ -220,7 +232,8 @@ _BLOCK = 1 << 12
 class _Ranked(NamedTuple):
     """A raw event stream as int32 rows and the tables their ranks index."""
 
-    rows: np.ndarray  # int32 (n, 3): word, operand, operand
+    rows: np.ndarray  # int32 (n, 3): word, operand, operand; the first n rows of `buffer`
+    buffer: np.ndarray  # int32 (n + maps + iterators, 3): the rows, then room for the frees
     maps: np.ndarray  # u64 raw id of each map rank, sorted
     iters: np.ndarray  # u64 raw id of each iterator rank, sorted
     keys: np.ndarray  # u64 raw id of each key rank, sorted
@@ -283,9 +296,13 @@ def _rank(raw: RawTrace) -> _Ranked:
     """Rank a raw trace's records, one block at a time, in two passes:
     the id tables, then the rows."""
     maps, iters, keys = _id_tables(raw)
+    # One free row per map and per iterator fits after the events, so
+    # every pass edits the rows in this one buffer.
+    buffer = np.zeros((len(raw) + maps.size + iters.size, 3), dtype=np.int32)
     # While ranking, `extra`, `big` and `stray` are lists of arrays.
     t = _Ranked(
-        rows=np.zeros((len(raw), 3), dtype=np.int32),
+        rows=buffer[: len(raw)],
+        buffer=buffer,
         maps=maps,
         iters=iters,
         keys=keys,
@@ -397,6 +414,72 @@ def _entry_keys(t: _Ranked, entries: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return ranks, hashes
 
 
+#: Rows moved, looked up or scanned per chunk by the in-place edits and
+#: the chunked kernels, so that their temporaries stay small beside the
+#: rows.
+_CHUNK = 1 << 13
+
+
+def _chunks(n: int) -> list[tuple[int, int]]:
+    """(start, stop) of each chunk of `n` rows, in order."""
+    return [(start, min(start + _CHUNK, n)) for start in range(0, n, _CHUNK)]
+
+
+def _index_dtype(n: int) -> type:
+    """The narrowest dtype indexing `n` rows: int32 up to 2^31-1."""
+    return np.int32 if n <= _I32_MAX else np.intp
+
+
+def _where(mask: np.ndarray) -> np.ndarray:
+    """`np.flatnonzero(mask)` in `_index_dtype`, found a chunk at a time."""
+    out = np.empty(np.count_nonzero(mask), dtype=_index_dtype(mask.size))
+    end = 0
+    for start, stop in _chunks(mask.size):
+        found = np.flatnonzero(mask[start:stop])
+        out[end : end + found.size] = found + start
+        end += found.size
+    return out
+
+
+def _compact(rows: np.ndarray, keep: np.ndarray) -> int:
+    """Move the rows `keep` selects to the front of `rows`, in order, a
+    chunk at a time, and return how many there are; those first rows then
+    equal `np.delete(rows, np.flatnonzero(~keep), axis=0)`. A row only
+    moves toward the front, onto rows already read."""
+    end = 0
+    for start, stop in _chunks(len(rows)):
+        part = keep[start:stop]
+        if end == start and part.all():
+            end = stop
+            continue
+        kept = rows[start:stop][part]
+        rows[end : end + len(kept)] = kept
+        end += len(kept)
+    return end
+
+
+def _expand(buffer: np.ndarray, n: int, at: np.ndarray, new: np.ndarray) -> int:
+    """Insert row `new[j]` before row `at[j]` of the first `n` rows of
+    `buffer`, as `np.insert(buffer[:n], at, new, axis=0)` does, and return
+    the new length. `at` is sorted and `buffer` has room for `new`.
+
+    Rows move toward the back a chunk at a time, starting from the end,
+    so a row is read before anything lands on it; the new rows then fill
+    the gaps left between them.
+    """
+    for start, stop in reversed(_chunks(n)):
+        low, high = np.searchsorted(at, (start, stop - 1), side="right")
+        if high == 0:
+            break  # no row from here back moves
+        if low == high:
+            buffer[start + low : stop + low] = buffer[start:stop]
+        else:
+            index = np.arange(start, stop)
+            buffer[index + np.searchsorted(at, index, side="right")] = buffer[start:stop].copy()
+    buffer[at + np.arange(len(at))] = new
+    return n + len(at)
+
+
 def _owners(t: _Ranked) -> np.ndarray:
     """The map rank owning each iterator rank, -1 for one with no IterNew.
 
@@ -485,16 +568,20 @@ class _Merge(NamedTuple):
 
 
 def _merge_plan(t: _Ranked) -> _Merge | None:
-    """Coalesce's kernel; None when the stream has no advances."""
+    """Coalesce's kernel; None when the stream has no advances.
+
+    Its per-advance arrays are row indexes and int32 columns; the epoch
+    lookup runs a chunk at a time.
+    """
     rows = t.rows
     op = _ops(rows)
-    adv = np.flatnonzero(op == _OP.ITER_ADVANCE)
+    adv = _where(op == _OP.ITER_ADVANCE)
     if adv.size == 0:
         return None
     owner = _owners(t)
 
     # Only mutations between the first and last advance can split a run.
-    muts = np.flatnonzero(_RUN_BREAKERS[op[adv[0] : adv[-1]]]) + adv[0]
+    muts = _where(_RUN_BREAKERS[op[adv[0] : adv[-1]]]) + adv[0]
     mut_maps = rows[muts, 1]
     through_iter = op[muts] == _OP.ITER_REMOVE
     mut_maps[through_iter] = _owners_of(t, owner, mut_maps[through_iter])
@@ -504,21 +591,28 @@ def _merge_plan(t: _Ranked) -> _Merge | None:
     iters = rows[adv, 1]
     joins = np.zeros(adv.size, dtype=bool)
     joins[1:] = iters[1:] == iters[:-1]
-    epochs = _epochs(mut_maps, muts, _owners_of(t, owner, iters), adv)
+    maps = _owners_of(t, owner, iters)
+    del iters
+    epochs = _epochs(mut_maps, muts, maps, adv)
+    del maps
     joins[1:] &= epochs[1:] == epochs[:-1]
+    del epochs
     outcomes = rows[adv, 0] & _RAW_OUTCOME_BITS
     joins[1:] &= outcomes[1:] == outcomes[:-1]
-
     heads = np.flatnonzero(~joins)
+    exhausted = outcomes[heads] == 0
+    del outcomes
+
     steps = np.add.reduceat(_u64(t, rows[adv, 2]), heads)
-    steps[outcomes[heads] == 0] = 1
+    steps[exhausted] = 1
     merged = np.sort(adv[joins])
     head_rows = adv[heads]
     return _Merge(merged, head_rows - np.searchsorted(merged, head_rows), steps)
 
 
 def _epochs(mut_maps: np.ndarray, muts: np.ndarray, maps: np.ndarray, rows: np.ndarray):
-    """Mutation epoch of map rank `maps[i]` at row `rows[i]`.
+    """Mutation epoch of map rank `maps[i]` at row `rows[i]`, looked up a
+    chunk at a time.
 
     The epoch is the number of mutations (`mut_maps`, `muts`) that sort
     before (map, row) by map, then row. Between two rows of one map it
@@ -526,7 +620,13 @@ def _epochs(mut_maps: np.ndarray, muts: np.ndarray, maps: np.ndarray, rows: np.n
     """
     stride = max(int(muts.max(initial=0)), int(rows.max(initial=0))) + 1
     keys = np.sort(mut_maps.astype(np.int64) * stride + muts)
-    return np.searchsorted(keys, maps.astype(np.int64) * stride + rows)
+    epochs = np.empty(maps.size, dtype=_index_dtype(keys.size))
+    for start, stop in _chunks(maps.size):
+        at = maps[start:stop].astype(np.int64)
+        at *= stride
+        at += rows[start:stop]
+        epochs[start:stop] = np.searchsorted(keys, at)
+    return epochs
 
 
 def coalesce(raw: RawTrace) -> RawTrace:
@@ -553,25 +653,13 @@ def coalesce(raw: RawTrace) -> RawTrace:
 
 
 def _coalesced(t: _Ranked, merge: _Merge) -> _Ranked:
-    rows = np.delete(t.rows, merge.merged, axis=0)
+    keep = np.ones(len(t.rows), dtype=bool)
+    keep[merge.merged] = False
+    rows = t.buffer[: _compact(t.rows, keep)]
+    del keep
     big = [t.big]
     rows[merge.heads, 2] = _operand(merge.steps, big)
     return t._replace(rows=rows, big=np.concatenate(big))
-
-
-def _last_rows(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each distinct value of a per-row column, and the last row holding it."""
-    ids, from_end = np.unique(column[::-1], return_index=True)
-    return ids, column.size - 1 - from_end
-
-
-def _last_use(ids: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each distinct id of some (id, row) uses, and the last row using it."""
-    order = np.lexsort((rows, ids))
-    ids, rows = ids[order], rows[order]
-    final = np.ones(ids.size, dtype=bool)
-    final[:-1] = ids[1:] != ids[:-1]
-    return ids[final], rows[final]
 
 
 class _Frees(NamedTuple):
@@ -583,30 +671,33 @@ class _Frees(NamedTuple):
 
 
 def _free_plan(t: _Ranked) -> _Frees:
-    """Free insertion's kernel."""
+    """Free insertion's kernel: the last row using each map and iterator,
+    found a chunk at a time."""
     rows = t.rows
-    op = _ops(rows)
-    iter_rows = np.flatnonzero(_ITER_OPS[op])
-    copies = np.flatnonzero(op == _OP.CREATE_COPY)
-    news = np.flatnonzero(op == _OP.ITER_NEW)
+    owner = _owners(t)
+    map_last = np.full(t.maps.size, -1, dtype=np.intp)
+    iter_last = np.full(t.iters.size, -1, dtype=np.intp)
+    for start, stop in _chunks(len(rows)):
+        chunk = rows[start:stop]
+        op, first, second = _ops(chunk), chunk[:, 1], chunk[:, 2]
+        at = np.arange(start, stop)
+        # Every row uses one map (iterator ops: the iterator's owner), a
+        # copy uses its source too, and an IterNew its iterator.
+        iter_rows = _ITER_OPS[op]
+        maps = first.copy()
+        maps[iter_rows] = _owners_of(t, owner, first[iter_rows])
+        np.maximum.at(map_last, maps, at)
+        copies = op == _OP.CREATE_COPY
+        np.maximum.at(map_last, second[copies], at[copies])
+        np.maximum.at(iter_last, first[iter_rows], at[iter_rows])
+        news = op == _OP.ITER_NEW
+        np.maximum.at(iter_last, second[news], at[news])
 
-    # Every row uses one map (iterator ops: the iterator's owner); reduce
-    # that column to a last row per map, then add the uses by copies.
-    map_of_row = rows[:, 1].copy()
-    map_of_row[iter_rows] = _owners_of(t, _owners(t), rows[iter_rows, 1])
-    maps, map_last = _last_rows(map_of_row)
-    del map_of_row
-    maps, map_last = _last_use(
-        np.concatenate((maps, rows[copies, 2])), np.concatenate((map_last, copies))
-    )
-    iters, iter_last = _last_use(
-        np.concatenate((rows[iter_rows, 1], rows[news, 2])), np.concatenate((iter_rows, news))
-    )
-
+    iters, maps = np.flatnonzero(iter_last >= 0), np.flatnonzero(map_last >= 0)
     ops = np.full(iters.size + maps.size, _OP.FREE_MAP, dtype=np.uint8)
     ops[: iters.size] = _OP.FREE_ITER
     ids = np.concatenate((iters, maps))
-    after = np.concatenate((iter_last, map_last))
+    after = np.concatenate((iter_last[iters], map_last[maps]))
     order = np.lexsort((ids, ops == _OP.FREE_MAP, after))
     return _Frees(ops[order], ids[order], after[order])
 
@@ -635,10 +726,10 @@ def insert_free_events(raw: RawTrace) -> RawTrace:
 
 
 def _freed(t: _Ranked, frees: _Frees) -> _Ranked:
-    rows = np.zeros((frees.after.size, 3), dtype=np.int32)
-    rows[:, 0] = frees.op
-    rows[:, 1] = frees.ids
-    return t._replace(rows=np.insert(t.rows, frees.after + 1, rows, axis=0))
+    new = np.zeros((frees.after.size, 3), dtype=np.int32)
+    new[:, 0] = frees.op
+    new[:, 1] = frees.ids
+    return t._replace(rows=t.buffer[: _expand(t.buffer, len(t.rows), frees.after + 1, new)])
 
 
 class _Lifetimes(NamedTuple):
@@ -689,11 +780,6 @@ def _assign_slots(obj_ids: np.ndarray, acquires: np.ndarray, rows: np.ndarray, n
     return lives, high_water
 
 
-#: Entries looked up per chunk by `_slots_at`, so that its intp and int64
-#: temporaries stay small beside the int32 rows.
-_LOOKUP_CHUNK = 1 << 13
-
-
 def _slots_at(
     lives: _Lifetimes, obj_ids: np.ndarray, rows: np.ndarray | None, names, uses=None
 ):
@@ -705,10 +791,10 @@ def _slots_at(
     included. Other rows get an arbitrary slot.
     """
     slots = np.zeros(obj_ids.size, dtype=np.int32)
-    for start in range(0, obj_ids.size, _LOOKUP_CHUNK):
-        part = slice(start, start + _LOOKUP_CHUNK)
+    for start, stop in _chunks(obj_ids.size):
+        part = slice(start, stop)
         ids = obj_ids[part]
-        at = np.arange(start, start + ids.size) if rows is None else rows[part]
+        at = np.arange(start, stop) if rows is None else rows[part]
         if lives.ids.size == 0:
             live = np.zeros(ids.shape, dtype=bool)
         else:
@@ -725,23 +811,34 @@ def _slots_at(
     return slots
 
 
-def _key_indexes(t: _Ranked, entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dense key index of each keyed row's entry, in first-use order, and
-    the hash table."""
-    ranks, hashes = _entry_keys(t, entries)
-    first_use = np.full(t.keys.size, ranks.size)
-    np.minimum.at(first_use, ranks, np.arange(ranks.size))
-    by_first_use = np.argsort(first_use)[: np.count_nonzero(first_use < ranks.size)]
+def _key_indexes(t: _Ranked) -> np.ndarray:
+    """Rewrite each keyed row's key entry into its dense key index, in
+    first-use order, a chunk at a time; returns the hash table."""
+    rows = t.rows
+    unused = len(rows)
+    first_use = np.full(t.keys.size, unused, dtype=np.intp)
+    first_hash = np.zeros(t.keys.size, dtype=np.int32)
+    for start, stop in _chunks(len(rows)):
+        chunk = rows[start:stop]
+        at = np.flatnonzero(_KEYED_OPS[_ops(chunk)])
+        ranks, hashes = _entry_keys(t, chunk[at, 2])
+        at += start
+        np.minimum.at(first_use, ranks, at)
+        first = first_use[ranks] == at
+        first_hash[ranks[first]] = hashes[first]
+        changed = np.flatnonzero(hashes != first_hash[ranks])
+        if changed.size:
+            raise TraceIntegrityError(
+                f"key {t.keys[ranks[changed[0]]]} hash changed; trace was not sanitized"
+            )
+    by_first_use = np.argsort(first_use)[: np.count_nonzero(first_use < unused)]
     index_of = np.empty(t.keys.size, dtype=np.int32)
     index_of[by_first_use] = np.arange(by_first_use.size, dtype=np.int32)
-    index = index_of[ranks]
-    table = hashes[first_use[by_first_use]]
-    changed = np.flatnonzero(hashes != table[index])
-    if changed.size:
-        raise TraceIntegrityError(
-            f"key {t.keys[ranks[changed[0]]]} hash changed; trace was not sanitized"
-        )
-    return index, table
+    for start, stop in _chunks(len(rows)):
+        chunk = rows[start:stop]
+        at = np.flatnonzero(_KEYED_OPS[_ops(chunk)])
+        chunk[at, 2] = index_of[_entry_keys(t, chunk[at, 2])[0]]
+    return first_hash[by_first_use]
 
 
 def _encode(t: _Ranked) -> ProcessedTrace:
@@ -749,10 +846,7 @@ def _encode(t: _Ranked) -> ProcessedTrace:
     rows = t.rows
     op = _ops(rows)
 
-    keyed = _KEYED_OPS[op]
-    key_index, key_hashes = _key_indexes(t, rows[keyed, 2])
-    rows[keyed, 2] = key_index
-    del keyed, key_index
+    key_hashes = _key_indexes(t)
 
     # Read the iterator and copy operands before map slots overwrite them.
     iter_rows = np.flatnonzero(_ITER_OPS[op])
@@ -814,20 +908,21 @@ def process(raw: RawTrace) -> ProcessedTrace:
     int32 rows and small per-object tables; a trace from `read_raw_trace`
     is read from its file block by block and never held whole, and an
     in-memory one is let go here when the caller holds no other reference
-    to it. Sanitizing, coalescing and free insertion select, delete and
-    insert rows through the same kernels as the public passes, and
-    encoding rewrites the rows into the opcode triples in place; the
-    result equals `encode(insert_free_events(coalesce(sanitize(raw))))`.
+    to it. Sanitizing, coalescing and free insertion plan through the same
+    kernels as the public passes and delete and insert rows in place, in
+    the one buffer ranking allocated, and encoding rewrites the rows into
+    the opcode triples in place; the result equals
+    `encode(insert_free_events(coalesce(sanitize(raw))))`.
     """
     t = _rank(raw)
     del raw
     keep = _kept_rows(t)
-    if not keep.all():
-        t = t._replace(rows=t.rows[keep])
+    t = t._replace(rows=t.buffer[: _compact(t.rows, keep)])
     del keep
     merge = _merge_plan(t)
     if merge is not None:
         t = _coalesced(t, merge)
+    del merge
     t = _freed(t, _free_plan(t))
     return _encode(t)
 

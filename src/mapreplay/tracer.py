@@ -10,18 +10,29 @@ its own canonical-key table, so the table dies with the map; the session
 keeps only the record buffers and id counters.
 
 Records are packed straight into per-thread-slot byte buffers in the MRT1
-record layout below; no Python object is kept per event. A RawTrace is
-consumed a block of records at a time, each block a read-only numpy
-structured array in RAW_DTYPE, one row per event. It holds its records in
-one of two ways. Built from an array (by `TraceSession.close`,
-`raw_trace_from_bytes` or a public post-processing pass) it wraps that
-array, and its blocks are slices of it. Returned by `read_raw_trace` it
-holds no records at all: reading checks the header, the event count
+record layout below; no Python object is kept per event. A session given
+a path streams: each time slot 0's buffer reaches 64 KiB it is appended to
+the file, which is started (header and sentinel count) on the first such
+flush, and a fresh buffer is begun. The later slots keep their buffers
+until `close`, which appends slot 0's remainder and then each later slot
+in slot order, patches the count in and returns a trace that reads the
+file, so a closed session holds no records. A session that records less
+than 64 KiB writes its file only at close. If the traced code raises, the
+file is closed as it stands, sentinel in place: the crash signature below.
+
+A RawTrace is consumed a block of records at a time, each block a
+read-only numpy structured array in RAW_DTYPE, one row per event. It
+holds its records in one of two ways. Built from an array (by
+`TraceSession.close` without a path, `raw_trace_from_bytes` or a public
+post-processing pass) it wraps that array, and its blocks are slices of
+it. Returned by `read_raw_trace`, or by `TraceSession.close` with a path,
+it holds no records at all: reading checks the header, the event count
 against the file size and every record, a block at a time, and keeps only
-the path and the file's identity, size and modification time. Each later
-pass reads the body back from the file, checks every block again, and
-checks that the file has not changed, so a truncated, rewritten or
-replaced file raises TraceFormatError rather than yield other records.
+the path and the file's identity, size and modification time (a session
+takes these once the file is complete). Each later pass reads the body
+back from the file, checks every block again, and checks that the file
+has not changed, so a truncated, rewritten or replaced file raises
+TraceFormatError rather than yield other records.
 `RawTrace.records` loads the whole checked body as one array, and
 `RawTrace.events` materializes RawEvent objects from it on demand, as a
 debug view that the layer benchmark still counts through.
@@ -32,7 +43,9 @@ Raw trace file format (little-endian):
 
 The event count doubles as the end-marker: it is a sentinel (all ones)
 while the file is being written and is patched at close, so a crashed
-session leaves a detectably truncated file. Each record is
+session, or a failed `write_raw_trace`, leaves a detectably truncated
+file. Both write through one writer of header, records and patch. Each
+record is
 
     u64 thread_id | u8 op | u64 map_id | u64 key_id | i32 hash |
     u64 aux | u8 outcome | 2 pad bytes
@@ -50,6 +63,7 @@ from __future__ import annotations
 import itertools
 import os
 import struct
+import sys
 import threading
 from collections import deque
 from collections.abc import Iterator
@@ -216,12 +230,18 @@ def unpack_iternew_aux(aux: int) -> tuple[int, View]:
     return aux >> 2, View(aux & 0x3)
 
 
-class _SlotState:
-    __slots__ = ("slot", "buffer", "map_ids", "iter_ids", "key_ids")
+#: Bytes of records slot 0 of a session with a path holds before it
+#: appends them to the file.
+_FLUSH_BYTES = 1 << 16
 
-    def __init__(self, slot: int):
+
+class _SlotState:
+    __slots__ = ("slot", "buffer", "flush_at", "map_ids", "iter_ids", "key_ids")
+
+    def __init__(self, slot: int, flush_at: int = sys.maxsize):
         self.slot = slot
         self.buffer = bytearray()  # packed MRT1 records
+        self.flush_at = flush_at  # buffer length at which the session flushes it
         first = (slot << _SLOT_SHIFT) + 1
         self.map_ids = itertools.count(first)
         self.iter_ids = itertools.count(first)
@@ -237,36 +257,87 @@ class TraceSession:
     code in `with session.thread(slot):`; unwrapped code records to slot 0.
     A single map shared across threads still needs caller-side locking.
 
+    With a path, slot 0's records stream to the file in 64 KiB pieces while
+    recording, so slot 0 holds at most one piece; the later slots keep all
+    of theirs until `close()` appends them, in slot order, after slot 0's.
+    The file is not created until the first piece is written, and it reads
+    as truncated (its count still the sentinel) until `close()` patches the
+    count. Used as a context manager, the session closes on a clean exit;
+    on an exception it stops recording and closes the file as it stands,
+    leaving that crash signature, and `close()` then raises ValueError.
+
     The session records from construction until `close()`; later events
     are dropped. Maps hold the session and the session holds no map, so
     reference counting alone frees a finished session and its buffers.
     """
 
     def __init__(self, path: str | Path | None = None):
-        self._path = Path(path) if path is not None else None
-        self._states: dict[int, _SlotState] = {0: _SlotState(0)}
+        self._path = Path(path).absolute() if path is not None else None
+        first = _SlotState(0, _FLUSH_BYTES if path is not None else sys.maxsize)
+        self._states: dict[int, _SlotState] = {0: first}
         self._lock = threading.Lock()
         self._local = threading.local()
+        self._writer: _RawWriter | None = None
+        self._recording = True
         self._trace: RawTrace | None = None
 
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> RawTrace:
-        """Join the slot buffers (slot order), optionally write the file.
+        """Stop recording and return the trace; closing again returns it again.
 
-        Closing again returns the same trace.
+        Without a path, the slot buffers are joined in slot order into an
+        in-memory trace. With one, what slot 0 has not yet flushed and then
+        each later slot's buffer, in slot order, are appended to the file,
+        the count is patched in, and the trace returned reads the file.
         """
         if self._trace is None:
-            self._trace = RawTrace(np.frombuffer(self._join(), dtype=RAW_DTYPE))
-            if self._path is not None:
-                write_raw_trace(self._trace, self._path)
+            if not self._recording:
+                raise ValueError("the session was abandoned and holds no trace")
+            self._recording = False
+            if self._path is None:
+                self._trace = RawTrace(np.frombuffer(self._join(), dtype=RAW_DTYPE))
+            else:
+                self._trace = self._write_out()
         return self._trace
 
     def __enter__(self) -> "TraceSession":
         return self
 
-    def __exit__(self, *exc) -> None:
-        self.close()
+    def __exit__(self, exc_type, *exc) -> None:
+        if exc_type is None:
+            self.close()
+        else:
+            self._abandon()
+
+    def _abandon(self) -> None:
+        """Stop recording after a failure. A file already started is closed
+        as it stands, its sentinel count in place, so it reads as truncated."""
+        self._recording = False
+        writer, self._writer = self._writer, None
+        if writer is not None:
+            writer.abandon()
+
+    def _flush(self) -> None:
+        """Append slot 0's records to the file, starting the file first."""
+        if self._writer is None:
+            self._writer = _RawWriter(self._path)
+        state = self._states[0]
+        self._writer.write(state.buffer)
+        state.buffer = bytearray()
+
+    def _write_out(self) -> RawTrace:
+        try:
+            self._flush()
+            for slot in sorted(self._states)[1:]:
+                state = self._states[slot]
+                self._writer.write(state.buffer)
+                state.buffer = bytearray()
+        except BaseException:
+            self._abandon()
+            raise
+        writer, self._writer = self._writer, None
+        return writer.close()
 
     # -- thread slots ------------------------------------------------------------
 
@@ -304,10 +375,11 @@ class TraceSession:
         aux: int = 0,
         outcome: int | None = None,
     ) -> None:
-        if self._trace is not None:
+        if not self._recording:
             return
         state = self._state()
-        state.buffer += _RECORD.pack(
+        buffer = state.buffer
+        buffer += _RECORD.pack(
             state.slot,
             op,
             map_id,
@@ -316,6 +388,8 @@ class TraceSession:
             aux,
             ABSENT_OUTCOME if outcome is None else outcome,
         )
+        if len(buffer) >= state.flush_at:
+            self._flush()
 
     # -- traced map construction ----------------------------------------------------
 
@@ -505,6 +579,47 @@ def raw_trace_to_bytes(trace: RawTrace) -> bytes:
     return _HEADER.pack(MAGIC, VERSION, len(trace)) + trace.records.tobytes()
 
 
+class _RawWriter:
+    """An MRT1 file being written: the header goes first with the sentinel
+    count, then records are appended, and `close` patches the count in
+    last. A writer abandoned instead leaves the sentinel, which readers
+    treat as a missing end-marker."""
+
+    __slots__ = ("_path", "_fh", "_count")
+
+    def __init__(self, path: Path):
+        self._path = path
+        self._fh = open(path, "wb")
+        self._fh.write(_HEADER.pack(MAGIC, VERSION, _SENTINEL_COUNT))
+        self._count = 0
+
+    def __enter__(self) -> "_RawWriter":
+        return self
+
+    def __exit__(self, exc_type, *exc) -> None:
+        if exc_type is None:
+            self.close()
+        else:
+            self.abandon()
+
+    def write(self, records) -> None:
+        """Append packed records: a buffer of whole 40-byte records."""
+        self._fh.write(records)
+        self._count += memoryview(records).nbytes // _RECORD.size
+
+    def close(self) -> RawTrace:
+        """Patch the count in and close; returns a trace reading the file."""
+        with self._fh as fh:
+            fh.seek(len(MAGIC) + 4)
+            fh.write(struct.pack("<Q", self._count))
+            fh.flush()
+            stamp = _stamp(os.fstat(fh.fileno()))
+        return RawTrace._of_file(self._path, stamp, self._count)
+
+    def abandon(self) -> None:
+        self._fh.close()
+
+
 def write_raw_trace(trace: RawTrace, path: str | Path) -> None:
     """Write with a sentinel count first, patching it in last.
 
@@ -512,14 +627,9 @@ def write_raw_trace(trace: RawTrace, path: str | Path) -> None:
     a missing end-marker. A file-backed trace is loaded before the file is
     opened, so it can be written over the file it was read from.
     """
-    path = Path(path)
     records = trace.records
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, VERSION, _SENTINEL_COUNT))
-        fh.write(records.data)
-        fh.flush()
-        fh.seek(len(MAGIC) + 4)
-        fh.write(struct.pack("<Q", len(trace)))
+    with _RawWriter(Path(path).absolute()) as out:
+        out.write(records.data)
 
 
 def _event_count(header: bytes, size: int) -> int:

@@ -339,9 +339,14 @@ def _run(spec: WorkloadSpec, env) -> None:
 
 
 def generate(spec: WorkloadSpec, path: str | Path | None = None) -> RawTrace:
-    """Run the named workload under tracing; optionally write the raw file."""
-    session = TraceSession(path)
-    _run(spec, session)
+    """Run the named workload under tracing; optionally write the raw file.
+
+    With a path, the records stream to the file as they are made, and the
+    trace returned reads it back. If the workload raises, the file (if one
+    was started) is closed with its sentinel count, as a crashed session's.
+    """
+    with TraceSession(path) as session:
+        _run(spec, session)
     return session.close()
 
 

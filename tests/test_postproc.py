@@ -3,9 +3,12 @@
 import struct
 import tracemalloc
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mapreplay import postproc
 from mapreplay.errors import TraceFormatError, TraceIntegrityError
@@ -361,6 +364,22 @@ def test_free_map_waits_for_its_iterators():
     _check_free_placement(out)
 
 
+def test_iterator_never_advanced_is_freed_after_its_iter_new():
+    def build(s):
+        m = s.new_map()
+        m.put(IntKey(1), 1)
+        m.iterator()
+        m.get(IntKey(1))
+
+    raw = _session_trace(build)
+    out = insert_free_events(raw)
+    assert list(out.records["op"]) == [
+        OP.CREATE, OP.PUT, OP.ITER_NEW, OP.FREE_ITER, OP.GET, OP.FREE_MAP
+    ]
+    with mock.patch.object(postproc, "_CHUNK", 1):
+        assert process(raw) == encode(out)
+
+
 @pytest.mark.parametrize("name", ["random", "scan", "populate-copy", "mixed"])
 def test_free_placement_on_workloads(small_traces, name):
     _, raw, _ = small_traces[name]
@@ -377,6 +396,18 @@ def test_encode_empty_trace(raw_records):
     assert stats(trace) == Characterization()
     again = decode(to_bytes(trace))
     assert again == trace
+
+
+@pytest.mark.parametrize("chunk", [1, 8192])
+def test_encode_rejects_a_key_recorded_with_two_hashes(raw_records, chunk):
+    # Sanitize drops such a key's maps; encode alone checks every keyed
+    # row against the hash of its key's first use, across chunks.
+    rows = [(OP.CREATE, 1, None, None, 0, None, 0), (OP.PUT, 1, 5, 7, 0, 0, 0),
+            (OP.GET, 1, 5, 7, 0, 1, 0), (OP.GET, 1, 5, 8, 0, 1, 0),
+            (OP.FREE_MAP, 1, None, None, 0, None, 0)]
+    with mock.patch.object(postproc, "_CHUNK", chunk):
+        with pytest.raises(TraceIntegrityError, match="key 5 hash changed; trace was not sanitized"):
+            encode(RawTrace(raw_records(rows)))
 
 
 def test_encode_requires_free_annotations():
@@ -436,6 +467,48 @@ def test_process_equals_the_public_pass_chain(small_traces):
     # to the records. Both must give the same artifact.
     for name, (_, raw, trace) in small_traces.items():
         assert trace == encode(insert_free_events(coalesce(sanitize(raw)))), name
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 64])
+def test_process_in_small_chunks_equals_the_public_pass_chain(small_traces, chunk):
+    # process() edits its rows in place and its kernels scan them a chunk
+    # at a time; small chunks put chunk edges inside every run, lifetime
+    # and gap that the small workloads have.
+    with mock.patch.object(postproc, "_CHUNK", chunk):
+        for name, (_, raw, trace) in small_traces.items():
+            assert process(raw) == trace, name
+
+
+@st.composite
+def _row_edits(draw):
+    """Rows, a keep mask over them, and sorted insertion points in [0, n]."""
+    n = draw(st.integers(0, 40))
+    keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    at = sorted(draw(st.lists(st.integers(0, n), max_size=10)))
+    return n, keep, at
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(edits=_row_edits(), chunk=st.integers(1, 6))
+@example(edits=(0, [], []), chunk=1)  # an empty trace
+@example(edits=(0, [], [0, 0]), chunk=1)  # frees into an empty trace
+@example(edits=(7, [True] * 7, []), chunk=3)  # nothing deleted, nothing inserted
+@example(edits=(7, [False] * 7, [7, 7, 7]), chunk=2)  # everything deleted; frees after the last row
+@example(edits=(9, [True, False] * 4 + [True], [0, 4, 4, 9]), chunk=4)
+def test_in_place_compact_and_expand_equal_delete_and_insert(edits, chunk):
+    n, keep, at = edits
+    rows = np.arange(3 * n, dtype=np.int32).reshape(n, 3)
+    keep, at = np.array(keep, dtype=bool), np.array(at, dtype=np.intp)
+    new = -1 - np.arange(3 * at.size, dtype=np.int32).reshape(-1, 3)
+    buffer = np.full((n + at.size + 2, 3), 99, dtype=np.int32)
+    with mock.patch.object(postproc, "_CHUNK", chunk):
+        buffer[:n] = rows
+        kept = postproc._compact(buffer[:n], keep)
+        assert np.array_equal(buffer[:kept], np.delete(rows, np.flatnonzero(~keep), axis=0))
+        buffer[:n] = rows
+        grown = postproc._expand(buffer, n, at, new)
+        assert np.array_equal(buffer[:grown], np.insert(rows, at, new, axis=0))
+    assert (buffer[grown:] == 99).all()  # nothing is written past the new length
 
 
 # Ids as the tracer allocates them for thread slots 1 and 2: above 32 bits,

@@ -481,6 +481,83 @@ def test_file_backed_trace_leaves_no_handle_open(tmp_path):
     assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [WorkloadSpec(name, seed=1) for name in sorted(WORKLOADS)]
+    + [WorkloadSpec("churn", seed=1, params={"threads": 2})],
+    ids=[*sorted(WORKLOADS), "churn-2-threads"],
+)
+def test_streamed_file_equals_writing_an_in_memory_session(tmp_path, spec):
+    streamed, written = tmp_path / "streamed.mrt", tmp_path / "written.mrt"
+    raw = generate(spec, streamed)
+    write_raw_trace(generate(spec), written)
+    assert streamed.read_bytes() == written.read_bytes()
+    # The session returns a trace that reads the file it wrote.
+    assert raw._records is None
+    assert len(raw) == (streamed.stat().st_size - 16) // 40
+
+
+def test_session_streams_slot_0_while_recording_and_keeps_later_slots(tmp_path):
+    path = tmp_path / "t.mrt"
+    s = TraceSession(path)
+    m = s.new_map()
+    puts = tracer._FLUSH_BYTES // 40  # with the Create, just past one flush
+    for i in range(puts):
+        m.put(IntKey(i), i)
+    with s.thread(1):
+        other = s.new_map()
+        other.put(IntKey(1), 1)
+    m.get(IntKey(0))
+    # Slot 0 has flushed once, under the sentinel count; slot 1 has not.
+    data = path.read_bytes()
+    assert struct.unpack_from("<Q", data, 8) == (tracer._SENTINEL_COUNT,)
+    assert len(data) - 16 == tracer._FLUSH_BYTES + 40 - tracer._FLUSH_BYTES % 40
+    assert len(s._states[0].buffer) < tracer._FLUSH_BYTES
+    raw = s.close()
+    assert s.close() is raw
+    ops = raw.records["op"]
+    assert len(raw) == 1 + puts + 1 + 2
+    # Slot 0 in stream order, then slot 1's records.
+    assert ops[-3] == RawOpKind.GET and list(ops[-2:]) == [RawOpKind.CREATE, RawOpKind.PUT]
+    assert raw_trace_to_bytes(raw) == path.read_bytes()
+
+
+def test_workload_raising_mid_recording_leaves_a_truncated_file(tmp_path, monkeypatch):
+    from mapreplay import workloads
+
+    def failing(env, rng, scale):
+        m = env.new_map()
+        for i in range(3 * tracer._FLUSH_BYTES // 40):
+            m.put(IntKey(i), i)
+        raise RuntimeError("workload failed")
+
+    monkeypatch.setitem(workloads.WORKLOADS, "failing", failing)
+    path = tmp_path / "t.mrt"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(RuntimeError, match="workload failed"):
+            generate(WorkloadSpec("failing"), path)
+        gc.collect()
+    assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
+    assert path.stat().st_size > 16 + tracer._FLUSH_BYTES
+    with pytest.raises(TraceFormatError, match="missing end-marker") as err:
+        read_raw_trace(path)
+    assert err.value.offset == 8
+
+
+def test_session_left_by_an_exception_records_nothing_more(tmp_path):
+    path = tmp_path / "t.mrt"
+    with pytest.raises(RuntimeError):
+        with TraceSession(path) as s:
+            m = s.new_map()
+            raise RuntimeError
+    m.put(IntKey(1), 1)  # dropped
+    assert len(s._states[0].buffer) == 40
+    with pytest.raises(ValueError, match="abandoned"):
+        s.close()
+    assert not path.exists()  # the one record never reached a flush
+
+
 def test_raw_trace_wraps_only_raw_records():
     with pytest.raises(TypeError, match="RAW_DTYPE"):
         RawTrace([])
