@@ -16,6 +16,7 @@ from .bench import (
     compare_reports,
     format_speedup,
     pearson_r,
+    pipeline,
     read_report,
     run_bench,
 )
@@ -63,6 +64,6 @@ from .tracer import (
     read_raw_trace,
     write_raw_trace,
 )
-from .workloads import WORKLOADS, WorkloadSpec, generate, pipeline, run_direct
+from .workloads import WORKLOADS, WorkloadSpec, generate, run_direct
 
 __version__ = "0.1.0"

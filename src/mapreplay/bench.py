@@ -5,8 +5,9 @@ run_bench times repeated replays of one processed trace for a list of
 measured iterations, an iteration repeats the replay loop until the target
 duration elapses and reports the mean milliseconds per replay invocation.
 Each run gets a freshly spawned interpreter process by default, keeping
-runs independent; the per-variant sample set is the measured iterations
-pooled across runs.
+runs independent; each is sent the processed trace itself, not its bytes.
+The per-variant sample set is the measured iterations pooled across runs.
+`pipeline` records, distills and validates a workload for run_bench.
 
 Reported statistics follow the comparison methodology: percentile
 bootstrap confidence intervals (mean and difference of means), speedups as
@@ -27,10 +28,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, MapReplayError
-from .postproc import Characterization, ProcessedTrace, decode, to_bytes
-from .refmap import DEFAULT_CONFIG
+from .errors import ConfigError, FidelityError, MapReplayError
+from .postproc import Characterization, ProcessedTrace, process
+from .refmap import DEFAULT_CONFIG, RefMap
 from .replay import ConfigOverride, ReplaySession, get_implementation
+from .workloads import WorkloadSpec, generate
 
 REPORT_FORMAT = "mapreplay-bench-v1"
 
@@ -362,9 +364,9 @@ def _one_run(
     ]
 
 
-def _bench_worker(conn, trace_data: bytes, impl: str, dic: int, lf_milli: int, config) -> None:
+def _bench_worker(conn, trace: ProcessedTrace, impl: str, dic: int, lf_milli: int, config) -> None:
     try:
-        session = ReplaySession(decode(trace_data))
+        session = ReplaySession(trace)
         factory = get_implementation(impl)
         samples = _one_run(session, factory, ConfigOverride(dic, lf_milli), config)
         conn.send(("ok", samples))
@@ -374,11 +376,9 @@ def _bench_worker(conn, trace_data: bytes, impl: str, dic: int, lf_milli: int, c
         conn.close()
 
 
-def _spawned_run(ctx, data: bytes, impl: str, dic: int, lf_milli: int, config) -> list[float]:
+def _spawned_run(ctx, trace, impl: str, dic: int, lf_milli: int, config) -> list[float]:
     parent, child = ctx.Pipe(duplex=False)
-    proc = ctx.Process(
-        target=_bench_worker, args=(child, data, impl, dic, lf_milli, config)
-    )
+    proc = ctx.Process(target=_bench_worker, args=(child, trace, impl, dic, lf_milli, config))
     proc.start()
     child.close()
     try:
@@ -403,11 +403,11 @@ def _collect_all_samples(
 ) -> dict[int, list[float]]:
     """Measure every variant, one run at a time in round-robin order.
 
-    Spawned child processes give each run a fresh interpreter and decode
-    their own session. The in-process fallback replays `session` for every
-    variant (a replay only reads it) and interleaves variants across runs
-    so process warm-up drift spreads evenly instead of biasing later
-    variants.
+    Spawned child processes give each run a fresh interpreter and build
+    their own session from `session.trace`, which they are sent. The
+    in-process fallback replays `session` for every variant (a replay only
+    reads it) and interleaves variants across runs so process warm-up drift
+    spreads evenly instead of biasing later variants.
     """
     in_process = not config.use_processes
     if not in_process and any(not isinstance(impl, str) for _, impl, _ in measured):
@@ -435,10 +435,9 @@ def _collect_all_samples(
     import multiprocessing  # only spawning needs it: ~0.75 MB RSS on import
 
     ctx = multiprocessing.get_context("spawn")
-    data = to_bytes(session.trace)
     for _ in range(config.runs):
         for idx, impl, dic in measured:
-            samples[idx].extend(_spawned_run(ctx, data, impl, dic, lf_milli, config))
+            samples[idx].extend(_spawned_run(ctx, session.trace, impl, dic, lf_milli, config))
     return samples
 
 
@@ -510,6 +509,21 @@ def run_bench(
             )
             v.significant = not (v.diff_lo <= 0.0 <= v.diff_hi)
     return BenchReport(label, config, results)
+
+
+def pipeline(
+    spec: WorkloadSpec,
+    variants,
+    config: BenchConfig | None = None,
+    lf_milli: int = DEFAULT_CONFIG.load_factor_milli,
+) -> BenchReport:
+    """generate -> post-process -> validate against RefMap -> bench."""
+    trace = process(generate(spec))
+    try:
+        ReplaySession(trace).replay(RefMap, mode="validating")
+    except FidelityError as exc:
+        raise FidelityError(f"pipeline validation failed: {exc}") from exc
+    return run_bench(trace, variants, config, label=spec.name, lf_milli=lf_milli)
 
 
 # -- cross-report concordance analysis ---------------------------------------------

@@ -10,6 +10,7 @@ from .bench import (
     BenchConfig,
     classify,
     compare_reports,
+    pipeline,
     read_report,
     run_bench,
 )
@@ -18,7 +19,7 @@ from .postproc import decode, process, read_processed, stats, write_processed
 from .refmap import DEFAULT_INITIAL_CAPACITY, DEFAULT_LOAD_FACTOR_MILLI
 from .replay import MODES, ConfigOverride, ReplaySession, get_implementation
 from .tracer import read_raw_trace
-from .workloads import WORKLOADS, WorkloadSpec, generate, pipeline
+from .workloads import WORKLOADS, WorkloadSpec, generate
 
 
 def _human_size(n: int) -> str:

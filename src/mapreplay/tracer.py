@@ -370,24 +370,16 @@ class TraceSession:
         self,
         op: RawOpKind,
         map_id: int,
-        key_id: int | None = None,
-        hash32: int | None = None,
+        key_id: int = ABSENT_U64,
+        hash32: int = ABSENT_HASH,
         aux: int = 0,
-        outcome: int | None = None,
+        outcome: int = ABSENT_OUTCOME,
     ) -> None:
         if not self._recording:
             return
         state = self._state()
         buffer = state.buffer
-        buffer += _RECORD.pack(
-            state.slot,
-            op,
-            map_id,
-            ABSENT_U64 if key_id is None else key_id,
-            ABSENT_HASH if hash32 is None else hash32,
-            aux,
-            ABSENT_OUTCOME if outcome is None else outcome,
-        )
+        buffer += _RECORD.pack(state.slot, op, map_id, key_id, hash32, aux, outcome)
         if len(buffer) >= state.flush_at:
             self._flush()
 

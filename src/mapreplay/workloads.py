@@ -12,12 +12,13 @@ equivalence testing).
 
 A workload runs against an environment: a TraceSession records events,
 DirectEnv applies the same operations to plain RefMaps so final map states
-can be compared against replay. Both offer new_map, copy_map and thread.
-Each workload declares its params as keyword-only arguments with defaults;
-a spec naming any other param is rejected before a map is created.
-Identical seeds produce byte-identical raw traces; workload keys carry
-their own deterministic 32-bit hashes and never depend on Python's
-per-process string hashing.
+can be compared against replay. Both offer new_map, copy_map and thread;
+iterators are drained with `refmap.iterate`. Each workload declares its
+params as keyword-only arguments with defaults; a spec naming any other
+param, an empty key universe or more churn threads than maps is rejected
+before a map is created. Identical seeds produce byte-identical raw traces;
+workload keys carry their own deterministic 32-bit hashes and never depend
+on Python's per-process string hashing. `bench.pipeline` benches a workload.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterator
 
-from .errors import ConfigError, FidelityError
-from .refmap import DEFAULT_CONFIG, MapConfig, RefMap, View, to_signed32
+from .errors import ConfigError
+from .refmap import DEFAULT_CONFIG, MapConfig, RefMap, View, iterate, to_signed32
 from .tracer import RawTrace, TraceSession
 
 
@@ -135,13 +136,6 @@ class DirectEnv:
 # -- workload bodies ------------------------------------------------------------
 
 
-def _drain(iterator) -> int:
-    n = 0
-    while iterator.advance() is not None:
-        n += 1
-    return n
-
-
 def _wl_wordfreq(env, rng: random.Random, scale: int) -> None:
     counts = env.new_map()
     for _ in range(scale):
@@ -149,10 +143,17 @@ def _wl_wordfreq(env, rng: random.Random, scale: int) -> None:
             k = WordKey(token)
             seen = counts.get(k)
             counts.put(k, seen + 1 if seen else 1)
-    _drain(counts.iterator(View.ENTRIES))
+    iterate(counts)
+
+
+def _check_universe(workload: str, universe: int) -> None:
+    # Keys are drawn by randrange(universe), which fails on an empty range.
+    if universe < 1:
+        raise ConfigError(f"workload {workload!r} needs universe >= 1, not {universe}")
 
 
 def _wl_dedupe(env, rng: random.Random, scale: int, *, universe=4000, ops=30000) -> None:
+    _check_universe("dedupe", universe)
     seen = env.new_map()
     for _ in range(ops * scale):
         k = IntKey(rng.randrange(universe))
@@ -181,6 +182,8 @@ def _churn_one(m, map_index: int, cycles: int, rng: random.Random) -> None:
 
 
 def _wl_churn(env, rng: random.Random, scale: int, *, maps=8, cycles=30, threads=1) -> None:
+    if threads > maps:  # a thread past the maps would churn nothing
+        raise ConfigError(f"workload 'churn' needs threads <= maps, got {threads} > {maps}")
     cycles *= scale
     # Maps are created on the driving thread so ids stay deterministic even
     # in the two-thread mode; workers only mutate their own disjoint maps.
@@ -213,7 +216,7 @@ def _wl_scan(env, rng: random.Random, scale: int, *, maps=1000, entries=8, passe
         for j in range(entries):
             m.put(IntKey((mi << 8) | j), j)
         for p in range(passes):
-            _drain(m.iterator(views[p % 3]))
+            iterate(m, views[p % 3])
 
 
 def _wl_populate_copy(env, rng: random.Random, scale: int, *, rounds=150) -> None:
@@ -229,7 +232,7 @@ def _wl_populate_copy(env, rng: random.Random, scale: int, *, rounds=150) -> Non
             c.get(IntKey(base | j))
         c.get(IntKey(base | 4095))  # recorded miss
         if r % 4 == 0:
-            _drain(c.iterator(View.KEYS))
+            iterate(c, View.KEYS)
 
 
 def _wl_mixed(env, rng: random.Random, scale: int, *, rounds=120) -> None:
@@ -247,13 +250,14 @@ def _wl_mixed(env, rng: random.Random, scale: int, *, rounds=120) -> None:
             for j in range(24):
                 standing.contains_key(IntKey(j if j % 2 == 0 else 4000 + r + j))
         elif family == 2:  # iterate
-            _drain(standing.iterator(View.ENTRIES))
+            iterate(standing)
         else:  # copy
             c = env.copy_map(standing)
             c.get(IntKey(r % 40))
 
 
 def _wl_random(env, rng: random.Random, scale: int, *, ops=200, universe=48, collide=4) -> None:
+    _check_universe("random", universe)
     n_ops = ops * scale
 
     def key(ident: int) -> IntKey:
@@ -356,25 +360,3 @@ def run_direct(spec: WorkloadSpec) -> list[int]:
     env = DirectEnv()
     _run(spec, env)
     return [m.state_digest() for m in env.maps]
-
-
-def pipeline(
-    spec: WorkloadSpec,
-    variants,
-    config=None,
-    lf_milli: int = DEFAULT_CONFIG.load_factor_milli,
-):
-    """generate -> post-process -> validate against RefMap -> bench."""
-    from .bench import BenchConfig, run_bench
-    from .postproc import process
-    from .replay import ReplaySession
-
-    trace = process(generate(spec))
-    session = ReplaySession(trace)
-    try:
-        session.replay(RefMap, mode="validating")
-    except FidelityError as exc:
-        raise FidelityError(f"pipeline validation failed: {exc}") from exc
-    return run_bench(
-        trace, variants, config or BenchConfig(), label=spec.name, lf_milli=lf_milli
-    )

@@ -324,6 +324,22 @@ def test_run_bench_spawned_processes():
         assert all(s > 0 for s in v.samples)
 
 
+def test_run_bench_sends_children_the_trace_not_its_bytes(monkeypatch):
+    # A spawned child builds its session from the ProcessedTrace it is sent,
+    # so the parent encodes nothing for it.
+    from mapreplay import bench, postproc
+
+    def no_encode(trace):
+        raise AssertionError("run_bench encoded the trace for its children")
+
+    monkeypatch.setattr(postproc, "to_bytes", no_encode)
+    monkeypatch.setattr(bench, "to_bytes", no_encode, raising=False)
+    cfg = BenchConfig(runs=1, warmup_iters=0, measured_iters=2,
+                      iter_duration=0.003, use_processes=True)
+    report = run_bench(tiny_trace(), [("refmap", 16)], cfg, label="handoff")
+    assert len(report.variants[0].samples) == 2
+
+
 def test_run_bench_custom_adapter_falls_back_in_process():
     trace = tiny_trace()
     cfg = BenchConfig(runs=1, warmup_iters=0, measured_iters=2,

@@ -121,6 +121,15 @@ def test_trace_rejects_unknown_param_and_writes_nothing(tmp_path, capsys):
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("name", ["dedupe", "random"])
+def test_trace_rejects_an_empty_key_universe_and_writes_nothing(tmp_path, capsys, name):
+    out_file = tmp_path / "x.mrt"
+    code, _, err = run(capsys, "trace", name, "-o", str(out_file), "--param", "universe=0")
+    assert code == 2
+    assert f"mapreplay trace: workload '{name}' needs universe >= 1, not 0" in err
+    assert not out_file.exists()
+
+
 def test_replay_bad_key_index_is_a_trace_error(tmp_path, capsys, trace_of_words):
     create = int(RawOpKind.CREATE) | (750 << 9) | (1 << 19)
     bad = tmp_path / "bad-key.mpt"

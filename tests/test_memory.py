@@ -96,7 +96,7 @@ def test_generate_to_a_file_holds_a_fraction_of_it(tmp_path, name, bound):
     [("wordfreq", 1, 0.6), ("scan", 1, 0.9), ("churn", 2, 0.65)],
     ids=["wordfreq", "scan", "churn"],
 )
-def test_process_peak_is_at_most_1_4_times_the_raw_trace(tmp_path, name, scale, bound):
+def test_process_peak_is_a_fraction_of_the_raw_trace(tmp_path, name, scale, bound):
     # process() ranks a file-backed trace's records straight from the file,
     # a block at a time, into one int32 row buffer, 12 bytes an event plus
     # room for the frees, beside small per-object tables, and edits the

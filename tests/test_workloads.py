@@ -1,12 +1,14 @@
 """Workload generators: determinism, operation mixes, directional trends."""
 
 import os
+import random
 import subprocess
 import sys
+import threading
 
 import pytest
 
-from mapreplay.bench import BenchConfig
+from mapreplay.bench import BenchConfig, pipeline
 from mapreplay.errors import ConfigError, FidelityError
 from mapreplay.postproc import process, sanitize, stats
 from mapreplay.refmap import RefMap
@@ -14,10 +16,10 @@ from mapreplay.replay import ConfigOverride, ReplaySession
 from mapreplay.tracer import RawOpKind, raw_trace_to_bytes
 from mapreplay.workloads import (
     WORKLOADS,
+    DirectEnv,
     WorkloadSpec,
     corpus_tokens,
     generate,
-    pipeline,
     run_direct,
 )
 
@@ -83,6 +85,37 @@ def test_unknown_param_is_rejected_with_known_names(run):
 def test_unknown_param_is_rejected_even_at_scale_zero():
     with pytest.raises(ConfigError, match="'ops'"):
         generate(WorkloadSpec("wordfreq", seed=1, scale=0, params={"ops": 5}))
+
+
+@pytest.mark.parametrize("universe", [0, -3])
+@pytest.mark.parametrize("name", ["dedupe", "random"])
+def test_empty_key_universe_is_a_config_error_and_writes_nothing(tmp_path, name, universe):
+    # Keys are drawn from range(universe), so an empty one is refused before
+    # the first map is recorded.
+    path = tmp_path / "x.mrt"
+    spec = WorkloadSpec(name, seed=1, params={"universe": universe})
+    with pytest.raises(ConfigError, match=f"workload '{name}' needs universe >= 1, not {universe}"):
+        generate(spec, path)
+    assert not path.exists()
+
+
+def test_churn_refuses_more_threads_than_maps_before_any_map_or_thread(monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a worker thread was built")
+
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    env = DirectEnv()
+    with pytest.raises(ConfigError, match="needs threads <= maps, got 3 > 2"):
+        WORKLOADS["churn"](env, random.Random(1), 1, maps=2, cycles=1, threads=3)
+    assert env.maps == []
+    with pytest.raises(ConfigError, match="threads <= maps, got 3 > 2"):
+        generate(WorkloadSpec("churn", seed=1, params={"maps": 2, "threads": 3}))
+
+
+def test_churn_accepts_one_thread_per_map():
+    spec = WorkloadSpec("churn", seed=1, params={"maps": 2, "cycles": 1, "threads": 2})
+    slots = {int(t) for block in generate(spec).blocks(4096) for t in block["thread_id"]}
+    assert slots == {0, 1, 2}  # creates on the main slot, work on two workers
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
