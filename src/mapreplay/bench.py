@@ -189,6 +189,49 @@ class VariantResult:
         return "+" if self.speedup >= 1.0 else "-"
 
 
+def _parse_bool(text: str) -> bool:
+    if text not in ("0", "1"):
+        raise ValueError(text)
+    return text == "1"
+
+
+# How a report writes and reads a value of each type: (format, parse).
+_TEXT = {
+    str: (str, str),
+    int: (str, int),
+    float: (repr, float),
+    bool: (lambda b: str(int(b)), _parse_bool),
+    list: (lambda xs: ",".join(map(repr, xs)), lambda s: [float(x) for x in s.split(",") if x]),
+}
+
+# The report's keys in file order, as (key, attribute, type): the config,
+# then per variant its identity and either the error that excluded it or
+# its statistics.
+_REPORT_KEYS = {
+    "config": (
+        ("runs", "runs", int), ("warmup_iters", "warmup_iters", int),
+        ("measured_iters", "measured_iters", int), ("iter_duration", "iter_duration", float),
+        ("seed", "seed", int), ("level", "level", float), ("resamples", "resamples", int),
+    ),
+    "variant": (
+        ("label", "label", str), ("impl", "impl", str), ("dic", "dic", int),
+        ("lf", "lf_milli", int), ("excluded", "excluded", bool),
+    ),
+    "excluded": (("error", "error", str),),
+    "measured": (
+        ("mean_ms", "mean", float), ("half_width_ms", "half_width", float),
+        ("speedup", "speedup", float), ("diff_lo", "diff_lo", float),
+        ("diff_hi", "diff_hi", float), ("significant", "significant", bool),
+        ("samples", "samples", list),
+    ),
+}
+
+
+def _key_lines(obj, prefix: str, section: str) -> list[str]:
+    return [f"{prefix}.{key}={_TEXT[kind][0](getattr(obj, attr))}"
+            for key, attr, kind in _REPORT_KEYS[section]]
+
+
 @dataclass(slots=True)
 class BenchReport:
     label: str
@@ -212,47 +255,18 @@ class BenchReport:
             if i == 0:
                 lines.append(f"{v.label:<22} {cell:>18} {'':>9} {'baseline':>12}")
             else:
-                lines.append(
-                    f"{v.label:<22} {cell:>18} {f'({v.speedup:.2f}x)':>9} "
-                    f"{'yes' if v.significant else 'no':>12}"
-                )
+                speedup = f"({format_speedup(self.baseline.mean, v.mean)})"
+                lines.append(f"{v.label:<22} {cell:>18} {speedup:>9} "
+                             f"{'yes' if v.significant else 'no':>12}")
         return "\n".join(lines)
 
     # line-oriented key=value records
     def to_lines(self) -> list[str]:
-        lines = [
-            f"format={REPORT_FORMAT}",
-            f"label={self.label}",
-            f"baseline={self.baseline.label}",
-            f"config.runs={self.config.runs}",
-            f"config.warmup_iters={self.config.warmup_iters}",
-            f"config.measured_iters={self.config.measured_iters}",
-            f"config.iter_duration={self.config.iter_duration!r}",
-            f"config.seed={self.config.seed}",
-            f"config.level={self.config.level!r}",
-            f"config.resamples={self.config.resamples}",
-        ]
+        lines = [f"format={REPORT_FORMAT}", f"label={self.label}",
+                 f"baseline={self.baseline.label}", *_key_lines(self.config, "config", "config")]
         for i, v in enumerate(self.variants):
-            p = f"variant.{i}"
-            lines += [
-                f"{p}.label={v.label}",
-                f"{p}.impl={v.impl}",
-                f"{p}.dic={v.dic}",
-                f"{p}.lf={v.lf_milli}",
-                f"{p}.excluded={int(v.excluded)}",
-            ]
-            if v.excluded:
-                lines.append(f"{p}.error={v.error}")
-                continue
-            lines += [
-                f"{p}.mean_ms={v.mean!r}",
-                f"{p}.half_width_ms={v.half_width!r}",
-                f"{p}.speedup={v.speedup!r}",
-                f"{p}.diff_lo={v.diff_lo!r}",
-                f"{p}.diff_hi={v.diff_hi!r}",
-                f"{p}.significant={int(v.significant)}",
-                f"{p}.samples={','.join(repr(s) for s in v.samples)}",
-            ]
+            lines += _key_lines(v, f"variant.{i}", "variant")
+            lines += _key_lines(v, f"variant.{i}", "excluded" if v.excluded else "measured")
         return lines
 
     def write(self, path: str | Path) -> None:
@@ -276,51 +290,57 @@ def read_report(path: str | Path) -> BenchReport:
     if kv.get("format") != REPORT_FORMAT:
         raise MapReplayError(f"not a {REPORT_FORMAT} report: {path}")
 
-    def get(key: str, parse=str):
-        try:
-            return parse(kv[key])
-        except KeyError:
-            raise MapReplayError(f"report {path}: missing {key}") from None
-        except ValueError:
-            raise MapReplayError(f"report {path}: bad {key}={kv[key]!r}") from None
+    def read(prefix: str, section: str) -> dict:
+        fields = {}
+        for key, attr, kind in _REPORT_KEYS[section]:
+            name = f"{prefix}.{key}"
+            try:
+                fields[attr] = _TEXT[kind][1](kv[name])
+            except KeyError:
+                raise MapReplayError(f"report {path}: missing {name}") from None
+            except ValueError:
+                raise MapReplayError(f"report {path}: bad {name}={kv[name]!r}") from None
+        return fields
 
-    config = BenchConfig(
-        runs=get("config.runs", int),
-        warmup_iters=get("config.warmup_iters", int),
-        measured_iters=get("config.measured_iters", int),
-        iter_duration=get("config.iter_duration", float),
-        seed=get("config.seed", int),
-        level=get("config.level", float),
-        resamples=get("config.resamples", int),
-    )
+    try:
+        config = BenchConfig(**read("config", "config"))
+    except ConfigError as exc:
+        raise ConfigError(f"report {path}: {exc}") from None
     variants = []
-    i = 0
-    while f"variant.{i}.label" in kv:
-        p = f"variant.{i}"
-        v = VariantResult(
-            label=get(f"{p}.label"),
-            impl=get(f"{p}.impl"),
-            dic=get(f"{p}.dic", int),
-            lf_milli=get(f"{p}.lf", int),
-            excluded=bool(get(f"{p}.excluded", int)),
-        )
-        if v.excluded:
-            v.error = kv.get(f"{p}.error", "")
-        else:
-            v.samples = get(f"{p}.samples", _parse_samples)
-            v.mean = get(f"{p}.mean_ms", float)
-            v.half_width = get(f"{p}.half_width_ms", float)
-            v.speedup = get(f"{p}.speedup", float)
-            v.diff_lo = get(f"{p}.diff_lo", float)
-            v.diff_hi = get(f"{p}.diff_hi", float)
-            v.significant = bool(get(f"{p}.significant", int))
-        variants.append(v)
-        i += 1
+    while f"variant.{len(variants)}.label" in kv:
+        p = f"variant.{len(variants)}"
+        fields = read(p, "variant")
+        fields.update(read(p, "excluded" if fields["excluded"] else "measured"))
+        variants.append(VariantResult(**fields))
     return BenchReport(kv.get("label", "trace"), config, variants)
 
 
-def _parse_samples(text: str) -> list[float]:
-    return [float(s) for s in text.split(",") if s]
+@dataclass(frozen=True, slots=True)
+class _Variant:
+    """One (implementation, initial capacity) pair, resolved for timing."""
+
+    label: str
+    impl: str  # the registry name, or the adapter class's __name__
+    factory: type
+    override: ConfigOverride
+    registered: bool  # only a registry adapter can be sent to a child process
+
+
+def _resolve(variants: Sequence[tuple], lf_milli: int) -> list[_Variant]:
+    """Resolve each (implementation, initial capacity) pair once. A
+    capacity or load factor that no map accepts raises MapConfig's
+    ConfigError here, before anything is replayed."""
+    if not variants:
+        raise ConfigError("need at least one variant")
+    resolved = []
+    for impl, dic in variants:
+        registered = isinstance(impl, str)
+        name = impl if registered else getattr(impl, "__name__", "custom")
+        override = ConfigOverride(dic, lf_milli)
+        override.config()
+        factory = get_implementation(impl) if registered else impl
+        resolved.append(_Variant(f"{name}:dic{dic}", name, factory, override, registered))
+    return resolved
 
 
 def _iteration(
@@ -350,35 +370,25 @@ def _iteration(
     return total / invocations * 1000.0
 
 
-def _one_run(
-    session: ReplaySession,
-    factory: type,
-    override: ConfigOverride | None,
-    config: BenchConfig,
-) -> list[float]:
-    for _ in range(config.warmup_iters):
-        _iteration(session, factory, override, config.iter_duration)
-    return [
-        _iteration(session, factory, override, config.iter_duration)
-        for _ in range(config.measured_iters)
-    ]
+def _one_run(session: ReplaySession, variant: _Variant, config: BenchConfig) -> list[float]:
+    """One run's samples: its iterations after the warmup ones."""
+    times = [_iteration(session, variant.factory, variant.override, config.iter_duration)
+             for _ in range(config.warmup_iters + config.measured_iters)]
+    return times[config.warmup_iters:]
 
 
-def _bench_worker(conn, trace: ProcessedTrace, impl: str, dic: int, lf_milli: int, config) -> None:
+def _bench_worker(conn, trace: ProcessedTrace, variant: _Variant, config) -> None:
     try:
-        session = ReplaySession(trace)
-        factory = get_implementation(impl)
-        samples = _one_run(session, factory, ConfigOverride(dic, lf_milli), config)
-        conn.send(("ok", samples))
+        conn.send(("ok", _one_run(ReplaySession(trace), variant, config)))
     except Exception as exc:  # surfaced in the parent
         conn.send(("err", f"{type(exc).__name__}: {exc}"))
     finally:
         conn.close()
 
 
-def _spawned_run(ctx, trace, impl: str, dic: int, lf_milli: int, config) -> list[float]:
+def _spawned_run(ctx, trace, variant: _Variant, config) -> list[float]:
     parent, child = ctx.Pipe(duplex=False)
-    proc = ctx.Process(target=_bench_worker, args=(child, trace, impl, dic, lf_milli, config))
+    proc = ctx.Process(target=_bench_worker, args=(child, trace, variant, config))
     proc.start()
     child.close()
     try:
@@ -396,11 +406,8 @@ def _spawned_run(ctx, trace, impl: str, dic: int, lf_milli: int, config) -> list
 
 
 def _collect_all_samples(
-    session: ReplaySession,
-    measured: list[tuple[int, object, int]],  # (result index, impl, dic)
-    lf_milli: int,
-    config: BenchConfig,
-) -> dict[int, list[float]]:
+    session: ReplaySession, variants: list[_Variant], config: BenchConfig
+) -> list[list[float]]:
     """Measure every variant, one run at a time in round-robin order.
 
     Spawned child processes give each run a fresh interpreter and build
@@ -410,34 +417,27 @@ def _collect_all_samples(
     spreads evenly instead of biasing later variants.
     """
     in_process = not config.use_processes
-    if not in_process and any(not isinstance(impl, str) for _, impl, _ in measured):
+    if not in_process and not all(v.registered for v in variants):
         warnings.warn(
             "non-registry adapter cannot be sent to a child process; "
             "falling back to in-process runs"
         )
         in_process = True
 
-    samples: dict[int, list[float]] = {idx: [] for idx, _, _ in measured}
     if in_process:
-        runners = {}
-        for idx, impl, dic in measured:
-            factory = get_implementation(impl) if isinstance(impl, str) else impl
-            runners[idx] = (factory, ConfigOverride(dic, lf_milli))
         # One unmeasured replay per variant absorbs cold-start costs that a
         # fresh child process would otherwise isolate.
-        for factory, override in runners.values():
-            session.replay(factory, "timing", override)
-        for _ in range(config.runs):
-            for idx, (factory, override) in runners.items():
-                samples[idx].extend(_one_run(session, factory, override, config))
-        return samples
+        for v in variants:
+            session.replay(v.factory, "timing", v.override)
+    else:
+        import multiprocessing  # only spawning needs it: ~0.75 MB RSS on import
 
-    import multiprocessing  # only spawning needs it: ~0.75 MB RSS on import
-
-    ctx = multiprocessing.get_context("spawn")
+        ctx = multiprocessing.get_context("spawn")
+    samples: list[list[float]] = [[] for _ in variants]
     for _ in range(config.runs):
-        for idx, impl, dic in measured:
-            samples[idx].extend(_spawned_run(ctx, session.trace, impl, dic, lf_milli, config))
+        for v, out in zip(variants, samples):
+            out.extend(_one_run(session, v, config) if in_process
+                       else _spawned_run(ctx, session.trace, v, config))
     return samples
 
 
@@ -454,39 +454,41 @@ def run_bench(
     Each variant is validation-checked first; a variant whose replay
     outcomes diverge from the recorded ones is excluded and flagged.
     """
+    return _bench(trace, _resolve(variants, lf_milli), config, label)
+
+
+def _bench(
+    trace: ProcessedTrace, variants: list[_Variant], config: BenchConfig | None, label: str
+) -> BenchReport:
     if config is None:
         config = BenchConfig()
-    if not variants:
-        raise ConfigError("need at least one variant")
-
     session = ReplaySession(trace)
     results: list[VariantResult] = []
-    measured: list[tuple[int, object, int]] = []
+    measured: list[tuple[VariantResult, _Variant]] = []
     validated: set[str] = set()
-    for impl, dic in variants:
-        impl_name = impl if isinstance(impl, str) else getattr(impl, "__name__", "custom")
-        v = VariantResult(label=f"{impl_name}:dic{dic}", impl=impl_name, dic=dic, lf_milli=lf_milli)
-        factory = get_implementation(impl) if isinstance(impl, str) else impl
-        if impl_name not in validated:
+    for variant in variants:
+        v = VariantResult(variant.label, variant.impl, variant.override.dic,
+                          variant.override.lf_milli)
+        results.append(v)
+        if variant.impl not in validated:
             # Fidelity is checked under the recorded configurations: with a
             # capacity override, iterator-removes may legitimately pick
             # different victims (iteration order depends on capacity), which
             # is divergence of the workload, not of the adapter.
             try:
-                session.replay(factory, "validating")
-                validated.add(impl_name)
+                session.replay(variant.factory, "validating")
+                validated.add(variant.impl)
             except MapReplayError as exc:
-                if not results:
+                if v is results[0]:
                     raise MapReplayError(f"baseline variant failed validation: {exc}") from exc
                 v.excluded = True
                 v.error = str(exc)
-                results.append(v)
                 continue
-        measured.append((len(results), impl, dic))
-        results.append(v)
+        measured.append((v, variant))
 
-    for idx, samples in _collect_all_samples(session, measured, lf_milli, config).items():
-        results[idx].samples = samples
+    all_samples = _collect_all_samples(session, [variant for _, variant in measured], config)
+    for (v, _), samples in zip(measured, all_samples):
+        v.samples = samples
 
     # Bootstrap seeds are derived per variant index so a report is a pure
     # function of (trace, variants, config).
@@ -499,11 +501,8 @@ def run_bench(
             v.samples, config.level, config.resamples, config.seed + 101 + i
         )
         v.half_width = (hi - lo) / 2.0
-        v.speedup = base.mean / v.mean
-        if i == 0:
-            v.speedup = 1.0
-            v.significant = False
-        else:
+        v.speedup = base.mean / v.mean if i else 1.0
+        if i:
             v.diff_lo, v.diff_hi = bootstrap_ci_diff(
                 base.samples, v.samples, config.level, config.resamples, config.seed + 501 + i
             )
@@ -518,12 +517,13 @@ def pipeline(
     lf_milli: int = DEFAULT_CONFIG.load_factor_milli,
 ) -> BenchReport:
     """generate -> post-process -> validate against RefMap -> bench."""
+    resolved = _resolve(variants, lf_milli)  # fails before anything is recorded
     trace = process(generate(spec))
     try:
         ReplaySession(trace).replay(RefMap, mode="validating")
     except FidelityError as exc:
         raise FidelityError(f"pipeline validation failed: {exc}") from exc
-    return run_bench(trace, variants, config, label=spec.name, lf_milli=lf_milli)
+    return _bench(trace, resolved, config, spec.name)
 
 
 # -- cross-report concordance analysis ---------------------------------------------
@@ -564,7 +564,7 @@ class CompareResult:
 def _symbol(v: VariantResult) -> str:
     if v.significant:
         return "⊕" if v.speedup > 1.0 else "⊖"
-    return "+" if v.speedup >= 1.0 else "-"
+    return v.direction
 
 
 def compare_reports(report_a: BenchReport, report_b: BenchReport) -> CompareResult:
@@ -582,13 +582,10 @@ def compare_reports(report_a: BenchReport, report_b: BenchReport) -> CompareResu
         if va.excluded or vb is None:
             continue
         sa, sb = _symbol(va), _symbol(vb)
-        same_dir = (va.speedup >= 1.0) == (vb.speedup >= 1.0)
+        same_dir = va.direction == vb.direction
         if same_dir:
             concordant += 1
-            if va.significant and vb.significant:
-                overlap = sa
-            else:
-                overlap = "+" if va.speedup >= 1.0 else "-"
+            overlap = sa if va.significant and vb.significant else va.direction
         else:
             overlap = f"{sa}|{sb}"
         comparisons.append(Comparison(va.label, sa, sb, overlap, same_dir))

@@ -46,11 +46,11 @@ def _parse_params(pairs: list[str]) -> dict[str, int]:
     return params
 
 
-def _parse_dic_list(text: str) -> list[int]:
+def _variants(args) -> list[tuple[str, int]]:
     try:
-        return [int(x) for x in text.split(",") if x]
+        return [(args.impl, int(x)) for x in args.dic.split(",") if x]
     except ValueError:
-        raise MapReplayError(f"bad --dic list {text!r}; expected e.g. 16,32,64") from None
+        raise MapReplayError(f"bad --dic list {args.dic!r}; expected e.g. 16,32,64") from None
 
 
 def _cmd_trace(args) -> int:
@@ -121,15 +121,17 @@ def _bench_config(args, seed: int) -> BenchConfig:
     )
 
 
-def _cmd_bench(args) -> int:
-    trace = read_processed(args.processed)
-    variants = [(args.impl, dic) for dic in _parse_dic_list(args.dic)]
-    report = run_bench(trace, variants, _bench_config(args, args.seed),
-                       label=args.processed, lf_milli=args.lf)
+def _print_report(report, output: str | None) -> int:
     print(report.render())
-    if args.output:
-        report.write(args.output)
+    if output:
+        report.write(output)
     return 0
+
+
+def _cmd_bench(args) -> int:
+    report = run_bench(read_processed(args.processed), _variants(args),
+                       _bench_config(args, args.seed), label=args.processed, lf_milli=args.lf)
+    return _print_report(report, args.output)
 
 
 def _cmd_compare(args) -> int:
@@ -140,12 +142,9 @@ def _cmd_compare(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     spec = WorkloadSpec(args.workload, args.seed, args.scale, _parse_params(args.param))
-    variants = [(args.impl, dic) for dic in _parse_dic_list(args.dic)]
-    report = pipeline(spec, variants, _bench_config(args, args.bench_seed), lf_milli=args.lf)
-    print(report.render())
-    if args.output:
-        report.write(args.output)
-    return 0
+    report = pipeline(spec, _variants(args), _bench_config(args, args.bench_seed),
+                      lf_milli=args.lf)
+    return _print_report(report, args.output)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -210,6 +210,10 @@ def _wl_churn(env, rng: random.Random, scale: int, *, maps=8, cycles=30, threads
 
 
 def _wl_scan(env, rng: random.Random, scale: int, *, maps=1000, entries=8, passes=4) -> None:
+    # A key is (map index << 8) | entry index: entry 256 of one map would
+    # be entry 0 of the next.
+    if entries > 256:
+        raise ConfigError(f"workload 'scan' needs entries <= 256, not {entries}")
     views = (View.ENTRIES, View.KEYS, View.VALUES)
     for mi in range(maps * scale):
         m = env.new_map()

@@ -371,20 +371,90 @@ def test_run_bench_builds_one_replay_session(monkeypatch):
 # -- report files ----------------------------------------------------------------------
 
 
+def _hand_built_report():
+    # A baseline with no difference interval, a measured variant whose floats
+    # have long reprs, and a variant excluded by validation.
+    config = BenchConfig(runs=2, warmup_iters=1, measured_iters=2, iter_duration=0.004,
+                         seed=7, level=0.95, resamples=1000)
+    return BenchReport("pin", config, [
+        VariantResult("refmap:dic16", "refmap", 16, 750, samples=[0.25, 0.5, 0.75, 1.0],
+                      mean=0.625, half_width=0.125, speedup=1.0),
+        VariantResult("refmap:dic64", "refmap", 64, 500, samples=[0.1 + 0.2, 1 / 3, 2 / 3, 0.1],
+                      mean=0.35833333333333334, half_width=1 / 7, speedup=1.744186046511628,
+                      diff_lo=-0.012345678901234568, diff_hi=0.5555555555555556,
+                      significant=True),
+        VariantResult("Broken:dic16", "Broken", 16, 750, excluded=True,
+                      error="op 3: get outcome 0, recorded 1"),
+    ])
+
+
+def test_report_lines_are_pinned():
+    assert _hand_built_report().to_lines() == [
+        "format=mapreplay-bench-v1",
+        "label=pin",
+        "baseline=refmap:dic16",
+        "config.runs=2",
+        "config.warmup_iters=1",
+        "config.measured_iters=2",
+        "config.iter_duration=0.004",
+        "config.seed=7",
+        "config.level=0.95",
+        "config.resamples=1000",
+        "variant.0.label=refmap:dic16",
+        "variant.0.impl=refmap",
+        "variant.0.dic=16",
+        "variant.0.lf=750",
+        "variant.0.excluded=0",
+        "variant.0.mean_ms=0.625",
+        "variant.0.half_width_ms=0.125",
+        "variant.0.speedup=1.0",
+        "variant.0.diff_lo=nan",
+        "variant.0.diff_hi=nan",
+        "variant.0.significant=0",
+        "variant.0.samples=0.25,0.5,0.75,1.0",
+        "variant.1.label=refmap:dic64",
+        "variant.1.impl=refmap",
+        "variant.1.dic=64",
+        "variant.1.lf=500",
+        "variant.1.excluded=0",
+        "variant.1.mean_ms=0.35833333333333334",
+        "variant.1.half_width_ms=0.14285714285714285",
+        "variant.1.speedup=1.744186046511628",
+        "variant.1.diff_lo=-0.012345678901234568",
+        "variant.1.diff_hi=0.5555555555555556",
+        "variant.1.significant=1",
+        "variant.1.samples=0.30000000000000004,0.3333333333333333,0.6666666666666666,0.1",
+        "variant.2.label=Broken:dic16",
+        "variant.2.impl=Broken",
+        "variant.2.dic=16",
+        "variant.2.lf=750",
+        "variant.2.excluded=1",
+        "variant.2.error=op 3: get outcome 0, recorded 1",
+    ]
+
+
+def _written_fields(report):
+    # Every value a report file holds; floats by repr, so a nan equals a nan.
+    c = report.config
+    fields = [report.label, c.runs, c.warmup_iters, c.measured_iters, repr(c.iter_duration),
+              c.seed, repr(c.level), c.resamples]
+    for v in report.variants:
+        fields.append((v.label, v.impl, v.dic, v.lf_milli, v.excluded))
+        if v.excluded:
+            fields.append(v.error)
+        else:
+            fields.append([repr(x) for x in (v.mean, v.half_width, v.speedup, v.diff_lo,
+                                             v.diff_hi, *v.samples)] + [v.significant])
+    return fields
+
+
 def test_report_round_trip(tmp_path):
     trace = tiny_trace()
-    report = run_bench(trace, [("refmap", 16), ("refmap", 64)], FAST, label="rt")
-    path = tmp_path / "report.txt"
-    report.write(path)
-    again = read_report(path)
-    assert again.label == report.label
-    for v, w in zip(report.variants, again.variants):
-        assert (v.label, v.impl, v.dic, v.lf_milli) == (w.label, w.impl, w.dic, w.lf_milli)
-        assert v.samples == w.samples
-        assert v.mean == w.mean
-        assert v.half_width == w.half_width
-        assert v.speedup == w.speedup
-        assert v.significant == w.significant
+    measured = run_bench(trace, [("refmap", 16), ("refmap", 64)], FAST, label="rt")
+    for report in (measured, _hand_built_report()):
+        path = tmp_path / "report.txt"
+        report.write(path)
+        assert _written_fields(read_report(path)) == _written_fields(report)
 
 
 def test_report_render_layout():

@@ -130,6 +130,14 @@ def test_trace_rejects_an_empty_key_universe_and_writes_nothing(tmp_path, capsys
     assert not out_file.exists()
 
 
+def test_trace_rejects_scan_entries_past_its_key_packing_and_writes_nothing(tmp_path, capsys):
+    out_file = tmp_path / "x.mrt"
+    code, _, err = run(capsys, "trace", "scan", "-o", str(out_file), "--param", "entries=257")
+    assert code == 2
+    assert err == "mapreplay trace: workload 'scan' needs entries <= 256, not 257\n"
+    assert not out_file.exists()
+
+
 def test_replay_bad_key_index_is_a_trace_error(tmp_path, capsys, trace_of_words):
     create = int(RawOpKind.CREATE) | (750 << 9) | (1 << 19)
     bad = tmp_path / "bad-key.mpt"
@@ -185,6 +193,44 @@ def test_bench_rejects_unbounded_or_negative_iterations(flag, value, field, tmp_
     assert f"mapreplay bench: {field}" in err
 
 
+@pytest.mark.parametrize("flag, value, fault", [
+    ("--lf", "0", "load factor must be in (0, 1] thousandths, got 0"),
+    ("--dic", "16,0", "initial capacity must be in [1, 2^31-1], got 0"),
+], ids=["lf", "dic"])
+def test_bench_rejects_a_bad_override_before_replaying(flag, value, fault, tmp_path, capsys,
+                                                       monkeypatch, trace_of_words):
+    # Runs are spawned (no --in-process): the error is the parent's own,
+    # raised before validation replays anything or a child starts.
+    from mapreplay import bench
+
+    def no_session(trace):
+        raise AssertionError("bench replayed before checking its variants")
+
+    mpt = tmp_path / "t.mpt"
+    write_processed(trace_of_words([int(RawOpKind.CREATE) | (750 << 9) | (1 << 19), 0, 16]), mpt)
+    monkeypatch.setattr(bench, "ReplaySession", no_session)
+    code, _, err = run(capsys, "bench", str(mpt), "--runs", "1", "--iters", "2", flag, value)
+    assert code == 2
+    assert err == f"mapreplay bench: {fault}\n"
+
+
+@pytest.mark.parametrize("flag, value, fault", [
+    ("--lf", "2000", "load factor must be in (0, 1] thousandths, got 2000"),
+    ("--dic", "16,0", "initial capacity must be in [1, 2^31-1], got 0"),
+], ids=["lf", "dic"])
+def test_pipeline_rejects_a_bad_override_before_recording(flag, value, fault, capsys,
+                                                          monkeypatch):
+    from mapreplay import bench
+
+    def no_generate(spec):
+        raise AssertionError("pipeline recorded the workload before checking its variants")
+
+    monkeypatch.setattr(bench, "generate", no_generate)
+    code, _, err = run(capsys, "pipeline", "wordfreq", flag, value)
+    assert code == 2
+    assert err == f"mapreplay pipeline: {fault}\n"
+
+
 def test_bench_rejects_a_single_sample_before_timing(tmp_path, capsys, trace_of_words):
     mpt = tmp_path / "t.mpt"
     write_processed(trace_of_words([int(RawOpKind.CREATE) | (750 << 9) | (1 << 19), 0, 16]), mpt)
@@ -193,11 +239,20 @@ def test_bench_rejects_a_single_sample_before_timing(tmp_path, capsys, trace_of_
     assert "mapreplay bench: runs * measured_iters must be >= 2" in err
 
 
+_HEADER = b"format=mapreplay-bench-v1\nlabel=x\n"
+_CONFIG = (b"config.runs=2\nconfig.warmup_iters=0\nconfig.measured_iters=2\n"
+           b"config.iter_duration=0.01\nconfig.seed=1\nconfig.level=0.99\nconfig.resamples=100\n")
+
+
 @pytest.mark.parametrize("body, fault", [
     (b"format=mapreplay-bench-v1\nlabel=x\n", "missing config.runs"),
     (b"format=mapreplay-bench-v1\nlabel=x\nconfig.runs=abc\n", "bad config.runs='abc'"),
     (b"format=mapreplay-bench-v1\nlabel=\xff\n", "byte 32 is not UTF-8"),
-], ids=["missing-key", "bad-int", "not-utf8"])
+    (_HEADER + _CONFIG + b"variant.0.label=a\nvariant.0.impl=refmap\nvariant.0.dic=16\n"
+     b"variant.0.lf=750\nvariant.0.excluded=7\n", "bad variant.0.excluded='7'"),
+    (_HEADER + _CONFIG.replace(b"runs=2", b"runs=0"),
+     "r.txt: runs and measured_iters must be >= 1"),
+], ids=["missing-key", "bad-int", "not-utf8", "bad-bool", "refused-config"])
 def test_compare_names_what_is_wrong_with_a_report(body, fault, tmp_path, capsys):
     report = tmp_path / "r.txt"
     report.write_bytes(body)

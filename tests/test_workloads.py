@@ -99,6 +99,18 @@ def test_empty_key_universe_is_a_config_error_and_writes_nothing(tmp_path, name,
     assert not path.exists()
 
 
+def test_scan_refuses_more_entries_than_a_key_can_pack(tmp_path):
+    # A key is (map index << 8) | entry index: entry 256 of one map would be
+    # entry 0 of the next, so 256 is the most entries a map gets.
+    env = DirectEnv()
+    WORKLOADS["scan"](env, random.Random(1), 1, maps=3, entries=256, passes=1)
+    assert [m.size() for m in env.maps] == [256, 256, 256]
+    path = tmp_path / "x.mrt"
+    with pytest.raises(ConfigError, match="workload 'scan' needs entries <= 256, not 257"):
+        generate(WorkloadSpec("scan", seed=1, params={"entries": 257}), path)
+    assert not path.exists()
+
+
 def test_churn_refuses_more_threads_than_maps_before_any_map_or_thread(monkeypatch):
     def no_thread(*args, **kwargs):
         raise AssertionError("a worker thread was built")
