@@ -454,30 +454,36 @@ def run_bench(
     Each variant is validation-checked first; a variant whose replay
     outcomes diverge from the recorded ones is excluded and flagged.
     """
-    return _bench(trace, _resolve(variants, lf_milli), config, label)
+    resolved = _resolve(variants, lf_milli)  # fails before anything is replayed
+    return _bench(ReplaySession(trace), resolved, config, label)
 
 
 def _bench(
-    trace: ProcessedTrace, variants: list[_Variant], config: BenchConfig | None, label: str
+    session: ReplaySession,
+    variants: list[_Variant],
+    config: BenchConfig | None,
+    label: str,
+    validated: frozenset[type] = frozenset(),
 ) -> BenchReport:
+    """Bench `variants` on `session`; adapters in `validated` have already
+    passed a validating replay of it and are not replayed again."""
     if config is None:
         config = BenchConfig()
-    session = ReplaySession(trace)
     results: list[VariantResult] = []
     measured: list[tuple[VariantResult, _Variant]] = []
-    validated: set[str] = set()
+    passed = set(validated)
     for variant in variants:
         v = VariantResult(variant.label, variant.impl, variant.override.dic,
                           variant.override.lf_milli)
         results.append(v)
-        if variant.impl not in validated:
+        if variant.factory not in passed:
             # Fidelity is checked under the recorded configurations: with a
             # capacity override, iterator-removes may legitimately pick
             # different victims (iteration order depends on capacity), which
             # is divergence of the workload, not of the adapter.
             try:
                 session.replay(variant.factory, "validating")
-                validated.add(variant.impl)
+                passed.add(variant.factory)
             except MapReplayError as exc:
                 if v is results[0]:
                     raise MapReplayError(f"baseline variant failed validation: {exc}") from exc
@@ -518,12 +524,12 @@ def pipeline(
 ) -> BenchReport:
     """generate -> post-process -> validate against RefMap -> bench."""
     resolved = _resolve(variants, lf_milli)  # fails before anything is recorded
-    trace = process(generate(spec))
+    session = ReplaySession(process(generate(spec)))
     try:
-        ReplaySession(trace).replay(RefMap, mode="validating")
+        session.replay(RefMap, mode="validating")
     except FidelityError as exc:
         raise FidelityError(f"pipeline validation failed: {exc}") from exc
-    return _bench(trace, resolved, config, spec.name)
+    return _bench(session, resolved, config, spec.name, frozenset({RefMap}))
 
 
 # -- cross-report concordance analysis ---------------------------------------------

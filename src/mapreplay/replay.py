@@ -3,23 +3,18 @@
 Setup preallocates every mockup key and the map/iterator slot arrays so the
 timed phase creates nothing but maps and iterators. Mockup keys are ints
 holding the recorded hashes (see MockupKey), built in C by one
-`list(map(MockupKey, hashes))` in a single burst with the cyclic garbage
-collector paused: each key is a tracked object, so building thousands would
-otherwise set off young collections that cascade into older generations in
-a long-lived process. When the collector was on, it is turned back on, and
-if the burst took the young generation past its threshold, one young
-collection settles it inside setup rather than in the caller's next timed
-region. A smaller burst leaves the young count where building the keys
-one by one would have, since collecting it would cost setup time and save
-nothing. A collector that was off stays off. The replay loop itself runs
-with the collector as the caller left it. The opcode stream is
-held as one packed `array("i")`, copied once from the decoded trace, so setup
-boxes no per-op ints and the stream costs 12 bytes per op. The replay phase
-is a single dispatch loop over that buffer, bound to exactly one adapter
-class per run (monomorphic replay). It reads three words at a time from one
-iterator, `for w, a, b in zip(it, it, it)`, so the array creates each int as
-it yields it, and calls the handler the op kind selects from a table built
-per run; the modes differ only in that table and in the hook its FreeMap
+`list(map(MockupKey, hashes))`. MockupKey is a type the cyclic garbage
+collector does not track, so building thousands of keys counts no
+allocations toward a collection and freeing them walks no collector list:
+setup leaves the collector alone, and the replay loop runs with it as the
+caller left it. The opcode stream is held as one packed `array("i")`,
+copied once from the decoded trace, so setup boxes no per-op ints and the
+stream costs 12 bytes per op. The replay phase is a single dispatch loop
+over that buffer, bound to exactly one adapter class per run (monomorphic
+replay). It reads three words at a time from one iterator,
+`for w, a, b in zip(it, it, it)`, so the array creates each int as it
+yields it, and calls the handler the op kind selects from a table built per
+run; the modes differ only in that table and in the hook its FreeMap
 handler calls:
 
     timing      plain handlers; the result is the wall-clock of the loop
@@ -57,7 +52,7 @@ value information. Copy construction uses the run's default configuration
 
 from __future__ import annotations
 
-import gc
+import ctypes
 import time
 from dataclasses import dataclass
 
@@ -111,21 +106,37 @@ class _ValueToken:
 VALUE_TOKEN = _ValueToken()
 
 
-class MockupKey(int):
-    """Stand-in for an application key: preserved hash, identity equality.
+class _TypeSlot(ctypes.Structure):
+    _fields_ = [("slot", ctypes.c_int), ("pfunc", ctypes.c_void_p)]
 
-    Its int value is the recorded signed 32-bit hash, so `MockupKey(h)` is
-    built in C with no Python frame, and `hash32` (the map's hash protocol)
-    is `int.real`, a C accessor returning that value as a plain int. Keys
-    compare by identity: two keys built from one hash are distinct keys
-    that collide. `__hash__` is the int's, which only dict-backed adapters
-    use. A key whose recorded hash is 0 is falsy, so nothing may test a
-    key's truth.
+
+class _TypeSpec(ctypes.Structure):
+    _fields_ = [
+        ("name", ctypes.c_char_p),
+        ("basicsize", ctypes.c_int),
+        ("itemsize", ctypes.c_int),
+        ("flags", ctypes.c_uint),
+        ("slots", ctypes.POINTER(_TypeSlot)),
+    ]
+
+
+def _mockup_key_type() -> tuple[type, tuple]:
+    """Make MockupKey through `PyType_FromSpecWithBases(spec, (int,))`, and
+    return it with the ctypes objects its spec is made of.
+
+    A class statement would give the subclass Py_TPFLAGS_HAVE_GC, so every
+    key would be tracked by the cyclic collector and carry its header. The
+    spec's flags are 0, Py_TPFLAGS_DEFAULT: no Py_TPFLAGS_HAVE_GC, so keys
+    are untracked and the size of a plain int, and no Py_TPFLAGS_BASETYPE,
+    so the type cannot be subclassed. Basic size and item size 0 inherit
+    int's layout.
     """
-
-    __slots__ = ()
-
-    hash32 = int.real
+    slots = (_TypeSlot * 1)()  # zeroed: the {0, NULL} terminator
+    spec = _TypeSpec(b"mapreplay.replay.MockupKey", 0, 0, 0, slots)
+    from_spec = ctypes.PYFUNCTYPE(ctypes.py_object, ctypes.POINTER(_TypeSpec), ctypes.py_object)(
+        ("PyType_FromSpecWithBases", ctypes.pythonapi)
+    )
+    cls = from_spec(spec, (int,))
 
     def __eq__(self, other: object) -> bool:
         return self is other
@@ -133,10 +144,29 @@ class MockupKey(int):
     def __ne__(self, other: object) -> bool:
         return self is not other
 
-    __hash__ = int.__hash__
-
     def __repr__(self) -> str:
         return f"MockupKey(hash={int(self)})"
+
+    for method in (__eq__, __ne__, __repr__):
+        method.__qualname__ = f"MockupKey.{method.__name__}"
+        setattr(cls, method.__name__, method)
+    cls.hash32 = int.real
+    cls.__hash__ = int.__hash__
+    cls.__doc__ = """Stand-in for an application key: preserved hash, identity equality.
+
+    Its int value is the recorded signed 32-bit hash, so `MockupKey(h)` is
+    built in C with no Python frame, and `hash32` (the map's hash protocol)
+    is `int.real`, a C accessor returning that value as a plain int. Keys
+    compare by identity: two keys built from one hash are distinct keys
+    that collide. `__hash__` is the int's, which only dict-backed adapters
+    use. A key whose recorded hash is 0 is falsy, so nothing may test a
+    key's truth. Keys are not tracked by the cyclic garbage collector.
+    """
+    return cls, (spec, slots)
+
+
+# The spec and its slot array stay referenced for as long as the type.
+MockupKey, _MOCKUP_KEY_SPEC = _mockup_key_type()
 
 
 @dataclass(frozen=True, slots=True)
@@ -222,19 +252,8 @@ class ReplaySession:
                 f"table holding {keys} keys, above the {limit}-slot limit"
             )
         self.trace = trace
-        # One burst with the collector paused (see the module docstring).
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            hashes = memoryview(np.ascontiguousarray(trace.key_hashes, np.int32))
-            self.keys = list(map(MockupKey, hashes))
-        finally:
-            if enabled:
-                # Checked and collected while still paused: once enabled,
-                # the next allocation would start a collection of its own.
-                if gc.get_count()[0] > gc.get_threshold()[0]:
-                    gc.collect(0)
-                gc.enable()
+        hashes = memoryview(np.ascontiguousarray(trace.key_hashes, np.int32))
+        self.keys = list(map(MockupKey, hashes))
         # One copy into a packed buffer; its ints are created as the loop
         # reads them, not all at once here. Imported here so that recording
         # and distilling, which import this module, never load `array`.

@@ -368,6 +368,33 @@ def test_run_bench_builds_one_replay_session(monkeypatch):
     assert [len(v.samples) for v in report.variants] == [FAST.runs * FAST.measured_iters] * 3
 
 
+def test_pipeline_validates_against_refmap_once(monkeypatch):
+    # pipeline's own RefMap validation stands for the refmap variants'.
+    from mapreplay import bench
+    from mapreplay.refmap import PyDictMap, RefMap
+    from mapreplay.workloads import WorkloadSpec
+
+    built, validating = [], []
+
+    class CountedSession(bench.ReplaySession):
+        def __init__(self, trace):
+            super().__init__(trace)
+            built.append(self)
+
+        def replay(self, factory, mode="timing", override=None):
+            if mode == "validating":
+                validating.append(factory)
+            return super().replay(factory, mode, override)
+
+    monkeypatch.setattr(bench, "ReplaySession", CountedSession)
+    spec = WorkloadSpec("churn", seed=3, params={"maps": 2, "cycles": 2})
+    variants = [("refmap", 16), ("pydict", 16), ("refmap", 64)]
+    report = bench.pipeline(spec, variants, FAST)
+    assert len(built) == 1
+    assert validating == [RefMap, PyDictMap]
+    assert not any(v.excluded for v in report.variants)
+
+
 # -- report files ----------------------------------------------------------------------
 
 

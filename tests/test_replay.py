@@ -1,6 +1,7 @@
 """Replay semantics: mockup keys, setup preallocation, modes, overrides."""
 
 import gc
+import sys
 
 import pytest
 
@@ -50,6 +51,29 @@ def test_mockup_key_equality_is_identity():
     assert a != 5 and 5 != a
     assert hash(a) == hash(5) == 5
     assert len({a: 1, b: 2}) == 2
+
+
+def test_mockup_key_is_an_untracked_int():
+    assert MockupKey.__module__ == "mapreplay.replay"
+    for h in (0, 5, -1, -(2**31), 2**31 - 1):
+        k = MockupKey(h)
+        assert isinstance(k, int) and not gc.is_tracked(k)
+        assert hash(k) == hash(int(k))  # -1 hashes as -2, like the int
+        assert type(k.hash32) is int and k.hash32 == h
+
+
+@pytest.mark.parametrize("impl", [RefMap, PyDictMap])
+def test_mockup_keys_of_one_hash_collide_and_stay_distinct(impl):
+    a, b = MockupKey(5), MockupKey(5)
+    assert a != b and hash(a) == hash(b) and a.hash32 == b.hash32
+    m = impl()
+    m.put(a, "a")
+    m.put(b, "b")
+    assert m.size() == 2 and m.get(a) == "a" and m.get(b) == "b"
+    if impl is RefMap:
+        assert m.counters.collision_probes > 0
+    assert m.remove(a) == "a"
+    assert m.get(a) is None and m.get(b) == "b"
 
 
 def _zero_and_minus_one_keys(m):
@@ -113,8 +137,8 @@ def test_setup_slot_arrays_match_header():
 
 
 def _many_keys_trace(trace_of_words):
-    # More than twice the young-generation threshold: built one by one under
-    # the collector, these keys would set off at least three collections.
+    # Four times the young-generation threshold: built one by one as tracked
+    # objects, these keys would set off at least three collections.
     n_keys = 4 * max(gc.get_threshold()[0], 100)
     return trace_of_words(_CREATE, n_keys=n_keys)
 
@@ -137,19 +161,25 @@ def _collections_during(fn):
     return seen
 
 
-def test_setup_builds_keys_under_one_young_collection(trace_of_words):
+def test_setup_builds_keys_without_a_collection(trace_of_words):
     trace = _many_keys_trace(trace_of_words)
     sessions = []
     assert gc.isenabled()
-    assert _collections_during(lambda: sessions.append(ReplaySession(trace))) == [0]
+    assert _collections_during(lambda: sessions.append(ReplaySession(trace))) == []
     assert gc.isenabled()
-    # A burst that stays under the threshold is left to the collector.
-    few = trace_of_words(_CREATE, n_keys=10)
-    assert _collections_during(lambda: ReplaySession(few)) == []
     keys = sessions[0].keys
     assert [k.hash32 for k in keys] == trace.key_hashes.tolist()
-    assert all(type(k) is MockupKey for k in keys)
+    assert all(type(k) is MockupKey and not gc.is_tracked(k) for k in keys)
     assert len({id(k) for k in keys}) == len(keys)
+
+
+def test_freed_session_releases_its_keys_type_references(trace_of_words):
+    # Each key holds a reference to its heap type, which its dealloc drops.
+    before = sys.getrefcount(MockupKey)
+    session = ReplaySession(trace_of_words(_CREATE, n_keys=10_000))
+    assert sys.getrefcount(MockupKey) == before + 10_000
+    del session
+    assert sys.getrefcount(MockupKey) == before
 
 
 def test_setup_leaves_a_disabled_collector_off(trace_of_words):
