@@ -70,7 +70,9 @@ on every host. The decoded arrays are read-only views of the payload.
 Each triple is (word, operand1, operand2). The word carries the op kind in
 bits 0-7 plus op-specific flags: outcome in bit 8 (hit/update/yielded);
 for IterNew the view in bits 9-10; for Create the load factor thousandths
-in bits 9-18 and the spread flag in bit 19. Operands:
+in bits 9-18 and the spread flag in bit 19, carried from the raw Create
+and always 1, since every map spreads its hashes (replay refuses a Create
+with it clear). Operands:
 
     Create       map slot, requested capacity
     CreateCopy   map slot, source map slot

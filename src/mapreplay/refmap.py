@@ -7,9 +7,10 @@ array). An instrumented counting mode tracks resizes, collision probes,
 buckets scanned, and entries moved, giving a deterministic stand-in for
 wall-clock trends.
 
-Keys carry their 32-bit hash as a value, an int attribute `hash32` (see
-`hash32_of`), which each keyed operation reads once; equality stays the
-key's own `__eq__`.
+Keys carry their 32-bit hash as a value, an int attribute `hash32`,
+which each keyed operation reads once and spreads as Java 8's HashMap
+does (see `bucket_index`); equality stays the key's own `__eq__`. A key
+without `hash32` is not a key of this map.
 
 The module also defines MapAdapter, the interface every benchmarked map
 implementation satisfies, and PyDictMap, a dict-backed adapter useful as a
@@ -53,7 +54,6 @@ class MapConfig:
 
     initial_capacity: int = DEFAULT_INITIAL_CAPACITY
     load_factor_milli: int = DEFAULT_LOAD_FACTOR_MILLI
-    spread_hashes: bool = True
 
     def __post_init__(self) -> None:
         if not 1 <= self.initial_capacity <= 2**31 - 1:
@@ -89,33 +89,12 @@ def to_signed32(value: int) -> int:
     return value - (1 << 32) if value >= (1 << 31) else value
 
 
-def hash32_of(key: Any) -> int:
-    """32-bit signed hash of an application key.
-
-    A key controls its own hash through an int attribute `hash32` (mockup
-    and workload keys have one), read without calling Python code; any
-    other key gets Python's hash folded to 32 bits. The map hashes keys
-    through this alone, while key equality and a traced map's canonical-key
-    table use the key's `__eq__` and `__hash__`.
-    """
-    try:
-        return key.hash32
-    except AttributeError:
-        return _fold_hash(key)
-
-
-def _fold_hash(key: Any) -> int:
-    """Python's hash of `key`, its two 32-bit halves XORed, as signed 32 bits."""
-    h = hash(key) & _U64
-    return to_signed32(h ^ (h >> 32))
-
-
-def bucket_index(hash32: int, capacity: int, spread: bool = True) -> int:
-    """Bucket slot for a hash: the unsigned hash, spread by folding its high
-    16 bits into the low ones (u XOR u >>> 16) when `spread`, masked by
-    capacity-1. RefMap computes the same rule inline."""
+def bucket_index(hash32: int, capacity: int) -> int:
+    """Bucket slot for a hash: the unsigned hash spread by folding its high
+    16 bits into the low ones (u XOR u >>> 16), masked by capacity-1.
+    RefMap computes the same rule inline."""
     u = hash32 & 0xFFFFFFFF
-    return ((u ^ (u >> 16)) if spread else u) & (capacity - 1)
+    return (u ^ (u >> 16)) & (capacity - 1)
 
 
 @dataclass(slots=True)
@@ -225,7 +204,7 @@ class RefMap(MapAdapter):
     with the cached `capacity - 1`, so finding a bucket calls no function.
     """
 
-    __slots__ = ("config", "counters", "_table", "_size", "_threshold", "_spread", "_mask")
+    __slots__ = ("config", "counters", "_table", "_size", "_threshold", "_mask")
 
     def __init__(self, config: MapConfig = DEFAULT_CONFIG):
         self.config = config
@@ -233,7 +212,6 @@ class RefMap(MapAdapter):
         self._table: list[_Entry | None] | None = None
         self._size = 0
         self._threshold = 0
-        self._spread = config.spread_hashes
         self._mask = 0
 
     @classmethod
@@ -276,7 +254,6 @@ class RefMap(MapAdapter):
         table = self._table = [None] * new_cap
         self._threshold = threshold(new_cap, self.config.load_factor_milli)
         mask = self._mask = new_cap - 1
-        spread = self._spread
         # Rebuild by appending at chain tails in old bucket+chain order, which
         # preserves the relative order of entries that share a new bucket.
         tails: dict[int, _Entry] = {}
@@ -287,7 +264,7 @@ class RefMap(MapAdapter):
                 nxt = e.next
                 e.next = None
                 u = e.hash & 0xFFFFFFFF
-                idx = ((u ^ (u >> 16)) if spread else u) & mask
+                idx = (u ^ (u >> 16)) & mask
                 tail = tails.get(idx)
                 if tail is None:
                     table[idx] = e
@@ -306,15 +283,12 @@ class RefMap(MapAdapter):
         return 0 if self._table is None else len(self._table)
 
     def put(self, key: Any, value: Any) -> Any | None:
-        try:
-            h = key.hash32
-        except AttributeError:
-            h = _fold_hash(key)
+        h = key.hash32
         if self._table is None:
             self._allocate(normalize_capacity(self.config.initial_capacity))
         table = self._table
         u = h & 0xFFFFFFFF
-        idx = ((u ^ (u >> 16)) if self._spread else u) & self._mask
+        idx = (u ^ (u >> 16)) & self._mask
         e = table[idx]
         tail = None
         while e is not None:
@@ -339,12 +313,9 @@ class RefMap(MapAdapter):
         table = self._table
         if table is None:
             return None
-        try:
-            h = key.hash32
-        except AttributeError:
-            h = _fold_hash(key)
+        h = key.hash32
         u = h & 0xFFFFFFFF
-        e = table[((u ^ (u >> 16)) if self._spread else u) & self._mask]
+        e = table[(u ^ (u >> 16)) & self._mask]
         while e is not None:
             if e.hash == h and (e.key is key or e.key == key):
                 return e.value
@@ -356,12 +327,9 @@ class RefMap(MapAdapter):
         table = self._table
         if table is None:
             return False
-        try:
-            h = key.hash32
-        except AttributeError:
-            h = _fold_hash(key)
+        h = key.hash32
         u = h & 0xFFFFFFFF
-        e = table[((u ^ (u >> 16)) if self._spread else u) & self._mask]
+        e = table[(u ^ (u >> 16)) & self._mask]
         while e is not None:
             if e.hash == h and (e.key is key or e.key == key):
                 return True
@@ -373,12 +341,9 @@ class RefMap(MapAdapter):
         table = self._table
         if table is None:
             return None
-        try:
-            h = key.hash32
-        except AttributeError:
-            h = _fold_hash(key)
+        h = key.hash32
         u = h & 0xFFFFFFFF
-        idx = ((u ^ (u >> 16)) if self._spread else u) & self._mask
+        idx = (u ^ (u >> 16)) & self._mask
         e = table[idx]
         prev = None
         while e is not None:
@@ -508,22 +473,13 @@ class _RefMapIterator(MapIterator):
         return (e.key, e.value)
 
 
-def iterate(map_: MapAdapter, view: View = View.ENTRIES, steps: int | None = None) -> int:
-    """Advance a fresh iterator up to `steps` times (to exhaustion if None).
-
-    Returns the number of elements yielded.
-    """
-    if steps is not None and steps < 0:
-        raise ValueError("steps must be >= 0")
+def iterate(map_: MapAdapter, view: View = View.ENTRIES) -> int:
+    """Advance a fresh iterator to exhaustion; returns the number of
+    elements yielded."""
     it = map_.iterator(view)
     yielded = 0
-    remaining = steps
-    while remaining is None or remaining > 0:
-        if it.advance() is None:
-            break
+    while it.advance() is not None:
         yielded += 1
-        if remaining is not None:
-            remaining -= 1
     return yielded
 
 

@@ -38,7 +38,8 @@ caller's own configuration and is not bounded. A slot used after free, an
 operand out of range or an IterNew view of 3 surfaces as the
 AttributeError or IndexError it causes, and is reported as a
 TraceIntegrityError naming the op index; FreeMap, FreeIter and the
-CreateCopy source check for a freed slot themselves. So are the
+CreateCopy source check for a freed slot themselves, and a Create checks
+that its spread bit is set, since every map spreads its hashes. So are the
 ConfigError of a Create whose load factor or capacity no map accepts, and
 the RuntimeError of an iterator remove() with no entry to unlink. The loop
 keeps no op counter: on the error path only, the failing op's index is
@@ -173,7 +174,7 @@ MockupKey, _MOCKUP_KEY_SPEC = _mockup_key_type()
 class ConfigOverride:
     """Replay-time substitute for creates that recorded the default config.
 
-    Creates recorded with the default (capacity, load factor, spreading) are
+    Creates recorded with the default (capacity, load factor) are
     constructed with (dic, lf_milli) instead; creates with explicit
     non-default arguments keep their recorded configuration.
     """
@@ -182,7 +183,7 @@ class ConfigOverride:
     lf_milli: int = DEFAULT_CONFIG.load_factor_milli
 
     def config(self) -> MapConfig:
-        return MapConfig(self.dic, self.lf_milli, DEFAULT_CONFIG.spread_hashes)
+        return MapConfig(self.dic, self.lf_milli)
 
 
 @dataclass(slots=True)
@@ -515,16 +516,16 @@ def _keys_put(ops: np.ndarray, kinds: np.ndarray, creates: np.ndarray) -> np.nda
 
 
 def _create_config(word: int, capacity: int, override: ConfigOverride | None) -> MapConfig:
+    if not word & SPREAD_BIT:
+        raise TraceIntegrityError("create with the spread bit (bit 19) clear")
     lf = (word >> LF_SHIFT) & LF_MASK
-    spread = bool(word & SPREAD_BIT)
     if (
         override is not None
         and capacity == DEFAULT_CONFIG.initial_capacity
         and lf == DEFAULT_CONFIG.load_factor_milli
-        and spread == DEFAULT_CONFIG.spread_hashes
     ):
         return override.config()
-    return MapConfig(capacity, lf, spread)
+    return MapConfig(capacity, lf)
 
 
 #: Named adapter implementations selectable from the command line.

@@ -52,10 +52,11 @@ record is
 
 with absent fields encoded as all-ones. `aux` is op-specific:
 Create packs requested capacity (bits 0-31), load factor thousandths
-(bits 32-41) and the spread flag (bit 42); CreateCopy carries the source
-map id; IterNew packs (iterator id << 2) | view; IterAdvance carries the
-step count. Iterator events (IterAdvance, IterRemove) carry the iterator
-id in the map_id field.
+(bits 32-41) and the spread flag (bit 42), which is always 1: every map
+spreads its keys' hashes, and a Create with the bit clear is refused on
+reading. CreateCopy carries the source map id; IterNew packs
+(iterator id << 2) | view; IterAdvance carries the step count. Iterator
+events (IterAdvance, IterRemove) carry the iterator id in the map_id field.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ from typing import Any
 import numpy as np
 
 from .errors import ConfigError, TraceFormatError
-from .refmap import DEFAULT_CONFIG, MapConfig, RefMap, View, hash32_of
+from .refmap import DEFAULT_CONFIG, MapConfig, RefMap, View
 
 MAGIC = b"MRT1"
 VERSION = 1
@@ -214,12 +215,16 @@ class RawTrace:
         return out
 
 
-def pack_create_aux(capacity: int, lf_milli: int, spread: bool) -> int:
-    return (capacity & 0xFFFFFFFF) | (lf_milli << 32) | (int(spread) << 42)
+#: The Create aux bit that says the map spreads its hashes; always set.
+SPREAD_AUX_BIT = 1 << 42
 
 
-def unpack_create_aux(aux: int) -> tuple[int, int, bool]:
-    return aux & 0xFFFFFFFF, (aux >> 32) & 0x3FF, bool(aux >> 42 & 1)
+def pack_create_aux(capacity: int, lf_milli: int) -> int:
+    return (capacity & 0xFFFFFFFF) | (lf_milli << 32) | SPREAD_AUX_BIT
+
+
+def unpack_create_aux(aux: int) -> tuple[int, int]:
+    return aux & 0xFFFFFFFF, (aux >> 32) & 0x3FF
 
 
 def pack_iternew_aux(iter_id: int, view: View) -> int:
@@ -391,9 +396,7 @@ class TraceSession:
         self.record(
             RawOpKind.CREATE,
             map_id,
-            aux=pack_create_aux(
-                config.initial_capacity, config.load_factor_milli, config.spread_hashes
-            ),
+            aux=pack_create_aux(config.initial_capacity, config.load_factor_milli),
         )
         return TracedMap(self, RefMap(config), map_id, {})
 
@@ -428,12 +431,13 @@ class TracedMap:
 
     `_keys` maps each key this map has seen to its canonical id: two equal
     keys share one id, found through the key's `__eq__`/`__hash__`, while
-    the hash is read through `hash32_of` on every op and recorded as
-    observed. A key whose 32-bit hash changes is thus emitted with two
-    hashes under one id; post-processing spots the conflict and drops every
-    map that touched the key. A hash that is not an int (an
-    old-style `hash32()` method, say) or lies outside signed 32 bits is
-    rejected before an id is taken or the inner map is touched.
+    the hash is read from the key's `hash32` attribute on every op and
+    recorded as observed. A key whose 32-bit hash changes is thus emitted
+    with two hashes under one id; post-processing spots the conflict and
+    drops every map that touched the key. A key without an int `hash32`
+    (a `str`, or an old-style `hash32()` method, say), or whose hash lies
+    outside signed 32 bits, is rejected before an id is taken or the inner
+    map is touched.
     """
 
     __slots__ = ("_session", "_inner", "map_id", "_keys")
@@ -445,7 +449,10 @@ class TracedMap:
         self._keys = keys
 
     def _key(self, key: Any) -> tuple[int, int]:
-        observed = hash32_of(key)
+        try:
+            observed = key.hash32
+        except AttributeError:
+            raise TypeError(f"{type(key).__name__} key has no hash32 attribute") from None
         if not isinstance(observed, int):
             raise TypeError(
                 f"{type(key).__name__}.hash32 must be an int attribute, "
@@ -540,11 +547,13 @@ _CHECK_BLOCK = 1 << 12
 #: check runs on every block, and numpy compares with an IntEnum slowly.
 _FIRST_OP, _LAST_OP = int(RawOpKind.CREATE), int(RawOpKind.FREE_ITER)
 _ITER_NEW = int(RawOpKind.ITER_NEW)
+_CREATE = int(RawOpKind.CREATE)
 _LAST_VIEW = int(max(View))
 
 
 def _check_records(records: np.ndarray, first: int = 0) -> None:
-    """Reject unknown ops and IterNew views in one vectorized pass.
+    """Reject unknown ops, IterNew views and Creates whose spread bit is
+    clear, in one vectorized pass.
 
     `records` start at event `first` of the file; errors name the byte
     offset of the bad field in the MRT1 file.
@@ -560,6 +569,13 @@ def _check_records(records: np.ndarray, first: int = 0) -> None:
         raise TraceFormatError(
             f"IterNew view {views[bad[0]]} is not a valid view",
             offset=_field_offset(first + int(news[bad[0]]), "aux"),
+        )
+    creates = np.flatnonzero(op == _CREATE)
+    unspread = np.flatnonzero((records["aux"][creates] & SPREAD_AUX_BIT) == 0)
+    if unspread.size:
+        raise TraceFormatError(
+            "Create with the spread bit (aux bit 42) clear: every map spreads its hashes",
+            offset=_field_offset(first + int(creates[unspread[0]]), "aux"),
         )
 
 

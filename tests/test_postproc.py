@@ -789,8 +789,7 @@ def _raw_subsequence_digests(events):
     keys = {}
     for e in events:
         if e.op is OP.CREATE:
-            cap, lf, spread = unpack_create_aux(e.aux)
-            maps[e.map_id] = RefMap(MapConfig(cap, lf, spread))
+            maps[e.map_id] = RefMap(MapConfig(*unpack_create_aux(e.aux)))
             order.append(e.map_id)
         elif e.op is OP.CREATE_COPY:
             maps[e.map_id] = RefMap.copy_of(maps[e.aux], DEFAULT_CONFIG)

@@ -15,7 +15,6 @@ from mapreplay.refmap import (
     RefMap,
     View,
     bucket_index,
-    hash32_of,
     iterate,
     normalize_capacity,
     threshold,
@@ -58,14 +57,11 @@ def test_normalize_capacity_small_values():
 # -- bucket_index -------------------------------------------------------------------
 
 
-def _bucket_oracle(h: int, capacity: int, spread: bool = True) -> int:
+def _bucket_oracle(h: int, capacity: int) -> int:
     """Independent reimplementation: string-level XOR and modulo."""
-    u = h % (1 << 32)
-    if spread:
-        bits = format(u, "032b")
-        shifted = ("0" * 16 + bits)[:32]
-        u = int("".join("01"[a != b] for a, b in zip(bits, shifted)), 2)
-    return u % capacity
+    bits = format(h % (1 << 32), "032b")
+    shifted = ("0" * 16 + bits)[:32]
+    return int("".join("01"[a != b] for a, b in zip(bits, shifted)), 2) % capacity
 
 
 def test_bucket_index_zero_hash():
@@ -82,13 +78,18 @@ def test_bucket_index_spreads_high_bits():
     assert _bucket_oracle(65537, 16) == 0
 
 
+def test_a_key_without_hash32_is_not_a_key():
+    # One hashing rule: the map reads every key's hash from `hash32`.
+    with pytest.raises(AttributeError):
+        RefMap().put("word", 1)
+
+
 def test_bucket_index_matches_oracle():
     rng = random.Random(42)
     for _ in range(500):
         h = rng.randint(-(2**31), 2**31 - 1)
         cap = 1 << rng.randint(0, 30)
-        spread = rng.random() < 0.5
-        assert bucket_index(h, cap, spread) == _bucket_oracle(h, cap, spread), (h, cap, spread)
+        assert bucket_index(h, cap) == _bucket_oracle(h, cap), (h, cap)
 
 
 # -- threshold ---------------------------------------------------------------------
@@ -270,14 +271,6 @@ def test_unallocated_map_scan():
     m.counters.reset()
     assert iterate(m) == 0
     assert m.counters.buckets_scanned == 0
-
-
-def test_bounded_steps():
-    m = RefMap()
-    for i in range(10):
-        m.put(k(i), i)
-    assert iterate(m, View.ENTRIES, steps=4) == 4
-    assert iterate(m, View.ENTRIES, steps=0) == 0
 
 
 def test_advance_past_exhaustion_signals_none():
@@ -465,9 +458,9 @@ ops_strategy = st.lists(
 
 
 @settings(max_examples=150, deadline=None)
-@given(ops_strategy, st.integers(1, 64), st.booleans())
-def test_refmap_matches_assoc_oracle(ops, dic, spread):
-    m = RefMap(MapConfig(dic, 750, spread))
+@given(ops_strategy, st.integers(1, 64))
+def test_refmap_matches_assoc_oracle(ops, dic):
+    m = RefMap(MapConfig(dic, 750))
     _apply_sequence(m, AssocOracle(), ops)
     _check_bucket_invariant(m)
 
@@ -480,7 +473,7 @@ def _check_bucket_invariant(m: RefMap):
     for idx, head in enumerate(m._table):
         e = head
         while e is not None:
-            assert bucket_index(e.hash, cap, m.config.spread_hashes) == idx
+            assert bucket_index(e.hash, cap) == idx
             e = e.next
 
 
@@ -498,12 +491,11 @@ _EDGE_HASHES = (0, -1, -(2**31), 2**31 - 1, 0x5EED)
         max_size=120,
     ),
     st.integers(1, 16),
-    st.booleans(),
 )
-def test_entries_sit_in_their_bucket_after_puts_and_removes(ops, dic, spread):
+def test_entries_sit_in_their_bucket_after_puts_and_removes(ops, dic):
     # RefMap computes the bucket inline; bucket_index is the reference.
     # Keys that draw the same edge hash collide.
-    m = RefMap(MapConfig(dic, 750, spread))
+    m = RefMap(MapConfig(dic, 750))
     hashes, present = {}, set()
     for put, ident, h in ops:
         key = IntKey(ident, hash32=hashes.setdefault(ident, h))
@@ -534,18 +526,6 @@ def test_randomized_sequences_match_oracle():
         ]
         _apply_sequence(m, oracle, ops)
         _check_bucket_invariant(m)
-
-
-# -- hash32_of protocol ------------------------------------------------------------
-
-
-def test_hash32_of_prefers_key_protocol():
-    assert hash32_of(IntKey(1, hash32=-77)) == -77
-
-
-def test_hash32_of_folds_python_hash():
-    v = hash32_of("some string")
-    assert -(2**31) <= v < 2**31
 
 
 # -- PyDictMap adapter ----------------------------------------------------------------

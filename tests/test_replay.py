@@ -423,7 +423,7 @@ def test_override_equal_to_default_is_identity():
 def test_override_rule_fields():
     rule = ConfigOverride(64)
     assert (rule.dic, rule.lf_milli) == (64, 750)
-    assert rule.config() == MapConfig(64, 750, True)
+    assert rule.config() == MapConfig(64, 750)
 
 
 # -- fidelity and integrity errors ----------------------------------------------------------
@@ -488,7 +488,7 @@ def test_use_after_free_raises_integrity_error(trace_of_words):
 def test_fault_op_index_is_exact_at_both_ends(mode, trace_of_words):
     # The loop counts no ops: the index comes from the words left unread.
     put, get, free_map = int(RawOpKind.PUT), int(RawOpKind.GET), int(RawOpKind.FREE_MAP)
-    create, iter_new = int(RawOpKind.CREATE), int(RawOpKind.ITER_NEW)
+    create, iter_new = int(RawOpKind.CREATE) | (1 << 19), int(RawOpKind.ITER_NEW)
     iter_remove = int(RawOpKind.ITER_REMOVE)
     advance = int(RawOpKind.ITER_ADVANCE) | OUTCOME_BIT
     streams = [  # (opcode stream, index of the faulty op, fault)
@@ -498,10 +498,13 @@ def test_fault_op_index_is_exact_at_both_ends(mode, trace_of_words):
         (_CREATE + [put, 0, 0, free_map, 0, 0, get, 0, 0], 3, "map slot 0 used after free"),
         (_CREATE + [free_map, 0, 0, free_map, 0, 0], 2, "map slot 0 freed twice"),
         (_CREATE + [put, 0, 0, get, 0, 7], 2, "key index 7 out of range"),
-        # Malformed words: a view no iterator has, a config no map accepts,
-        # and an iterator remove with nothing to unlink.
+        # Malformed words: a view no iterator has, a Create whose map would
+        # not spread its hashes, a config no map accepts, and an iterator
+        # remove with nothing to unlink.
         (_CREATE + [iter_new | (3 << 9), 0, 0], 1, "unknown iterator view 3"),
-        (_CREATE + [free_map, 0, 0, create | (1 << 19), 0, 16], 2,
+        (_CREATE + [free_map, 0, 0, int(RawOpKind.CREATE) | (750 << 9), 0, 16], 2,
+         "create with the spread bit (bit 19) clear"),
+        (_CREATE + [free_map, 0, 0, create, 0, 16], 2,
          "load factor must be in (0, 1] thousandths, got 0"),
         (_CREATE + [free_map, 0, 0, create | (1001 << 9), 0, 16], 2,
          "load factor must be in (0, 1] thousandths, got 1001"),
@@ -602,8 +605,8 @@ def test_growth_is_bounded_by_the_keys_put_into_each_map(held, trace_of_words):
     # them, each put twice; the puts into its slot after its FreeMap are
     # another map's. One entry needs a 1024-slot table and replays;
     # 2^15 - 1 need 2^25 slots.
-    tiny = int(RawOpKind.CREATE) | (1 << 9)
-    create, free = int(RawOpKind.CREATE) | (750 << 9), int(RawOpKind.FREE_MAP)
+    tiny = int(RawOpKind.CREATE) | (1 << 9) | (1 << 19)
+    create, free = int(RawOpKind.CREATE) | (750 << 9) | (1 << 19), int(RawOpKind.FREE_MAP)
     ops = [tiny, 0, 16] + _puts(held) * 2 + [free, 0, 0, create, 0, 16] + _puts(2**15)
     trace = trace_of_words(ops, n_keys=2**15)
     if held == 1:
@@ -638,7 +641,7 @@ def test_table_limit_is_tight(n_keys, lf, copy, rejected_op, monkeypatch, trace_
     # they need 1033. A copy is sized with the default 750/1000: its 768
     # entries need 1024 slots, 769 need 1026.
     monkeypatch.setattr(replay, "MAX_TABLE_SLOTS", 1 << 10)
-    create = int(RawOpKind.CREATE) | (lf << 9)
+    create = int(RawOpKind.CREATE) | (lf << 9) | (1 << 19)
     ops = [create, 0, 16] + _puts(n_keys) + [int(RawOpKind.CREATE_COPY), 1, 0] * copy
     trace = trace_of_words(ops, n_keys=n_keys, map_slots=2)
     if rejected_op is not None:

@@ -48,14 +48,16 @@ def test_create_event_records_default_config():
     s.new_map()
     (e,) = events_of(s)
     assert e.op is RawOpKind.CREATE
-    assert unpack_create_aux(e.aux) == (16, 750, True)
+    assert unpack_create_aux(e.aux) == (16, 750)
+    assert e.aux >> 42 & 1  # the spread bit, set on every Create
 
 
 def test_create_event_records_requested_capacity():
     s = TraceSession()
-    s.new_map(MapConfig(100, 600, False))
+    s.new_map(MapConfig(100, 600))
     (e,) = events_of(s)
-    assert unpack_create_aux(e.aux) == (100, 600, False)
+    assert unpack_create_aux(e.aux) == (100, 600)
+    assert e.aux >> 42 & 1
 
 
 def test_copy_event_references_source():
@@ -165,6 +167,17 @@ def test_hash32_method_key_is_rejected_on_first_use():
     with pytest.raises(TypeError, match=r"OldStyleKey\.hash32 must be an int attribute, got method"):
         m.put(OldStyleKey(), 1)
     assert [e for e in events_of(s) if e.key_id is not None] == []  # nothing recorded
+
+
+def test_key_without_hash32_is_rejected_before_an_id_is_taken():
+    s = TraceSession()
+    m = s.new_map()
+    with pytest.raises(TypeError, match=r"^str key has no hash32 attribute$"):
+        m.put("word", 1)
+    assert len(m) == 0
+    m.put(IntKey(1), 1)
+    (put,) = [e for e in events_of(s) if e.key_id is not None]
+    assert put.key_id == 1  # the first id of slot 0: the rejected key took none
 
 
 @pytest.mark.parametrize("bad", [2**31, -(2**31) - 1])
@@ -376,6 +389,21 @@ def test_raw_file_bad_iternew_view_names_offset(tmp_path):
         read_raw_trace(path)
     assert "view 3" in str(err.value)
     assert err.value.offset == offset
+
+
+def test_raw_create_with_spread_bit_clear_names_offset(tmp_path):
+    path = tmp_path / "spread.mrt"
+    data = raw_trace_to_bytes(_session_with_traffic().close())
+    # aux starts 29 bytes into a record; its bit 42, the spread flag, is
+    # bit 2 of the field's sixth byte.
+    create = by_op(raw_trace_from_bytes(data).events, RawOpKind.CREATE)[0]
+    assert create.aux == pack_create_aux(16, 750)
+    broken, offset = _patched_record(data, RawOpKind.CREATE, 34, (create.aux >> 40) & 0xFB)
+    path.write_bytes(broken)
+    for read in (lambda: read_raw_trace(path), lambda: raw_trace_from_bytes(broken)):
+        with pytest.raises(TraceFormatError, match=r"spread bit \(aux bit 42\) clear") as err:
+            read()
+        assert err.value.offset == offset - 5
 
 
 def test_raw_trace_from_events_validates_like_a_file(raw_records):
@@ -655,8 +683,6 @@ def test_record_layout_is_40_bytes():
 
 
 def test_key_substitution_preserves_bucket_and_outcome():
-    from mapreplay.refmap import hash32_of
-
     s = TraceSession()
     m = s.new_map()
     used = []
@@ -670,9 +696,9 @@ def test_key_substitution_preserves_bucket_and_outcome():
     events = [e for e in events_of(s) if e.key_id is not None]
     assert len(events) == len(used)
     for e, key in zip(events, used):
-        assert e.hash == hash32_of(key)
+        assert e.hash == key.hash32
         for cap in (16, 64, 1024):
-            assert bucket_index(e.hash, cap) == bucket_index(hash32_of(key), cap)
+            assert bucket_index(e.hash, cap) == bucket_index(key.hash32, cap)
 
 
 def test_outcome_bits_reproducible_by_raw_interpretation():
@@ -704,8 +730,7 @@ def test_outcome_bits_reproducible_by_raw_interpretation():
 
     for e in raw.events:
         if e.op is RawOpKind.CREATE:
-            cap, lf, spread = unpack_create_aux(e.aux)
-            maps[e.map_id] = RefMap(MapConfig(cap, lf, spread))
+            maps[e.map_id] = RefMap(MapConfig(*unpack_create_aux(e.aux)))
         elif e.op is RawOpKind.CREATE_COPY:
             maps[e.map_id] = RefMap.copy_of(maps[e.aux], DEFAULT_CONFIG)
         elif e.op is RawOpKind.GET:

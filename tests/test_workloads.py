@@ -11,13 +11,14 @@ import pytest
 from mapreplay.bench import BenchConfig, pipeline
 from mapreplay.errors import ConfigError, FidelityError
 from mapreplay.postproc import process, sanitize, stats
-from mapreplay.refmap import RefMap
+from mapreplay.refmap import OpCounters, RefMap
 from mapreplay.replay import ConfigOverride, ReplaySession
 from mapreplay.tracer import RawOpKind, raw_trace_to_bytes
 from mapreplay.workloads import (
     WORKLOADS,
     DirectEnv,
     WorkloadSpec,
+    _run,
     corpus_tokens,
     generate,
     run_direct,
@@ -250,3 +251,17 @@ def test_direct_env_matches_traced_env_counts(small_traces):
             e.op in (RawOpKind.CREATE, RawOpKind.CREATE_COPY) for e in raw.events
         )
         assert creates == len(run_direct(spec)), name
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_counting_replay_counters_equal_the_direct_run(name):
+    # Exact fidelity: the replayed trace makes RefMap do the work the
+    # untraced application made it do, counter for counter.
+    spec = WorkloadSpec(name, seed=3)
+    env = DirectEnv()
+    _run(spec, env)
+    direct = OpCounters()
+    for m in env.maps:
+        direct.add(m.counters)
+    replayed = ReplaySession(process(generate(spec))).replay(RefMap, "counting").counters
+    assert replayed == direct
