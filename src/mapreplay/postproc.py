@@ -16,8 +16,12 @@ The pipeline turns a raw event stream into the replayable artifact:
 The passes run on the events in ranked form: every map, iterator and key
 id renumbered to its dense int32 rank, and each event one int32 row
 (word, operand, operand) laid out like the MPT1 triple it becomes, beside
-small per-object tables (the raw id of each rank, each key's hash). Each
-pass's logic is one kernel of whole-array numpy operations on those rows.
+small per-object tables (the raw id of each rank, each key's hash). The
+passes trust the records they rank: every RawTrace has checked them, and
+ranking refuses, at the field's MRT1 byte offset, what a row cannot hold
+(see the ranked stream below), so each operand is the int32 it becomes.
+Each pass's logic is one kernel of whole-array numpy operations on those
+rows.
 Sanitize's kernel yields a keep mask, coalesce's the rows to merge away
 and the step counts to set, free insertion's the free rows and the row
 each follows, and encode's kernel rewrites the rows into the opcode
@@ -70,9 +74,9 @@ on every host. The decoded arrays are read-only views of the payload.
 Each triple is (word, operand1, operand2). The word carries the op kind in
 bits 0-7 plus op-specific flags: outcome in bit 8 (hit/update/yielded);
 for IterNew the view in bits 9-10; for Create the load factor thousandths
-in bits 9-18 and the spread flag in bit 19, carried from the raw Create
-and always 1, since every map spreads its hashes (replay refuses a Create
-with it clear). Operands:
+in bits 9-18 and the spread flag in bit 19, always 1, since every map
+spreads its hashes (a raw Create with its spread bit clear is refused on
+reading, and replay refuses an MPT1 Create with it clear). Operands:
 
     Create       map slot, requested capacity
     CreateCopy   map slot, source map slot
@@ -101,6 +105,7 @@ import numpy as np
 
 from .errors import TraceFormatError, TraceIntegrityError
 from .tracer import ABSENT_HASH, ABSENT_OUTCOME, ABSENT_U64, RAW_DTYPE, RawOpKind, RawTrace
+from .tracer import _field_offset
 
 MAGIC = b"MPT1"
 VERSION = 1
@@ -211,15 +216,20 @@ def _isin(values: np.ndarray, distinct: np.ndarray) -> np.ndarray:
 #                outcome byte in bits 20-27, which coalescing compares
 #     operand 1  iterator rank for IterAdvance, IterRemove and FreeIter,
 #                map rank for every other op
-#     operand 2  key entry for Get/Put/Remove/ContainsKey, source map rank
+#     operand 2  key rank for Get/Put/Remove/ContainsKey, source map rank
 #                for CreateCopy, iterator rank for IterNew, requested
 #                capacity for Create, step count for IterAdvance, else 0
 #
-# A capacity or step count above 2^31-1 is stored as -(j + 1), its u64
-# value in `big[j]`. Key entry e below len(keys) is key rank e with the
-# hash recorded for that key; a keyed op that recorded another hash gets
-# an entry of its own in `extra`. Both references travel with their row,
-# so deleting and inserting rows keeps every field of every event exact.
+# Every record of a RawTrace is checked where it enters (see tracer), and
+# ranking refuses the operands that would not fit a row, each with a
+# TraceFormatError at the field's MRT1 offset: a keyed op with no key id,
+# any other op naming a key, and a Create capacity or IterAdvance step
+# count above 2^31-1 (within a block, a key-id fault before an operand
+# fault). So every operand is the int32 it becomes, and a row
+# is all the passes read of its event; coalescing refuses a merged step
+# count above 2^31-1 (TraceIntegrityError). A key recorded with two
+# hashes keeps the first in `key_hash` and is marked `unstable`: sanitize
+# drops every map that used it, and encode refuses it.
 
 _RAW_OUTCOME_SHIFT = 20
 _RAW_OUTCOME_BITS = 0xFF << _RAW_OUTCOME_SHIFT
@@ -239,11 +249,8 @@ class _Ranked(NamedTuple):
     maps: np.ndarray  # u64 raw id of each map rank, sorted
     iters: np.ndarray  # u64 raw id of each iterator rank, sorted
     keys: np.ndarray  # u64 raw id of each key rank, sorted
-    key_hash: np.ndarray  # int32 hash recorded for each key rank
-    extra: np.ndarray  # int32 (m, 2): (key rank, hash) of key entries from len(keys) on
-    big: np.ndarray  # u64 capacities and step counts above 2^31-1
+    key_hash: np.ndarray  # int32 hash first recorded for each key rank
     unstable: np.ndarray  # bool per key rank: recorded with two hashes
-    stray: np.ndarray  # int32 (m, 2): (map rank, key rank) of keyless map ops naming a key
 
 
 def _ops(rows: np.ndarray) -> np.ndarray:
@@ -268,30 +275,10 @@ def _id_tables(raw: RawTrace) -> list[np.ndarray]:
         found = (
             (map_id[~iter_rows], aux[op == _OP.CREATE_COPY]),
             (map_id[iter_rows], aux[op == _OP.ITER_NEW] >> 2),
-            (key_id[(key_id != ABSENT_U64) | _KEYED_OPS[op]],),
+            (key_id[_KEYED_OPS[op]],),
         )
         tables = [_with_ids(t, np.concatenate(ids)) for t, ids in zip(tables, found)]
     return tables
-
-
-def _operand(values: np.ndarray, big: list) -> np.ndarray:
-    """int32 operands of u64 values; a value above 2^31-1 is appended to
-    `big` and stored as -(its index there + 1)."""
-    out = values.astype(np.int32)
-    over = np.flatnonzero(values > _I32_MAX)
-    if over.size:
-        start = sum(map(len, big))
-        out[over] = -1 - np.arange(start, start + over.size)
-        big.append(values[over])
-    return out
-
-
-def _u64(t: _Ranked, operands: np.ndarray) -> np.ndarray:
-    """The u64 values of capacity or step-count operands."""
-    values = operands.astype(np.uint64)
-    over = np.flatnonzero(operands < 0)
-    values[over] = t.big[-1 - operands[over]]
-    return values
 
 
 def _rank(raw: RawTrace) -> _Ranked:
@@ -301,7 +288,6 @@ def _rank(raw: RawTrace) -> _Ranked:
     # One free row per map and per iterator fits after the events, so
     # every pass edits the rows in this one buffer.
     buffer = np.zeros((len(raw) + maps.size + iters.size, 3), dtype=np.int32)
-    # While ranking, `extra`, `big` and `stray` are lists of arrays.
     t = _Ranked(
         rows=buffer[: len(raw)],
         buffer=buffer,
@@ -309,25 +295,18 @@ def _rank(raw: RawTrace) -> _Ranked:
         iters=iters,
         keys=keys,
         key_hash=np.zeros(keys.size, dtype=np.int32),
-        extra=[],
-        big=[],
         unstable=np.zeros(keys.size, dtype=bool),
-        stray=[],
     )
     seen = np.zeros(keys.size, dtype=bool)
     start = 0
     for block in raw.blocks(_BLOCK):
         row = t.rows[start : start + block.size]
-        start += block.size
         row[:, 0] = block["op"]
         _rank_objects(t, block, row)
-        _rank_keys(t, seen, block, row)
-        _rank_arguments(t, block, row)
-    return t._replace(
-        extra=np.concatenate([np.empty((0, 2), dtype=np.int32), *t.extra]),
-        big=np.concatenate([np.empty(0, dtype=np.uint64), *t.big]),
-        stray=np.concatenate([np.empty((0, 2), dtype=np.int32), *t.stray]),
-    )
+        _rank_keys(t, seen, block, row, start)
+        _rank_arguments(t, block, row, start)
+        start += block.size
+    return t
 
 
 def _rank_objects(t: _Ranked, block: np.ndarray, row: np.ndarray) -> None:
@@ -342,59 +321,69 @@ def _rank_objects(t: _Ranked, block: np.ndarray, row: np.ndarray) -> None:
         first[:] = np.searchsorted(t.maps, map_id)
 
 
-def _rank_keys(t: _Ranked, seen: np.ndarray, block: np.ndarray, row: np.ndarray) -> None:
-    """Key entries of a block's keyed ops, and sanitize's hash analysis.
+def _rank_keys(
+    t: _Ranked, seen: np.ndarray, block: np.ndarray, row: np.ndarray, first: int
+) -> None:
+    """Key ranks of a block's keyed ops, and sanitize's hash analysis.
 
-    The keys are those named on any op, and those of keyed ops even when
-    absent, which encode indexes like any other. Each key's recorded hash
-    is fixed by the block that first names it; a key is unstable when a
-    record naming it, on any op, differs from that hash.
+    The block starts at record `first`. Each key's recorded hash is fixed
+    by the block that first names it; a key is unstable when a record
+    naming it differs from that hash.
     """
     op, key_id = block["op"], block["key_id"]
-    named = key_id != ABSENT_U64
     keyed = _KEYED_OPS[op]
-    at = np.flatnonzero(named | keyed)
+    wrong = np.flatnonzero(keyed == (key_id == ABSENT_U64))
+    if wrong.size:
+        i = int(wrong[0])
+        kind = RawOpKind(op[i]).name
+        raise TraceFormatError(
+            f"{kind} record has no key id" if keyed[i]
+            else f"{kind} record names key {key_id[i]} but takes no key",
+            offset=_field_offset(first + i, "key_id"),
+        )
+    at = np.flatnonzero(keyed)
     key = np.searchsorted(t.keys, key_id[at]).astype(np.int32)
     hashes = block["hash"][at]
     fresh = ~seen[key]
     if fresh.any():
         t.key_hash[key[fresh]] = hashes[fresh]
         seen[key[fresh]] = True
-    named, keyed = named[at], keyed[at]
-    other = hashes != t.key_hash[key]
-    if other.any():
-        t.unstable[key[other & named]] = True
-        # A keyed op recording another hash than its key's gets an entry.
-        other &= keyed
-        if other.any():
-            entries = t.keys.size + sum(map(len, t.extra))
-            t.extra.append(np.column_stack((key[other], hashes[other])))
-            key[other] = np.arange(entries, entries + len(t.extra[-1]))
-    second = row[:, 2]
-    second[at[keyed]] = key[keyed]
-    if not keyed.all():
-        # A map op that takes no key can still poison its map with one.
-        off = ~keyed & _MAP_OPS[op[at]]
-        t.stray.append(np.column_stack((row[at[off], 1], key[off])))
+    t.unstable[key[hashes != t.key_hash[key]]] = True
+    row[at, 2] = key
 
 
-def _rank_arguments(t: _Ranked, block: np.ndarray, row: np.ndarray) -> None:
-    """The word flags and argument operands of a block's records."""
+def _refuse_above_i32(values: np.ndarray, at: np.ndarray, first: int, what: str) -> None:
+    """Refuse the first of a block's aux `values` above 2^31-1; `at` holds
+    each value's record in the block, which starts at record `first`."""
+    over = np.flatnonzero(values > _I32_MAX)
+    if over.size:
+        raise TraceFormatError(
+            f"{what} {values[over[0]]} overflows i32",
+            offset=_field_offset(first + int(at[over[0]]), "aux"),
+        )
+
+
+def _rank_arguments(t: _Ranked, block: np.ndarray, row: np.ndarray, first: int) -> None:
+    """The word flags and argument operands of a block's records, which
+    start at record `first`."""
     op, aux, outcome = block["op"], block["aux"], block["outcome"]
     words, second = row[:, 0], row[:, 2]
     words[_OUTCOME_OPS[op] & _YIELDED[outcome]] |= OUTCOME_BIT
     count = np.bincount(op, minlength=256)
     if count[_OP.ITER_ADVANCE]:
         advances = np.flatnonzero(op == _OP.ITER_ADVANCE)
+        steps = aux[advances]
+        _refuse_above_i32(steps, advances, first, "IterAdvance step count")
         words[advances] |= outcome[advances].astype(np.int32) << _RAW_OUTCOME_SHIFT
-        second[advances] = _operand(aux[advances], t.big)
+        second[advances] = steps
     if count[_OP.CREATE]:
         creates = np.flatnonzero(op == _OP.CREATE)
         create_aux = aux[creates]
+        capacity = create_aux & 0xFFFFFFFF
+        _refuse_above_i32(capacity, creates, first, "Create capacity")
         lf = (create_aux >> 32) & LF_MASK
-        spread = (create_aux >> 42) & 1
-        words[creates] |= ((lf << LF_SHIFT) | (spread * SPREAD_BIT)).astype(np.int32)
-        second[creates] = _operand(create_aux & 0xFFFFFFFF, t.big)
+        words[creates] |= ((lf << LF_SHIFT) | SPREAD_BIT).astype(np.int32)
+        second[creates] = capacity
     if count[_OP.ITER_NEW]:
         news = np.flatnonzero(op == _OP.ITER_NEW)
         words[news] |= ((aux[news] & VIEW_MASK) << VIEW_SHIFT).astype(np.int32)
@@ -402,18 +391,6 @@ def _rank_arguments(t: _Ranked, block: np.ndarray, row: np.ndarray) -> None:
     if count[_OP.CREATE_COPY]:
         copies = np.flatnonzero(op == _OP.CREATE_COPY)
         second[copies] = np.searchsorted(t.maps, aux[copies])
-
-
-def _entry_keys(t: _Ranked, entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The key rank and the recorded hash of each key entry."""
-    if not t.extra.size:
-        return entries, t.key_hash[entries]
-    own = np.flatnonzero(entries >= t.keys.size)
-    ranks = entries.copy()
-    ranks[own] = t.extra[entries[own] - t.keys.size, 0]
-    hashes = t.key_hash[ranks]
-    hashes[own] = t.extra[entries[own] - t.keys.size, 1]
-    return ranks, hashes
 
 
 #: Rows moved, looked up or scanned per chunk by the in-place edits and
@@ -520,9 +497,7 @@ def _kept_rows(t: _Ranked) -> np.ndarray:
     dropped = np.zeros(t.maps.size, dtype=bool)  # poisoned, foreign, and copies of those
     if t.unstable.any():
         keyed = np.flatnonzero(_KEYED_OPS[op])
-        poisoned = t.unstable[_entry_keys(t, rows[keyed, 2])[0]]
-        dropped[map_of[keyed[poisoned]]] = True
-        dropped[t.stray[t.unstable[t.stray[:, 1]], 0]] = True
+        dropped[map_of[keyed[t.unstable[rows[keyed, 2]]]]] = True
 
     copies = np.flatnonzero(op == _OP.CREATE_COPY)
     copy_ids, sources = map_of[copies], rows[copies, 2]
@@ -566,7 +541,7 @@ class _Merge(NamedTuple):
 
     merged: np.ndarray  # sorted rows of advances folded into an earlier one
     heads: np.ndarray  # each run's first advance, as a row after the deletion
-    steps: np.ndarray  # each run's step count, u64
+    steps: np.ndarray  # each run's step count, int32
 
 
 def _merge_plan(t: _Ranked) -> _Merge | None:
@@ -605,8 +580,13 @@ def _merge_plan(t: _Ranked) -> _Merge | None:
     exhausted = outcomes[heads] == 0
     del outcomes
 
-    steps = np.add.reduceat(_u64(t, rows[adv, 2]), heads)
+    steps = np.add.reduceat(rows[adv, 2].astype(np.int64), heads)
     steps[exhausted] = 1
+    over = np.flatnonzero(steps > _I32_MAX)
+    if over.size:
+        first = over[np.argmin(adv[heads[over]])]  # the first run in stream order
+        raise TraceIntegrityError(f"advance step count {steps[first]} overflows i32")
+    steps = steps.astype(np.int32)
     merged = np.sort(adv[joins])
     head_rows = adv[heads]
     return _Merge(merged, head_rows - np.searchsorted(merged, head_rows), steps)
@@ -659,9 +639,8 @@ def _coalesced(t: _Ranked, merge: _Merge) -> _Ranked:
     keep[merge.merged] = False
     rows = t.buffer[: _compact(t.rows, keep)]
     del keep
-    big = [t.big]
-    rows[merge.heads, 2] = _operand(merge.steps, big)
-    return t._replace(rows=rows, big=np.concatenate(big))
+    rows[merge.heads, 2] = merge.steps
+    return t._replace(rows=rows)
 
 
 class _Frees(NamedTuple):
@@ -814,33 +793,30 @@ def _slots_at(
 
 
 def _key_indexes(t: _Ranked) -> np.ndarray:
-    """Rewrite each keyed row's key entry into its dense key index, in
-    first-use order, a chunk at a time; returns the hash table."""
+    """Rewrite each keyed row's key rank into its dense key index, in
+    first-use order, a chunk at a time; returns the hash table. A key
+    recorded with two hashes is refused: sanitize would have dropped it."""
     rows = t.rows
     unused = len(rows)
     first_use = np.full(t.keys.size, unused, dtype=np.intp)
-    first_hash = np.zeros(t.keys.size, dtype=np.int32)
     for start, stop in _chunks(len(rows)):
         chunk = rows[start:stop]
         at = np.flatnonzero(_KEYED_OPS[_ops(chunk)])
-        ranks, hashes = _entry_keys(t, chunk[at, 2])
-        at += start
-        np.minimum.at(first_use, ranks, at)
-        first = first_use[ranks] == at
-        first_hash[ranks[first]] = hashes[first]
-        changed = np.flatnonzero(hashes != first_hash[ranks])
-        if changed.size:
+        ranks = chunk[at, 2]
+        unstable = np.flatnonzero(t.unstable[ranks])
+        if unstable.size:
             raise TraceIntegrityError(
-                f"key {t.keys[ranks[changed[0]]]} hash changed; trace was not sanitized"
+                f"key {t.keys[ranks[unstable[0]]]} hash changed; trace was not sanitized"
             )
+        np.minimum.at(first_use, ranks, at + start)
     by_first_use = np.argsort(first_use)[: np.count_nonzero(first_use < unused)]
     index_of = np.empty(t.keys.size, dtype=np.int32)
     index_of[by_first_use] = np.arange(by_first_use.size, dtype=np.int32)
     for start, stop in _chunks(len(rows)):
         chunk = rows[start:stop]
         at = np.flatnonzero(_KEYED_OPS[_ops(chunk)])
-        chunk[at, 2] = index_of[_entry_keys(t, chunk[at, 2])[0]]
-    return first_hash[by_first_use]
+        chunk[at, 2] = index_of[chunk[at, 2]]
+    return t.key_hash[by_first_use]
 
 
 def _encode(t: _Ranked) -> ProcessedTrace:
@@ -877,8 +853,6 @@ def _encode(t: _Ranked) -> ProcessedTrace:
     rows[iter_rows, 1] = _slots_at(iter_lives, iter_ranks, iter_rows, t.iters)
 
     rows[:, 0] &= ~_RAW_OUTCOME_BITS
-    _check_i32(t, rows[op == _OP.CREATE, 2], "requested capacity")
-    _check_i32(t, rows[op == _OP.ITER_ADVANCE, 2], "advance step count")
 
     return ProcessedTrace(
         key_hashes=key_hashes,
@@ -895,12 +869,6 @@ def encode(raw: RawTrace) -> ProcessedTrace:
     once; anything else raises TraceIntegrityError.
     """
     return _encode(_rank(raw))
-
-
-def _check_i32(t: _Ranked, operands: np.ndarray, what: str) -> None:
-    big = np.flatnonzero(operands < 0)
-    if big.size:
-        raise TraceIntegrityError(f"{what} {t.big[-1 - operands[big[0]]]} overflows i32")
 
 
 def process(raw: RawTrace) -> ProcessedTrace:

@@ -310,10 +310,10 @@ class RefMap(MapAdapter):
         return None
 
     def get(self, key: Any) -> Any | None:
+        h = key.hash32
         table = self._table
         if table is None:
             return None
-        h = key.hash32
         u = h & 0xFFFFFFFF
         e = table[(u ^ (u >> 16)) & self._mask]
         while e is not None:
@@ -324,10 +324,10 @@ class RefMap(MapAdapter):
         return None
 
     def contains_key(self, key: Any) -> bool:
+        h = key.hash32
         table = self._table
         if table is None:
             return False
-        h = key.hash32
         u = h & 0xFFFFFFFF
         e = table[(u ^ (u >> 16)) & self._mask]
         while e is not None:
@@ -338,10 +338,10 @@ class RefMap(MapAdapter):
         return False
 
     def remove(self, key: Any) -> Any | None:
+        h = key.hash32
         table = self._table
         if table is None:
             return None
-        h = key.hash32
         u = h & 0xFFFFFFFF
         idx = (u ^ (u >> 16)) & self._mask
         e = table[idx]

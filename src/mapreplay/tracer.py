@@ -24,12 +24,13 @@ A RawTrace is consumed a block of records at a time, each block a
 read-only numpy structured array in RAW_DTYPE, one row per event. It
 holds its records in one of two ways. Built from an array (by
 `TraceSession.close` without a path, `raw_trace_from_bytes` or a public
-post-processing pass) it wraps that array, and its blocks are slices of
-it. Returned by `read_raw_trace`, or by `TraceSession.close` with a path,
-it holds no records at all: reading checks the header, the event count
-against the file size and every record, a block at a time, and keeps only
-the path and the file's identity, size and modification time (a session
-takes these once the file is complete). Each later pass reads the body
+post-processing pass) it checks every record, a block at a time, wraps
+the array, and its blocks are slices of it. Returned by `read_raw_trace`,
+or by `TraceSession.close` with a path, it holds no records at all:
+reading checks the header, the event count against the file size and
+every record, a block at a time, and keeps only the path and the file's
+identity, size and modification time (a session takes these once the
+file is complete). Each later pass reads the body
 back from the file, checks every block again, and checks that the file
 has not changed, so a truncated, rewritten or replaced file raises
 TraceFormatError rather than yield other records.
@@ -53,8 +54,8 @@ record is
 with absent fields encoded as all-ones. `aux` is op-specific:
 Create packs requested capacity (bits 0-31), load factor thousandths
 (bits 32-41) and the spread flag (bit 42), which is always 1: every map
-spreads its keys' hashes, and a Create with the bit clear is refused on
-reading. CreateCopy carries the source map id; IterNew packs
+spreads its keys' hashes, and a Create with the bit clear is refused by
+every RawTrace. CreateCopy carries the source map id; IterNew packs
 (iterator id << 2) | view; IterAdvance carries the step count. Iterator
 events (IterAdvance, IterRemove) carry the iterator id in the map_id field.
 """
@@ -140,9 +141,12 @@ class RawTrace:
     """Serialized-order event stream, before or after sanitization.
 
     Its records are laid out exactly like the MRT1 body and are read
-    through `blocks(n)`. A trace built from a RAW_DTYPE array wraps it,
-    read-only and contiguous; one from `read_raw_trace` reads its body
-    back from the file on each pass (see the module docstring).
+    through `blocks(n)`, and every one has passed `_check_records`. A
+    trace built from a RAW_DTYPE array checks it a block at a time, as
+    reading it from a file would (an error names the offset in that
+    file), and wraps it, read-only and contiguous; one from
+    `read_raw_trace` reads and checks its body again from the file on
+    each pass (see the module docstring).
     """
 
     __slots__ = ("_records", "_source", "_count")
@@ -153,6 +157,8 @@ class RawTrace:
             raise TypeError(f"raw records must be an array of RAW_DTYPE, not {dtype}")
         records = np.ascontiguousarray(records).view()
         records.flags.writeable = False
+        for first in range(0, len(records), _CHECK_BLOCK):
+            _check_records(records[first : first + _CHECK_BLOCK], first)
         self._records = records
         self._source: tuple[Path, tuple[int, ...]] | None = None
         self._count = len(records)
@@ -541,7 +547,8 @@ class TracedIterator:
 # -- raw trace file I/O ---------------------------------------------------------
 
 
-#: Records checked per block by `read_raw_trace`: what reading holds.
+#: Records checked per block, by `RawTrace` and `read_raw_trace`: what
+#: reading holds.
 _CHECK_BLOCK = 1 << 12
 #: The op bytes and IterNew views a record may hold, as plain ints: the
 #: check runs on every block, and numpy compares with an IntEnum slowly.
@@ -662,11 +669,9 @@ def _event_count(header: bytes, size: int) -> int:
 
 
 def raw_trace_from_bytes(data: bytes) -> RawTrace:
-    """Map the records onto RAW_DTYPE without copying, then validate them."""
+    """Map the records onto RAW_DTYPE without copying; the trace checks them."""
     count = _event_count(data[: _HEADER.size], len(data))
-    records = np.frombuffer(data, dtype=RAW_DTYPE, count=count, offset=_HEADER.size)
-    _check_records(records)
-    return RawTrace(records)
+    return RawTrace(np.frombuffer(data, dtype=RAW_DTYPE, count=count, offset=_HEADER.size))
 
 
 def _stamp(st: os.stat_result) -> tuple[int, ...]:

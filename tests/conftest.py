@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from mapreplay.postproc import ProcessedTrace, process
-from mapreplay.tracer import ABSENT_HASH, ABSENT_OUTCOME, ABSENT_U64, RAW_DTYPE
+from mapreplay.tracer import (
+    ABSENT_HASH,
+    ABSENT_OUTCOME,
+    ABSENT_U64,
+    RAW_DTYPE,
+    RawOpKind,
+    pack_create_aux,
+)
 from mapreplay.workloads import WorkloadSpec, generate
 
 SMALL_SPECS = {
@@ -40,7 +47,13 @@ def trace_of_words():
     return build
 
 
-def _raw_row(op, map_id, key_id=None, hash=None, aux=0, outcome=None, thread=0):
+#: The aux of a hand-built Create that gives none: a default map's.
+_CREATE_AUX = pack_create_aux(16, 750)
+
+
+def _raw_row(op, map_id, key_id=None, hash=None, aux=None, outcome=None, thread=0):
+    if aux is None:
+        aux = _CREATE_AUX if op == RawOpKind.CREATE else 0
     return (
         thread,
         op,
@@ -57,8 +70,10 @@ def _raw_row(op, map_id, key_id=None, hash=None, aux=0, outcome=None, thread=0):
 def raw_records():
     """Build a RAW_DTYPE record array from hand-written event tuples.
 
-    Each tuple is (op, map_id, key_id=None, hash=None, aux=0, outcome=None,
-    thread=0); absent key, hash and outcome are stored as ABSENT_*.
+    Each tuple is (op, map_id, key_id=None, hash=None, aux=None,
+    outcome=None, thread=0); absent key, hash and outcome are stored as
+    ABSENT_*, and an absent aux as a default map's Create aux on a Create
+    (`pack_create_aux(16, 750)`), 0 elsewhere.
     """
 
     def build(rows):

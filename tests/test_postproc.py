@@ -34,12 +34,15 @@ from mapreplay.tracer import (
     RawOpKind,
     RawTrace,
     TraceSession,
+    pack_create_aux,
     pack_iternew_aux,
     unpack_iternew_aux,
 )
 from mapreplay.workloads import WORKLOADS, IntKey, WorkloadSpec, generate
 
 OP = RawOpKind
+#: A default map's Create aux, for hand-built Create rows.
+CREATE_AUX = pack_create_aux(16, 750)
 
 
 def _session_trace(build):
@@ -400,9 +403,9 @@ def test_encode_empty_trace(raw_records):
 
 @pytest.mark.parametrize("chunk", [1, 8192])
 def test_encode_rejects_a_key_recorded_with_two_hashes(raw_records, chunk):
-    # Sanitize drops such a key's maps; encode alone checks every keyed
-    # row against the hash of its key's first use, across chunks.
-    rows = [(OP.CREATE, 1, None, None, 0, None, 0), (OP.PUT, 1, 5, 7, 0, 0, 0),
+    # Sanitize drops such a key's maps; encode alone refuses every keyed
+    # row of such a key, in whichever chunk it falls.
+    rows = [(OP.CREATE, 1, None, None, CREATE_AUX, None, 0), (OP.PUT, 1, 5, 7, 0, 0, 0),
             (OP.GET, 1, 5, 7, 0, 1, 0), (OP.GET, 1, 5, 8, 0, 1, 0),
             (OP.FREE_MAP, 1, None, None, 0, None, 0)]
     with mock.patch.object(postproc, "_CHUNK", chunk):
@@ -520,19 +523,22 @@ A, B, C = (1 << 40) | 1, (2 << 40) | 1, (2 << 40) | 2
     "rows, message",
     [
         (
-            [(OP.CREATE, A, None, None, 0, None, 1), (OP.CREATE, B, None, None, 0, None, 2),
+            [(OP.CREATE, A, None, None, CREATE_AUX, None, 1),
+             (OP.CREATE, B, None, None, CREATE_AUX, None, 2),
              (OP.PUT, B, C, 7, 0, 0, 2), (OP.FREE_MAP, B, None, None, 0, None, 2),
              (OP.GET, B, C, 7, 0, 1, 2), (OP.PUT, A, C, 7, 0, 0, 1)],
             f"object {B} is not live",
         ),
         (
-            [(OP.CREATE, A, None, None, 0, None, 1), (OP.CREATE, B, None, None, 0, None, 2),
-             (OP.PUT, A, C, 7, 0, 0, 1), (OP.CREATE, B, None, None, 0, None, 2)],
+            [(OP.CREATE, A, None, None, CREATE_AUX, None, 1),
+             (OP.CREATE, B, None, None, CREATE_AUX, None, 2),
+             (OP.PUT, A, C, 7, 0, 0, 1), (OP.CREATE, B, None, None, CREATE_AUX, None, 2)],
             f"object {B} is created more than once",
         ),
         (
-            [(OP.CREATE, A, None, None, 0, None, 1), (OP.CREATE_COPY, B, None, None, C, None, 2),
-             (OP.CREATE, C, None, None, 0, None, 2), (OP.PUT, A, B, 7, 0, 0, 1)],
+            [(OP.CREATE, A, None, None, CREATE_AUX, None, 1),
+             (OP.CREATE_COPY, B, None, None, C, None, 2),
+             (OP.CREATE, C, None, None, CREATE_AUX, None, 2), (OP.PUT, A, B, 7, 0, 0, 1)],
             f"object {C} is not live at event 1",
         ),
     ],
@@ -547,6 +553,71 @@ def test_process_errors_name_raw_ids(rows, message, raw_records):
     with pytest.raises(TraceIntegrityError) as distilled:
         process(raw)
     assert str(distilled.value) == str(chain.value) == message
+
+
+def _record_field(index, field_offset):
+    """MRT1 byte offset of a field of record `index`: a 16-byte header, then
+    40-byte records (key_id at 17 bytes in, aux at 29)."""
+    return 16 + 40 * index + field_offset
+
+
+_IT = 3
+_ITERATED = [(OP.CREATE, 1), (OP.PUT, 1, 5, 7, 0, 0), (OP.ITER_NEW, 1, None, None, _IT << 2)]
+
+
+@pytest.mark.parametrize(
+    "rows, error, offset, message",
+    [
+        (
+            [(OP.CREATE, 1), (OP.GET, 1, None, None, 0, 0)],
+            TraceFormatError, _record_field(1, 17), "GET record has no key id",
+        ),
+        (
+            [(OP.CREATE, 1), (OP.PUT, 1, 5, 7, 0, 0), (OP.CLEAR, 1, 5, 7)],
+            TraceFormatError, _record_field(2, 17), "CLEAR record names key 5 but takes no key",
+        ),
+        (
+            [(OP.CREATE, 1, None, None, pack_create_aux(2**31, 750)), (OP.PUT, 1, 5, 7, 0, 0)],
+            TraceFormatError, _record_field(0, 29), "Create capacity 2147483648 overflows i32",
+        ),
+        (
+            [*_ITERATED, (OP.ITER_ADVANCE, _IT, None, None, 1, 1),
+             (OP.ITER_ADVANCE, _IT, None, None, 2**31, 0)],
+            TraceFormatError, _record_field(4, 29),
+            "IterAdvance step count 2147483648 overflows i32",
+        ),
+        (
+            [*_ITERATED, (OP.ITER_ADVANCE, _IT, None, None, 2**30, 1),
+             (OP.ITER_ADVANCE, _IT, None, None, 2**30, 1)],
+            TraceIntegrityError, None, "advance step count 2147483648 overflows i32",
+        ),
+        (
+            [(OP.CREATE, 1, None, None, 750 << 32 | 16), (OP.PUT, 1, 5, 7, 0, 0)],
+            TraceFormatError, _record_field(0, 29),
+            "Create with the spread bit (aux bit 42) clear: every map spreads its hashes",
+        ),
+    ],
+    ids=[
+        "keyed-op-without-key",
+        "keyless-op-naming-a-key",
+        "capacity-above-i32",
+        "exhausted-step-count-above-i32",
+        "summed-step-count-above-i32",
+        "create-with-spread-bit-clear",
+    ],
+)
+def test_distill_refuses_what_a_row_cannot_hold(rows, error, offset, message, raw_records):
+    # A trace built from an array checks its records as one read from a
+    # file does, and ranking refuses operands that do not fit an int32 row,
+    # at the field's offset; process and the public chain refuse alike.
+    records = raw_records(rows)
+    if offset is not None:
+        message = f"at offset {offset}: {message}"
+    for distill in (process, lambda raw: encode(insert_free_events(coalesce(sanitize(raw))))):
+        with pytest.raises(error) as err:
+            distill(RawTrace(records))
+        assert str(err.value) == message
+        assert getattr(err.value, "offset", None) == offset
 
 
 def test_disjoint_lifetimes_share_slot_zero():

@@ -84,6 +84,16 @@ def test_a_key_without_hash32_is_not_a_key():
         RefMap().put("word", 1)
 
 
+@pytest.mark.parametrize("op", ["get", "contains_key", "remove"])
+def test_a_key_without_hash32_is_refused_before_the_table_exists(op):
+    # A map with no table yet holds nothing, but it reads the hash first,
+    # as put does, so such a key fails on every op and not only later ones.
+    m = RefMap()
+    with pytest.raises(AttributeError):
+        getattr(m, op)("word")
+    assert m.capacity() == 0
+
+
 def test_bucket_index_matches_oracle():
     rng = random.Random(42)
     for _ in range(500):
