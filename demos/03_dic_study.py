@@ -8,7 +8,7 @@ then measures the wall-clock consequence for whole traces.
 
 from mapreplay import (
     BenchConfig,
-    ConfigOverride,
+    MapConfig,
     RefMap,
     ReplaySession,
     process,
@@ -25,7 +25,7 @@ for name, params in (("wordfreq", {}), ("scan", {"maps": 300})):
     print(f"\n{name}: {trace.op_count} opcodes")
     print(f"{'DIC':>6} {'resizes':>9} {'probes':>10} {'buckets_scanned':>16}")
     for dic in DICS:
-        c = session.replay(RefMap, "counting", ConfigOverride(dic)).counters
+        c = session.replay(RefMap, "counting", MapConfig(dic)).counters
         print(f"{dic:>6} {c.resizes:>9} {c.collision_probes:>10} {c.buckets_scanned:>16}")
 
 print(

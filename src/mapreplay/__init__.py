@@ -51,12 +51,7 @@ from .refmap import (
     normalize_capacity,
     threshold,
 )
-from .replay import (
-    IMPLEMENTATIONS,
-    ConfigOverride,
-    ReplaySession,
-    get_implementation,
-)
+from .replay import IMPLEMENTATIONS, ReplaySession, get_implementation
 from .tracer import (
     RawOpKind,
     RawTrace,

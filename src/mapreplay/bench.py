@@ -30,8 +30,8 @@ import numpy as np
 
 from .errors import ConfigError, FidelityError, MapReplayError
 from .postproc import Characterization, ProcessedTrace, process
-from .refmap import DEFAULT_CONFIG, RefMap
-from .replay import ConfigOverride, ReplaySession, get_implementation
+from .refmap import DEFAULT_CONFIG, MapConfig, RefMap
+from .replay import ReplaySession, get_implementation
 from .workloads import WorkloadSpec, generate
 
 REPORT_FORMAT = "mapreplay-bench-v1"
@@ -322,7 +322,7 @@ class _Variant:
     label: str
     impl: str  # the registry name, or the adapter class's __name__
     factory: type
-    override: ConfigOverride
+    config: MapConfig  # the run's config (see ReplaySession.replay)
     registered: bool  # only a registry adapter can be sent to a child process
 
 
@@ -336,15 +336,14 @@ def _resolve(variants: Sequence[tuple], lf_milli: int) -> list[_Variant]:
     for impl, dic in variants:
         registered = isinstance(impl, str)
         name = impl if registered else getattr(impl, "__name__", "custom")
-        override = ConfigOverride(dic, lf_milli)
-        override.config()
+        config = MapConfig(dic, lf_milli)
         factory = get_implementation(impl) if registered else impl
-        resolved.append(_Variant(f"{name}:dic{dic}", name, factory, override, registered))
+        resolved.append(_Variant(f"{name}:dic{dic}", name, factory, config, registered))
     return resolved
 
 
 def _iteration(
-    session: ReplaySession, factory: type, override: ConfigOverride | None, duration: float
+    session: ReplaySession, factory: type, config: MapConfig, duration: float
 ) -> float:
     """One harness iteration: repeat replays until `duration` elapses.
 
@@ -359,7 +358,7 @@ def _iteration(
     while True:
         t0 = time.perf_counter()
         for _ in range(batch):
-            session.replay(factory, "timing", override)
+            session.replay(factory, "timing", config)
         dt = time.perf_counter() - t0
         total += dt
         invocations += batch
@@ -372,7 +371,7 @@ def _iteration(
 
 def _one_run(session: ReplaySession, variant: _Variant, config: BenchConfig) -> list[float]:
     """One run's samples: its iterations after the warmup ones."""
-    times = [_iteration(session, variant.factory, variant.override, config.iter_duration)
+    times = [_iteration(session, variant.factory, variant.config, config.iter_duration)
              for _ in range(config.warmup_iters + config.measured_iters)]
     return times[config.warmup_iters:]
 
@@ -428,7 +427,7 @@ def _collect_all_samples(
         # One unmeasured replay per variant absorbs cold-start costs that a
         # fresh child process would otherwise isolate.
         for v in variants:
-            session.replay(v.factory, "timing", v.override)
+            session.replay(v.factory, "timing", v.config)
     else:
         import multiprocessing  # only spawning needs it: ~0.75 MB RSS on import
 
@@ -473,12 +472,12 @@ def _bench(
     measured: list[tuple[VariantResult, _Variant]] = []
     passed = set(validated)
     for variant in variants:
-        v = VariantResult(variant.label, variant.impl, variant.override.dic,
-                          variant.override.lf_milli)
+        v = VariantResult(variant.label, variant.impl, variant.config.initial_capacity,
+                          variant.config.load_factor_milli)
         results.append(v)
         if variant.factory not in passed:
-            # Fidelity is checked under the recorded configurations: with a
-            # capacity override, iterator-removes may legitimately pick
+            # Fidelity is checked under the recorded configurations: at
+            # another run config, iterator-removes may legitimately pick
             # different victims (iteration order depends on capacity), which
             # is divergence of the workload, not of the adapter.
             try:

@@ -16,8 +16,8 @@ from .bench import (
 )
 from .errors import MapReplayError
 from .postproc import decode, process, read_processed, stats, write_processed
-from .refmap import DEFAULT_INITIAL_CAPACITY, DEFAULT_LOAD_FACTOR_MILLI
-from .replay import MODES, ConfigOverride, ReplaySession, get_implementation
+from .refmap import DEFAULT_INITIAL_CAPACITY, DEFAULT_LOAD_FACTOR_MILLI, MapConfig
+from .replay import MODES, ReplaySession, get_implementation
 from .tracer import read_raw_trace
 from .workloads import WORKLOADS, WorkloadSpec, generate
 
@@ -81,16 +81,14 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    trace = read_processed(args.processed)
-    session = ReplaySession(trace)
+    # A bad --dic or --lf fails here, before the trace is read.
+    config = MapConfig(
+        DEFAULT_INITIAL_CAPACITY if args.dic is None else args.dic,
+        DEFAULT_LOAD_FACTOR_MILLI if args.lf is None else args.lf,
+    )
     factory = get_implementation(args.impl)
-    override = None
-    if args.dic is not None or args.lf is not None:
-        override = ConfigOverride(
-            DEFAULT_INITIAL_CAPACITY if args.dic is None else args.dic,
-            DEFAULT_LOAD_FACTOR_MILLI if args.lf is None else args.lf,
-        )
-    result = session.replay(factory, args.mode, override)
+    session = ReplaySession(read_processed(args.processed))
+    result = session.replay(factory, args.mode, config)
     lines = [
         f"impl={args.impl}",
         f"mode={args.mode}",
@@ -175,9 +173,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("processed")
     p.add_argument("--impl", default="refmap")
     p.add_argument("--dic", type=int, default=None,
-                   help="initial capacity for default-config creates (default: as recorded)")
+                   help="initial capacity for copies and default-config creates "
+                        "(default: as recorded)")
     p.add_argument("--lf", type=int, default=None,
-                   help="load factor in thousandths for default-config creates "
+                   help="load factor in thousandths for copies and default-config creates "
                         "(default: as recorded)")
     p.add_argument("--mode", choices=MODES, default="timing")
     p.add_argument("--report", default=None)

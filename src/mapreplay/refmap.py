@@ -159,7 +159,9 @@ class MapAdapter(ABC):
     @classmethod
     @abstractmethod
     def copy_of(cls, source: "MapAdapter", config: MapConfig = DEFAULT_CONFIG) -> "MapAdapter":
-        """Construct a new map holding the same mappings as `source`."""
+        """Construct a new map holding the same mappings as `source`, built
+        with `config`. Replay passes the run's config: a copy keeps none of
+        its source's."""
 
     @abstractmethod
     def get(self, key: Any) -> Any | None: ...

@@ -33,10 +33,10 @@ a table of more than MAX_TABLE_SLOTS slots, since a map allocates its
 whole table at once. A map's table is the larger of its normalized
 capacity and the table its load factor needs to hold its entries: for a
 CreateCopy every key of the trace, for a Create, when that would pass
-the limit, the distinct keys put into its map. A ConfigOverride is the
-caller's own configuration and is not bounded. A slot used after free, an
-operand out of range or an IterNew view of 3 surfaces as the
-AttributeError or IndexError it causes, and is reported as a
+the limit, the distinct keys put into its map. The run's config is the
+caller's own and is not bounded. A slot used after free, an operand out
+of range or an IterNew view of 3 surfaces as the AttributeError or
+IndexError it causes, and is reported as a
 TraceIntegrityError naming the op index; FreeMap, FreeIter and the
 CreateCopy source check for a freed slot themselves, and a Create checks
 that its spread bit is set, since every map spreads its hashes. So are the
@@ -47,8 +47,11 @@ worked out from the words the iterator has left, `(n - left) // 3 - 1` for
 a stream of n words.
 
 Put always stores the one shared VALUE_TOKEN; recorded traces carry no
-value information. Copy construction uses the run's default configuration
-(the override's, when set), sized to its source by the adapter itself.
+value information. A run has one config, DEFAULT_CONFIG unless the caller
+passes another. Every CreateCopy takes it, as Java's `HashMap(Map)` takes
+no config of its own, and is sized to its source by the adapter itself. A
+Create takes it only when it was recorded at the default (16, 750); any
+other Create keeps its recorded configuration.
 """
 
 from __future__ import annotations
@@ -170,22 +173,6 @@ def _mockup_key_type() -> tuple[type, tuple]:
 MockupKey, _MOCKUP_KEY_SPEC = _mockup_key_type()
 
 
-@dataclass(frozen=True, slots=True)
-class ConfigOverride:
-    """Replay-time substitute for creates that recorded the default config.
-
-    Creates recorded with the default (capacity, load factor) are
-    constructed with (dic, lf_milli) instead; creates with explicit
-    non-default arguments keep their recorded configuration.
-    """
-
-    dic: int
-    lf_milli: int = DEFAULT_CONFIG.load_factor_milli
-
-    def config(self) -> MapConfig:
-        return MapConfig(self.dic, self.lf_milli)
-
-
 @dataclass(slots=True)
 class ReplayResult:
     elapsed: float
@@ -242,7 +229,7 @@ class ReplaySession:
                     f"op {i}: create of a {normalize_capacity(capacity)}-slot table "
                     f"exceeds the {limit}-slot limit"
                 )
-            lf = DEFAULT_CONFIG.load_factor_milli  # a CreateCopy's, before any override
+            lf = DEFAULT_CONFIG.load_factor_milli  # a CreateCopy's, at the default config
             if w & OP_KIND_MASK == _OP.CREATE:
                 lf = (w >> LF_SHIFT) & LF_MASK
             k = int(held[0])
@@ -267,9 +254,10 @@ class ReplaySession:
         self,
         factory: type,
         mode: str = "timing",
-        override: ConfigOverride | None = None,
+        config: MapConfig = DEFAULT_CONFIG,
     ) -> ReplayResult:
-        """Interpret the opcode stream once against one adapter class."""
+        """Interpret the opcode stream once against one adapter class, at
+        the run's `config` (see the module docstring)."""
         if mode not in MODES:
             raise ConfigError(f"unknown replay mode {mode!r}; expected one of {MODES}")
         if mode == "counting" and not (isinstance(factory, type) and issubclass(factory, RefMap)):
@@ -279,7 +267,6 @@ class ReplaySession:
         keys = self.keys
         maps: list = [None] * self.trace.max_map_slots
         iters: list = [None] * self.trace.max_iter_slots
-        default_cfg = override.config() if override else DEFAULT_CONFIG
         ordinal = [0] * len(maps)  # creation ordinal of each slot's occupant
         map_digests: list[int] = []  # one per create; 0 until the map is freed
         freed: list[int] = []  # state digest at each FreeMap, in op order
@@ -307,7 +294,7 @@ class ReplaySession:
             raise TraceIntegrityError(f"unknown opcode {w & OP_KIND_MASK}")
 
         def create(w, a, b):
-            maps[a] = factory(_create_config(w, b, override))
+            maps[a] = factory(_create_config(w, b, config))
             ordinal[a] = len(map_digests)
             map_digests.append(0)
 
@@ -315,7 +302,7 @@ class ReplaySession:
             source = maps[b]
             if source is None:
                 raise TraceIntegrityError(f"map slot {b} used after free")
-            maps[a] = factory.copy_of(source, default_cfg)
+            maps[a] = factory.copy_of(source, config)
             ordinal[a] = len(map_digests)
             map_digests.append(0)
 
@@ -515,16 +502,14 @@ def _keys_put(ops: np.ndarray, kinds: np.ndarray, creates: np.ndarray) -> np.nda
     return np.bincount(pairs[first] >> 32, minlength=creates.size)
 
 
-def _create_config(word: int, capacity: int, override: ConfigOverride | None) -> MapConfig:
+def _create_config(word: int, capacity: int, config: MapConfig) -> MapConfig:
+    """The config a Create builds its map with: the run's `config` when it
+    was recorded at the default, else its recorded one."""
     if not word & SPREAD_BIT:
         raise TraceIntegrityError("create with the spread bit (bit 19) clear")
     lf = (word >> LF_SHIFT) & LF_MASK
-    if (
-        override is not None
-        and capacity == DEFAULT_CONFIG.initial_capacity
-        and lf == DEFAULT_CONFIG.load_factor_milli
-    ):
-        return override.config()
+    if capacity == DEFAULT_CONFIG.initial_capacity and lf == DEFAULT_CONFIG.load_factor_milli:
+        return config
     return MapConfig(capacity, lf)
 
 

@@ -406,14 +406,16 @@ class TraceSession:
         )
         return TracedMap(self, RefMap(config), map_id, {})
 
-    def copy_map(self, source: "TracedMap", config: MapConfig = DEFAULT_CONFIG) -> "TracedMap":
+    def copy_map(self, source: "TracedMap") -> "TracedMap":
         """Copy-construct a traced map; it inherits the source's key ids, so
-        lookups against the copy resolve to the source's canonical keys."""
+        lookups against the copy resolve to the source's canonical keys.
+
+        The copy takes the default config, not its source's, as Java's
+        `HashMap(Map)` does, so the CreateCopy event records only the source.
+        """
         map_id = next(self._state().map_ids)
         self.record(RawOpKind.CREATE_COPY, map_id, aux=source.map_id)
-        return TracedMap(
-            self, RefMap.copy_of(source._inner, config), map_id, dict(source._keys)
-        )
+        return TracedMap(self, RefMap.copy_of(source._inner), map_id, dict(source._keys))
 
 
 class _ThreadSlot:

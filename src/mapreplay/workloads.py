@@ -112,7 +112,10 @@ class WorkloadSpec:
 
 
 class DirectEnv:
-    """Runs a workload against plain RefMaps, keeping them in creation order."""
+    """Runs a workload against plain RefMaps, keeping them in creation order.
+
+    A copy takes the default config, as Java's `HashMap(Map)` does.
+    """
 
     def __init__(self):
         self.maps: list[RefMap] = []
@@ -126,8 +129,8 @@ class DirectEnv:
     def new_map(self, config: MapConfig = DEFAULT_CONFIG):
         return self._register(RefMap(config))
 
-    def copy_map(self, source, config: MapConfig = DEFAULT_CONFIG):
-        return self._register(RefMap.copy_of(source, config))
+    def copy_map(self, source):
+        return self._register(RefMap.copy_of(source))
 
     def thread(self, slot: int):
         return nullcontext()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mapreplay.postproc import ProcessedTrace, process
+from mapreplay.refmap import MapConfig, RefMap
 from mapreplay.tracer import (
     ABSENT_HASH,
     ABSENT_OUTCOME,
@@ -9,6 +10,8 @@ from mapreplay.tracer import (
     RAW_DTYPE,
     RawOpKind,
     pack_create_aux,
+    unpack_create_aux,
+    unpack_iternew_aux,
 )
 from mapreplay.workloads import WorkloadSpec, generate
 
@@ -80,3 +83,63 @@ def raw_records():
         return np.array([_raw_row(*row) for row in rows], dtype=RAW_DTYPE)
 
     return build
+
+
+class _OracleKey:
+    """A recorded key: equal by key id, hashed by its recorded hash."""
+
+    __slots__ = ("kid", "hash32")
+
+    def __init__(self, kid, h):
+        self.kid = kid
+        self.hash32 = h
+
+    def __eq__(self, other):
+        return isinstance(other, _OracleKey) and other.kid == self.kid
+
+    def __hash__(self):
+        return self.kid
+
+
+#: Each keyed op as a call on a map, giving its outcome bit.
+_KEYED_CALLS = {
+    RawOpKind.GET: lambda m, k: m.get(k) is not None,
+    RawOpKind.PUT: lambda m, k: m.put(k, 1) is not None,
+    RawOpKind.REMOVE: lambda m, k: m.remove(k) is not None,
+    RawOpKind.CONTAINS_KEY: lambda m, k: m.contains_key(k),
+}
+
+
+def _interpret_raw(events):
+    """Oracle: apply raw events one at a time to plain RefMaps, with no
+    post-processing. Asserts every recorded outcome, stepping an advance
+    `aux` times, and returns each map's state digest in creation order."""
+    maps, iters, keys, created = {}, {}, {}, []
+    for e in events:
+        if e.op == RawOpKind.CREATE:
+            maps[e.map_id] = RefMap(MapConfig(*unpack_create_aux(e.aux)))
+            created.append(maps[e.map_id])
+        elif e.op == RawOpKind.CREATE_COPY:
+            # A copy takes the default config, as Java's HashMap(Map) does.
+            maps[e.map_id] = RefMap.copy_of(maps[e.aux])
+            created.append(maps[e.map_id])
+        elif e.op in _KEYED_CALLS:
+            key = keys.setdefault(e.key_id, _OracleKey(e.key_id, e.hash))
+            assert _KEYED_CALLS[e.op](maps[e.map_id], key) == bool(e.outcome), e
+        elif e.op == RawOpKind.CLEAR:
+            maps[e.map_id].clear()
+        elif e.op == RawOpKind.ITER_NEW:
+            iter_id, view = unpack_iternew_aux(e.aux)
+            iters[iter_id] = maps[e.map_id].iterator(view)
+        elif e.op == RawOpKind.ITER_ADVANCE:
+            for _ in range(e.aux):
+                assert (iters[e.map_id].advance() is not None) == bool(e.outcome), e
+        elif e.op == RawOpKind.ITER_REMOVE:
+            iters[e.map_id].remove()
+    return [m.state_digest() for m in created]
+
+
+@pytest.fixture
+def interpret_raw():
+    """The raw-event oracle `_interpret_raw`: events in, digests out."""
+    return _interpret_raw

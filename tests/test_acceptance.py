@@ -26,8 +26,8 @@ from mapreplay.postproc import (
     sanitize,
     to_bytes,
 )
-from mapreplay.refmap import RefMap, threshold
-from mapreplay.replay import ConfigOverride, ReplaySession
+from mapreplay.refmap import MapConfig, RefMap, threshold
+from mapreplay.replay import ReplaySession
 from mapreplay.tracer import RawOpKind, RawTrace, TraceSession
 from mapreplay.workloads import IntKey, WorkloadSpec, generate, run_direct
 
@@ -111,9 +111,7 @@ def test_resize_schedule():
     gate.check("DIC-16 resizes at insertions 13, 25, 49", resize_sizes == [13, 25, 49])
 
     totals = {
-        dic: replay_session.replay(
-            RefMap, mode="counting", override=ConfigOverride(dic)
-        ).counters.resizes
+        dic: replay_session.replay(RefMap, mode="counting", config=MapConfig(dic)).counters.resizes
         for dic in (16, 32, 64, 128)
     }
     gate.check(
@@ -207,8 +205,8 @@ def test_directional_trends(default_traces):
 
     _, _, wordfreq = default_traces["wordfreq"]
     session = ReplaySession(wordfreq)
-    c16 = session.replay(RefMap, "counting", ConfigOverride(16)).counters
-    c64 = session.replay(RefMap, "counting", ConfigOverride(64)).counters
+    c16 = session.replay(RefMap, "counting", MapConfig(16)).counters
+    c64 = session.replay(RefMap, "counting", MapConfig(64)).counters
     gate.check("wordfreq resizes non-increasing 16 -> 64", c64.resizes <= c16.resizes)
     gate.check(
         "wordfreq collision probes non-increasing 16 -> 64",
@@ -217,8 +215,8 @@ def test_directional_trends(default_traces):
 
     _, _, scan = default_traces["scan"]
     session = ReplaySession(scan)
-    s16 = session.replay(RefMap, "counting", ConfigOverride(16)).counters
-    s128 = session.replay(RefMap, "counting", ConfigOverride(128)).counters
+    s16 = session.replay(RefMap, "counting", MapConfig(16)).counters
+    s128 = session.replay(RefMap, "counting", MapConfig(128)).counters
     gate.check(
         "scan buckets scanned strictly increasing 16 -> 128",
         s128.buckets_scanned > s16.buckets_scanned,

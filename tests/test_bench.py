@@ -371,7 +371,7 @@ def test_run_bench_builds_one_replay_session(monkeypatch):
 def test_pipeline_validates_against_refmap_once(monkeypatch):
     # pipeline's own RefMap validation stands for the refmap variants'.
     from mapreplay import bench
-    from mapreplay.refmap import PyDictMap, RefMap
+    from mapreplay.refmap import DEFAULT_CONFIG, PyDictMap, RefMap
     from mapreplay.workloads import WorkloadSpec
 
     built, validating = [], []
@@ -381,10 +381,10 @@ def test_pipeline_validates_against_refmap_once(monkeypatch):
             super().__init__(trace)
             built.append(self)
 
-        def replay(self, factory, mode="timing", override=None):
+        def replay(self, factory, mode="timing", config=DEFAULT_CONFIG):
             if mode == "validating":
                 validating.append(factory)
-            return super().replay(factory, mode, override)
+            return super().replay(factory, mode, config)
 
     monkeypatch.setattr(bench, "ReplaySession", CountedSession)
     spec = WorkloadSpec("churn", seed=3, params={"maps": 2, "cycles": 2})

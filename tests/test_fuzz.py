@@ -12,12 +12,13 @@ MapReplayError that says where: a TraceIntegrityError or FidelityError
 naming the op from setup and replay. Where libdeflate does not load, both
 decodes take the zlib path.
 
-MRT1: the raw records of the same traces are mutated (op byte, map, key
-and hash fields, the aux of Create, IterNew and IterAdvance, and the source
-map of CreateCopy; ids include ones above 32 bits, as the tracer allocates
-them for thread slot 1) and the file may be cut short. Each result is read
-from its bytes and, written to a file, with `read_raw_trace`: both must
-read, or raise the same TraceFormatError message and byte offset; then
+MRT1: the raw records of the same traces are mutated (op byte, map and
+hash fields, the key id of keyed records, the aux of Create, IterNew and
+IterAdvance, and the source map of CreateCopy; ids include ones above 32
+bits, as the tracer allocates them for thread slot 1, and absence) and the
+file may be cut short. Each result is read from its bytes and, written to
+a file, with `read_raw_trace`: both must read, or raise the same
+TraceFormatError message and byte offset; then
 `process` of either must give what the public passes give in turn: the
 same MPT1 bytes, or the same MapReplayError and message.
 
@@ -267,7 +268,14 @@ _aux = st.one_of(
 _raw_mutation = st.one_of(
     st.tuples(st.just("op"), _index, st.integers(0, 15)),
     st.tuples(st.just("map_id"), _index, _id),
-    st.tuples(st.just("key_id"), _index, _id),
+    # The key id of the nth record of one keyed kind: a key id on any other
+    # record is refused before distilling, and the op mutation reaches that.
+    st.tuples(
+        st.just("key_id"),
+        _index,
+        _id,
+        st.sampled_from([RawOpKind.GET, RawOpKind.PUT, RawOpKind.REMOVE, RawOpKind.CONTAINS_KEY]),
+    ),
     st.tuples(st.just("hash"), _index, st.integers(-2, 14)),
     # The aux of the nth record of one kind; a CreateCopy's is its source map.
     st.tuples(

@@ -836,57 +836,9 @@ def test_stats_matches_direct_tally(small_traces):
 # -- post-processing preserves map-state evolution ----------------------------------------
 
 
-def _raw_subsequence_digests(events):
-    """Oracle: interpret the raw per-map event stream directly."""
-    from mapreplay.refmap import DEFAULT_CONFIG, MapConfig
-    from mapreplay.tracer import unpack_create_aux
-
-    class K:
-        __slots__ = ("kid", "hash32")
-
-        def __init__(self, kid, h):
-            self.kid = kid
-            self.hash32 = h
-
-        def __eq__(self, other):
-            return other.kid == self.kid
-
-        def __hash__(self):
-            return self.kid
-
-    maps = {}
-    order = []
-    iters = {}
-    keys = {}
-    for e in events:
-        if e.op is OP.CREATE:
-            maps[e.map_id] = RefMap(MapConfig(*unpack_create_aux(e.aux)))
-            order.append(e.map_id)
-        elif e.op is OP.CREATE_COPY:
-            maps[e.map_id] = RefMap.copy_of(maps[e.aux], DEFAULT_CONFIG)
-            order.append(e.map_id)
-        elif e.op in (OP.GET, OP.PUT, OP.REMOVE, OP.CONTAINS_KEY):
-            key = keys.setdefault(e.key_id, K(e.key_id, e.hash))
-            getattr(maps[e.map_id], {OP.GET: "get", OP.PUT: "put",
-                                     OP.REMOVE: "remove", OP.CONTAINS_KEY: "contains_key"}[e.op])(
-                *(key, 1) if e.op is OP.PUT else (key,)
-            )
-        elif e.op is OP.CLEAR:
-            maps[e.map_id].clear()
-        elif e.op is OP.ITER_NEW:
-            iter_id, view = unpack_iternew_aux(e.aux)
-            iters[iter_id] = maps[e.map_id].iterator(view)
-        elif e.op is OP.ITER_ADVANCE:
-            for _ in range(e.aux):
-                iters[e.map_id].advance()
-        elif e.op is OP.ITER_REMOVE:
-            iters[e.map_id].remove()
-    return [maps[mid].state_digest() for mid in order]
-
-
-def test_processing_preserves_state_evolution(small_traces):
+def test_processing_preserves_state_evolution(small_traces, interpret_raw):
     for name, (_, raw, trace) in small_traces.items():
-        oracle = _raw_subsequence_digests(sanitize(raw).events)
+        oracle = interpret_raw(sanitize(raw).events)
         result = ReplaySession(trace).replay(RefMap, mode="validating")
         assert result.map_digests == oracle, name
 

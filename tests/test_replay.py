@@ -1,4 +1,4 @@
-"""Replay semantics: mockup keys, setup preallocation, modes, overrides."""
+"""Replay semantics: mockup keys, setup preallocation, modes, the run's config."""
 
 import gc
 import sys
@@ -10,7 +10,6 @@ from mapreplay.errors import ConfigError, FidelityError, TraceIntegrityError
 from mapreplay.postproc import OUTCOME_BIT, process, stats
 from mapreplay.refmap import DEFAULT_CONFIG, MapConfig, PyDictMap, RefMap
 from mapreplay.replay import (
-    ConfigOverride,
     MockupKey,
     ReplaySession,
     VALUE_TOKEN,
@@ -292,7 +291,7 @@ def test_counting_resizes_for_49_inserts():
     session = ReplaySession(trace)
     totals = {}
     for dic in (16, 32, 64, 128):
-        result = session.replay(RefMap, mode="counting", override=ConfigOverride(dic))
+        result = session.replay(RefMap, mode="counting", config=MapConfig(dic))
         totals[dic] = result.counters.resizes
     assert totals == {16: 3, 32: 2, 64: 1, 128: 0}
 
@@ -375,11 +374,12 @@ def test_coalescing_changes_dispatch_not_adapter_calls(small_traces):
     assert with_coalescing == without  # one adapter call per recorded step
 
 
-# -- config overrides --------------------------------------------------------------------
+# -- the run's config --------------------------------------------------------------------
 
 
-def _create_configs_seen(trace, override=None):
-    """Replay just to observe the configs maps were constructed with."""
+def _create_configs_seen(trace, config=DEFAULT_CONFIG):
+    """Replay just to observe the configs maps were constructed with,
+    copies included (`copy_of` builds through `__init__`)."""
     seen = []
 
     class Probe(RefMap):
@@ -387,15 +387,20 @@ def _create_configs_seen(trace, override=None):
             seen.append(config)
             super().__init__(config)
 
-    ReplaySession(trace).replay(Probe, mode="timing", override=override)
+    ReplaySession(trace).replay(Probe, mode="timing", config=config)
     return seen
 
 
 def test_override_applies_to_default_creates():
-    trace = _insert_only_trace(1)
-    (cfg,) = _create_configs_seen(trace, ConfigOverride(64))
-    assert cfg.initial_capacity == 64
-    assert cfg.load_factor_milli == 750
+    def copied(s):
+        m = s.new_map()
+        m.put(IntKey(1), 1)
+        s.copy_map(m)
+
+    # A Create recorded at the default, then that and a CreateCopy.
+    for trace, maps in ((_insert_only_trace(1), 1), (_trace_of(copied), 2)):
+        assert _create_configs_seen(trace, MapConfig(64)) == [MapConfig(64, 750)] * maps
+        assert _create_configs_seen(trace) == [DEFAULT_CONFIG] * maps
 
 
 def test_override_preserves_explicit_configs():
@@ -404,7 +409,7 @@ def test_override_preserves_explicit_configs():
         m.put(IntKey(1), 1)
 
     trace = _trace_of(build)
-    (cfg,) = _create_configs_seen(trace, ConfigOverride(64))
+    (cfg,) = _create_configs_seen(trace, MapConfig(64))
     assert cfg.initial_capacity == 100
 
 
@@ -414,16 +419,8 @@ def test_override_equal_to_default_is_identity():
     trace = process(raw)
     session = ReplaySession(trace)
     base = session.replay(RefMap, mode="validating")
-    same = session.replay(
-        RefMap, mode="validating", override=ConfigOverride(16, 750)
-    )
+    same = session.replay(RefMap, mode="validating", config=MapConfig(16, 750))
     assert base.digests == same.digests
-
-
-def test_override_rule_fields():
-    rule = ConfigOverride(64)
-    assert (rule.dic, rule.lf_milli) == (64, 750)
-    assert rule.config() == MapConfig(64, 750)
 
 
 # -- fidelity and integrity errors ----------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 from mapreplay import tracer
 from mapreplay.errors import ConfigError, TraceFormatError
 from mapreplay.postproc import process, to_bytes
-from mapreplay.refmap import DEFAULT_CONFIG, MapConfig, RefMap, View, bucket_index
+from mapreplay.refmap import MapConfig, View, bucket_index
 from mapreplay.tracer import (
     ABSENT_HASH,
     ABSENT_OUTCOME,
@@ -701,52 +701,8 @@ def test_key_substitution_preserves_bucket_and_outcome():
             assert bucket_index(e.hash, cap) == bucket_index(key.hash32, cap)
 
 
-def test_outcome_bits_reproducible_by_raw_interpretation():
+def test_outcome_bits_reproducible_by_raw_interpretation(interpret_raw):
     """Replaying each map's raw event subsequence reproduces recorded outcomes."""
     from mapreplay.workloads import WorkloadSpec, generate
 
-    raw = generate(WorkloadSpec("random", seed=5, scale=2))
-    maps: dict[int, RefMap] = {}
-    iters: dict[int, tuple] = {}
-    keys: dict[int, object] = {}
-
-    class OracleKey:
-        __slots__ = ("kid", "hash32")
-
-        def __init__(self, kid, h):
-            self.kid = kid
-            self.hash32 = h
-
-        def __eq__(self, other):
-            return isinstance(other, OracleKey) and other.kid == self.kid
-
-        def __hash__(self):
-            return self.kid
-
-    def key_for(e):
-        if e.key_id not in keys:
-            keys[e.key_id] = OracleKey(e.key_id, e.hash)
-        return keys[e.key_id]
-
-    for e in raw.events:
-        if e.op is RawOpKind.CREATE:
-            maps[e.map_id] = RefMap(MapConfig(*unpack_create_aux(e.aux)))
-        elif e.op is RawOpKind.CREATE_COPY:
-            maps[e.map_id] = RefMap.copy_of(maps[e.aux], DEFAULT_CONFIG)
-        elif e.op is RawOpKind.GET:
-            assert (maps[e.map_id].get(key_for(e)) is not None) == bool(e.outcome)
-        elif e.op is RawOpKind.PUT:
-            assert (maps[e.map_id].put(key_for(e), 1) is not None) == bool(e.outcome)
-        elif e.op is RawOpKind.REMOVE:
-            assert (maps[e.map_id].remove(key_for(e)) is not None) == bool(e.outcome)
-        elif e.op is RawOpKind.CONTAINS_KEY:
-            assert maps[e.map_id].contains_key(key_for(e)) == bool(e.outcome)
-        elif e.op is RawOpKind.CLEAR:
-            maps[e.map_id].clear()
-        elif e.op is RawOpKind.ITER_NEW:
-            iter_id, view = unpack_iternew_aux(e.aux)
-            iters[iter_id] = maps[e.map_id].iterator(view)
-        elif e.op is RawOpKind.ITER_ADVANCE:
-            assert (iters[e.map_id].advance() is not None) == bool(e.outcome)
-        elif e.op is RawOpKind.ITER_REMOVE:
-            iters[e.map_id].remove()
+    interpret_raw(generate(WorkloadSpec("random", seed=5, scale=2)).events)

@@ -11,12 +11,13 @@ import pytest
 from mapreplay.bench import BenchConfig, pipeline
 from mapreplay.errors import ConfigError, FidelityError
 from mapreplay.postproc import process, sanitize, stats
-from mapreplay.refmap import OpCounters, RefMap
-from mapreplay.replay import ConfigOverride, ReplaySession
-from mapreplay.tracer import RawOpKind, raw_trace_to_bytes
+from mapreplay.refmap import DEFAULT_CONFIG, MapConfig, OpCounters, RefMap
+from mapreplay.replay import ReplaySession
+from mapreplay.tracer import RawOpKind, TraceSession, raw_trace_to_bytes
 from mapreplay.workloads import (
     WORKLOADS,
     DirectEnv,
+    IntKey,
     WorkloadSpec,
     _run,
     corpus_tokens,
@@ -187,7 +188,7 @@ def test_churn_resizes_fall_as_dic_grows():
     trace = process(generate(spec))
     session = ReplaySession(trace)
     resizes = [
-        session.replay(RefMap, "counting", ConfigOverride(dic)).counters.resizes
+        session.replay(RefMap, "counting", MapConfig(dic)).counters.resizes
         for dic in (16, 32, 64, 128)
     ]
     assert resizes == sorted(resizes, reverse=True)
@@ -198,8 +199,8 @@ def test_trend_insert_heavy_probes_and_resizes():
     spec = WorkloadSpec("wordfreq", seed=1)
     trace = process(generate(spec))
     session = ReplaySession(trace)
-    c16 = session.replay(RefMap, "counting", ConfigOverride(16)).counters
-    c64 = session.replay(RefMap, "counting", ConfigOverride(64)).counters
+    c16 = session.replay(RefMap, "counting", MapConfig(16)).counters
+    c64 = session.replay(RefMap, "counting", MapConfig(64)).counters
     assert c64.resizes <= c16.resizes
     assert c64.collision_probes <= c16.collision_probes
 
@@ -208,8 +209,8 @@ def test_trend_iterate_heavy_bucket_scans():
     spec = WorkloadSpec("scan", seed=1, params={"maps": 50})
     trace = process(generate(spec))
     session = ReplaySession(trace)
-    s16 = session.replay(RefMap, "counting", ConfigOverride(16)).counters
-    s128 = session.replay(RefMap, "counting", ConfigOverride(128)).counters
+    s16 = session.replay(RefMap, "counting", MapConfig(16)).counters
+    s128 = session.replay(RefMap, "counting", MapConfig(128)).counters
     assert s128.buckets_scanned > s16.buckets_scanned
 
 
@@ -265,3 +266,31 @@ def test_counting_replay_counters_equal_the_direct_run(name):
         direct.add(m.counters)
     replayed = ReplaySession(process(generate(spec))).replay(RefMap, "counting").counters
     assert replayed == direct
+
+
+@pytest.mark.parametrize("env", [TraceSession, DirectEnv])
+def test_copy_map_takes_no_config(env):
+    # MRT1 records a copy's source and nothing else, so a config passed to
+    # a copy could never be replayed; Java's HashMap(Map) takes none.
+    env = env()
+    m = env.new_map()
+    with pytest.raises(TypeError):
+        env.copy_map(m, MapConfig(16, 250))
+
+
+def test_a_copy_takes_the_default_config_not_its_sources():
+    s = TraceSession()
+    m = s.new_map(MapConfig(16, 250))
+    for i in range(40):
+        m.put(IntKey(i), i)
+    c = s.copy_map(m)
+    for i in range(40, 60):
+        c.put(IntKey(i), i)
+    inner = [m._inner, c._inner]
+    assert c._inner.config == DEFAULT_CONFIG
+    direct = OpCounters()
+    for r in inner:
+        direct.add(r.counters)
+    session = ReplaySession(process(s.close()))
+    assert session.replay(RefMap, "counting").counters == direct
+    assert session.replay(RefMap, "validating").map_digests == [r.state_digest() for r in inner]
