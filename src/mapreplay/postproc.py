@@ -59,17 +59,20 @@ zlib/DEFLATE stream compressing the payload:
 
 `decode` inflates the payload with the host's libdeflate
 (`libdeflate_zlib_decompress_ex`, loaded by soname on the first decode)
-when it loads, in one call into an uninitialized buffer of exactly the
-payload's size. It first inflates only the header prefix (the key count,
-the key hashes, the slot bounds and the op count), in 16 KiB slices of
-the stream, and computes the payload size from it; a size beyond
-DEFLATE's 1032:1 limit over the stream is not trusted and allocates
-nothing. libdeflate checks the stream's adler32 and, like zlib, ignores
-input after the stream's end. Where the library does not load, or its
-result is anything but exactly that many bytes, decode makes one plain
-`zlib.decompress` call, so every error (a corrupt stream, a truncated
-payload, trailing bytes) is raised from zlib's result and reads the same
-on every host. The decoded arrays are read-only views of the payload.
+when it loads, in one call into an uninitialized buffer 32 times the
+stream's size, which holds the payload of every built-in workload (3 to
+28 times its stream). A payload that does not fit is inflated again into
+a buffer 4 times the last, never past DEFLATE's 1032:1 limit over the
+stream, and the buffer is then shrunk in place to the bytes made. Every
+size comes from the stream, none from the payload, so decode allocates
+nothing of the size a forged count declares. libdeflate checks the
+stream's adler32 and, like zlib, ignores input after the stream's end.
+Where the library does not load, or the stream does not inflate within
+that limit, decode makes one plain `zlib.decompress` call, so every
+DEFLATE error (a corrupt stream, a bad adler32) is raised from zlib's
+result and reads the same on every host. Both paths hand the parser the
+same payload, so a truncated payload or trailing bytes raise the same
+error on either. The decoded arrays are read-only views of the payload.
 
 Each triple is (word, operand1, operand2). The word carries the op kind in
 bits 0-7 plus op-specific flags: outcome in bit 8 (hit/update/yielded);
@@ -937,51 +940,23 @@ def to_bytes(trace: ProcessedTrace) -> bytes:
 #: DEFLATE's largest expansion: a 258-byte match costs at least 2 bits.
 _MAX_INFLATE_RATIO = 1032
 _LIBDEFLATE_SONAMES = ("libdeflate.so.0", "libdeflate.0.dylib", "libdeflate.dll")
-_PREFIX_CHUNK = 1 << 14
-
-
-def _payload_size(body: memoryview) -> int | None:
-    """The payload size the stream's header prefix declares, or None when
-    the prefix does not inflate or the size exceeds what the stream can
-    inflate to.
-
-    The stream is fed in slices of `_PREFIX_CHUNK` bytes, so the input a
-    decompressor keeps once it has inflated enough (its `unconsumed_tail`,
-    a copy) is at most one slice, not the rest of the body.
-    """
-    limit = _MAX_INFLATE_RATIO * len(body)
-    z = zlib.decompressobj()
-    out = bytearray()
-    want, pos = 4, 0
-    try:
-        while len(out) < want:
-            if z.unconsumed_tail:
-                chunk = z.unconsumed_tail
-            elif pos < len(body) and not z.eof:
-                chunk, pos = body[pos : pos + _PREFIX_CHUNK], pos + _PREFIX_CHUNK
-            else:
-                return None
-            out += z.decompress(chunk, want - len(out))
-            if want == 4 and len(out) == 4:
-                want = 4 + 4 * struct.unpack("<I", out)[0] + 16
-                if want > limit:
-                    return None
-    except zlib.error:
-        return None
-    size = want + 12 * struct.unpack_from("<Q", out, want - 8)[0]
-    return size if size <= limit else None
 
 
 @cache
 def _libdeflate():
-    """An inflater `(body, size) -> read-only uint8 array | None` backed by
-    the host's libdeflate, or None when the library does not load.
+    """An inflater `body -> read-only uint8 array | None` backed by the
+    host's libdeflate, or None when the library does not load.
 
     Loaded on the first decode, by fixed sonames: `ctypes.util.find_library`
-    would start ldconfig or compiler subprocesses. The inflater returns
-    None unless the stream inflates to exactly `size` bytes with a good
-    adler32. It allocates a decompressor per call, since ctypes releases
-    the GIL and a decompressor is not thread-safe.
+    would start ldconfig or compiler subprocesses. The inflater inflates
+    into an uninitialized buffer 32 times the stream's size, and while
+    libdeflate reports the buffer too small, again into one 4 times the
+    last, never past DEFLATE's `_MAX_INFLATE_RATIO` over the stream; it
+    then shrinks the buffer in place to the bytes made. It returns None
+    when the stream does not inflate within that bound, is corrupt (a bad
+    adler32 included), or a buffer cannot be had. It allocates a
+    decompressor per call, since ctypes releases the GIL and a
+    decompressor is not thread-safe.
     """
     import ctypes
 
@@ -1002,22 +977,32 @@ def _libdeflate():
                     ctypes.c_void_p, ctypes.c_size_t, size_p, size_p]
     run.restype = ctypes.c_int
 
-    def inflate(body: memoryview, size: int) -> np.ndarray | None:
+    def inflate(body: memoryview) -> np.ndarray | None:
         src = np.frombuffer(body, dtype=np.uint8)
-        out = np.empty(size, dtype=np.uint8)
+        limit = _MAX_INFLATE_RATIO * src.size
+        size = min(32 * src.size, limit)
         d = alloc()
         if not d:
             return None
         used, made = ctypes.c_size_t(), ctypes.c_size_t()
         try:
-            # 0 is LIBDEFLATE_SUCCESS; with both counts asked for, input
-            # after the stream's end is allowed, as zlib allows it.
-            result = run(d, src.ctypes.data, src.size, out.ctypes.data, size,
-                         ctypes.byref(used), ctypes.byref(made))
+            while True:
+                out = np.empty(size, dtype=np.uint8)
+                # 0 is LIBDEFLATE_SUCCESS, 3 LIBDEFLATE_INSUFFICIENT_SPACE;
+                # with both counts asked for, input after the stream's end
+                # is allowed, as zlib allows it.
+                result = run(d, src.ctypes.data, src.size, out.ctypes.data, size,
+                             ctypes.byref(used), ctypes.byref(made))
+                if result != 3 or size == limit:
+                    break
+                size, out = min(4 * size, limit), None
+        except MemoryError:
+            return None
         finally:
             free(d)
-        if result != 0 or made.value != size:
+        if result != 0:
             return None
+        out.resize(made.value, refcheck=False)
         out.flags.writeable = False
         return out
 
@@ -1034,8 +1019,7 @@ def decode(data: bytes) -> ProcessedTrace:
         raise TraceFormatError(f"unsupported version {version}", offset=4)
     body = memoryview(data)[8:]
     inflate = _libdeflate()
-    size = _payload_size(body) if inflate is not None else None
-    payload = inflate(body, size) if size is not None else None
+    payload = inflate(body) if inflate is not None else None
     if payload is None:
         try:
             payload = zlib.decompress(body)

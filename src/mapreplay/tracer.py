@@ -353,7 +353,8 @@ class TraceSession:
     # -- thread slots ------------------------------------------------------------
 
     def thread(self, slot: int) -> "_ThreadSlot":
-        """Bind the calling thread's events and ids to `slot` (> 0)."""
+        """Bind the calling thread's events and ids to `slot`, from 0 (the
+        slot unwrapped code records to) to 2^24 - 1."""
         if slot < 0 or slot >= (1 << 24):
             raise ValueError("thread slot out of range")
         return _ThreadSlot(self._local, slot)

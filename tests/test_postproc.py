@@ -656,7 +656,7 @@ def test_slot_bound_matches_interval_overlap_oracle(small_traces):
 def inflated(request, monkeypatch):
     """Make decode inflate through one path. On the libdeflate path the
     list it returns records, for each call, whether libdeflate gave the
-    exact payload; on the zlib path it returns None."""
+    payload; on the zlib path it returns None."""
     if request.param == "zlib":
         monkeypatch.setattr(postproc, "_libdeflate", lambda: None)
         return None
@@ -665,8 +665,8 @@ def inflated(request, monkeypatch):
     if inflate is None:
         pytest.skip("libdeflate does not load on this host; the zlib half still runs")
 
-    def recorded(body, size):
-        out = inflate(body, size)
+    def recorded(body):
+        out = inflate(body)
         made.append(out is not None)
         return out
 
@@ -708,7 +708,7 @@ def test_decode_forged_count_allocates_nothing(small_traces, inflated, field):
     finally:
         tracemalloc.stop()
     assert peak <= limit // 4
-    assert not inflated
+    assert inflated in (None, [True])
 
 
 def test_decode_checks_adler32_and_ignores_input_after_the_stream(small_traces, inflated):
@@ -722,26 +722,140 @@ def test_decode_checks_adler32_and_ignores_input_after_the_stream(small_traces, 
     assert inflated in (None, [True, False])
 
 
-def test_payload_size_reads_a_long_prefix_in_bounded_slices():
-    # 6,000 incompressible key hashes put the prefix across several 16 KiB
-    # slices of the stream; the ops behind it make the body far larger than
-    # the prefix. Only the prefix and about one slice of input are held.
-    rng = np.random.default_rng(7)
-    trace = ProcessedTrace(
-        key_hashes=rng.integers(-(2**31), 2**31, 6000, dtype=np.int32),
+class _Buffers:
+    """Stands in for numpy in postproc and records the size of each buffer
+    the libdeflate inflater allocates: one per libdeflate call. With
+    `refuse` set, no buffer can be had."""
+
+    def __init__(self, refuse=False):
+        self.sizes = []
+        self.refuse = refuse
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def empty(self, size, dtype):
+        self.sizes.append(size)
+        if self.refuse:
+            raise MemoryError
+        return np.empty(size, dtype)
+
+
+def _buffers(monkeypatch, refuse=False):
+    buffers = _Buffers(refuse)
+    monkeypatch.setattr(postproc, "np", buffers)
+    return buffers.sizes
+
+
+@pytest.fixture(scope="module")
+def builtin_traces():
+    """Every built-in workload at scale 1, and churn at the benchmark's scale 2."""
+    specs = [WorkloadSpec(name, seed=1) for name in WORKLOADS]
+    specs.append(WorkloadSpec("churn", seed=1, scale=2))
+    return {f"{s.name}/scale={s.scale}": process(generate(s)) for s in specs}
+
+
+def _identical_ops():
+    # 60,000 copies of one op inflate to over 500 times their stream.
+    return ProcessedTrace(
+        key_hashes=np.zeros(0, dtype=np.int32),
         max_map_slots=1,
         max_iter_slots=0,
-        ops=rng.integers(0, 2**31, 3 * 60_000, dtype=np.int32),
+        ops=np.tile(np.array([int(OP.CLEAR), 0, 0], dtype=np.int32), 60_000),
     )
-    body = memoryview(to_bytes(trace))[8:]
+
+
+def test_decode_inflates_a_workload_in_one_call(builtin_traces, inflated, monkeypatch):
+    trace = builtin_traces["wordfreq/scale=1"]
+    data = to_bytes(trace)
+    buffers = _buffers(monkeypatch)
+    assert decode(data) == trace
+    assert inflated in (None, [True])
+    assert buffers == ([] if inflated is None else [32 * (len(data) - 8)])
+
+
+def test_decode_grows_its_inflate_buffer_until_the_payload_fits(inflated, monkeypatch):
+    trace = _identical_ops()
+    data = to_bytes(trace)
+    stream, payload = len(data) - 8, len(zlib.decompress(data[8:]))
+    assert payload > 128 * stream
+    buffers = _buffers(monkeypatch)
+    assert decode(data) == trace
+    assert inflated in (None, [True])
+    if inflated:
+        assert buffers[0] == 32 * stream and len(buffers) > 2
+        assert all(b == 4 * a for a, b in zip(buffers, buffers[1:]))
+        assert buffers[-2] < payload <= buffers[-1]
+
+
+def test_decode_falls_back_to_zlib_past_the_inflate_bound(inflated, monkeypatch):
+    # A bound below the payload's ratio stands in for a stream that would
+    # inflate past DEFLATE's limit: libdeflate stops there and zlib decodes.
+    monkeypatch.setattr(postproc, "_MAX_INFLATE_RATIO", 16)
+    trace = _identical_ops()
+    data = to_bytes(trace)
+    buffers = _buffers(monkeypatch)
+    assert decode(data) == trace
+    assert inflated in (None, [False])
+    assert buffers == ([] if inflated is None else [16 * (len(data) - 8)])
+
+
+def test_decode_falls_back_to_zlib_without_an_inflate_buffer(small_traces, inflated, monkeypatch):
+    _, _, trace = small_traces["random"]
+    data = to_bytes(trace)
+    buffers = _buffers(monkeypatch, refuse=True)
+    assert decode(data) == trace
+    assert inflated in (None, [False])
+    assert buffers == ([] if inflated is None else [32 * (len(data) - 8)])
+
+
+class _NoZlib:
+    def __getattr__(self, name):
+        raise AssertionError(f"decode called zlib.{name}")
+
+
+def test_libdeflate_decodes_every_workload_in_one_call_without_zlib(
+    builtin_traces, monkeypatch
+):
+    if postproc._libdeflate() is None:
+        pytest.skip("libdeflate does not load on this host; decode inflates with zlib")
+    data = {name: to_bytes(trace) for name, trace in builtin_traces.items()}
+    monkeypatch.setattr(postproc, "zlib", _NoZlib())
+    buffers = _buffers(monkeypatch)
+    for name, trace in builtin_traces.items():
+        buffers.clear()
+        assert decode(data[name]) == trace, name
+        assert len(buffers) == 1, name
+
+
+@pytest.mark.parametrize("ops", ["random", "identical"])
+def test_decode_memory_is_bounded_by_the_stream_and_payload(inflated, ops):
+    # The libdeflate inflater's first buffer is 32 times the stream, and a
+    # larger one is 4 times one the payload did not fit, each let go before
+    # the next, so its peak is the larger of the two, plus the stream as
+    # room for the rest. 6,000 incompressible key hashes and 60,000
+    # incompressible ops make the first term govern; 60,000 identical ops,
+    # whose buffer must grow, the second. zlib's path keeps the same bound.
+    if ops == "random":
+        rng = np.random.default_rng(7)
+        trace = ProcessedTrace(
+            key_hashes=rng.integers(-(2**31), 2**31, 6000, dtype=np.int32),
+            max_map_slots=1,
+            max_iter_slots=0,
+            ops=rng.integers(0, 2**31, 3 * 60_000, dtype=np.int32),
+        )
+    else:
+        trace = _identical_ops()
+    data = to_bytes(trace)
+    stream, payload = len(data) - 8, len(zlib.decompress(data[8:]))
     tracemalloc.start()
     try:
-        size = postproc._payload_size(body)
+        decoded = decode(data)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert size == len(zlib.decompress(body))
-    assert peak < 4 * 6000 + 4 * (1 << 14) + (64 << 10) < len(body) // 4
+    assert decoded == trace
+    assert peak <= max(32 * stream, 4 * payload) + stream
 
 
 def test_decode_bad_magic():
