@@ -116,10 +116,11 @@ def cohens_h(p1: float, p2: float) -> float:
     return 2.0 * math.asin(math.sqrt(p1)) - 2.0 * math.asin(math.sqrt(p2))
 
 
-def classify(counts: Characterization, cpu_fraction: float | None = None) -> str:
+def classify(counts: Characterization, cpu_percent: float | None = None) -> str:
     """Workload class: intensive (>=5% CPU in the map), moderate (>=100k
-    events), else minimal."""
-    if cpu_fraction is not None and cpu_fraction >= 5.0:
+    events), else minimal. `cpu_percent` is the map's share of CPU time
+    as a percentage, 0-100: 16.44 means 16.44%."""
+    if cpu_percent is not None and cpu_percent >= 5.0:
         return "intensive"
     if counts.events >= 100_000:
         return "moderate"

@@ -68,11 +68,12 @@ size comes from the stream, none from the payload, so decode allocates
 nothing of the size a forged count declares. libdeflate checks the
 stream's adler32 and, like zlib, ignores input after the stream's end.
 Where the library does not load, or the stream does not inflate within
-that limit, decode makes one plain `zlib.decompress` call, so every
-DEFLATE error (a corrupt stream, a bad adler32) is raised from zlib's
-result and reads the same on every host. Both paths hand the parser the
-same payload, so a truncated payload or trailing bytes raise the same
-error on either. The decoded arrays are read-only views of the payload.
+that limit, decode inflates with zlib, 64 KiB at a time into one buffer,
+so every DEFLATE error (a corrupt stream, a bad adler32) is raised from
+zlib's result, worded as `zlib.decompress` words it, and reads the same
+on every host. Both paths hand the parser the same read-only payload, so
+a truncated payload or trailing bytes raise the same error on either.
+The decoded arrays are read-only views of the payload.
 
 Each triple is (word, operand1, operand2). The word carries the op kind in
 bits 0-7 plus op-specific flags: outcome in bit 8 (hit/update/yielded);
@@ -101,14 +102,13 @@ import zlib
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
-from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import TraceFormatError, TraceIntegrityError
 from .tracer import ABSENT_HASH, ABSENT_OUTCOME, ABSENT_U64, RAW_DTYPE, RawOpKind, RawTrace
-from .tracer import _field_offset
+from .tracer import _CREATES, _ITER_OPS, _KEYED_OPS, _MAP_OPS, _OP, _field_offset, _op_table
 
 MAGIC = b"MPT1"
 VERSION = 1
@@ -122,26 +122,6 @@ LF_MASK = 0x3FF
 SPREAD_BIT = 1 << 19
 _I32_MAX = 0x7FFFFFFF
 
-#: The op bytes as plain ints: numpy compares a uint8 column with an
-#: IntEnum member through int64 buffers, several times slower than with
-#: an int.
-_OP = SimpleNamespace(**{op.name: int(op) for op in RawOpKind})
-
-
-def _op_table(*ops: int) -> np.ndarray:
-    """Membership table indexed by op byte: `_op_table(...)[op]` is a mask."""
-    table = np.zeros(256, dtype=bool)
-    table[list(ops)] = True
-    return table
-
-
-_MAP_OPS = _op_table(
-    _OP.CREATE, _OP.CREATE_COPY, _OP.GET, _OP.PUT, _OP.REMOVE, _OP.CONTAINS_KEY,
-    _OP.CLEAR, _OP.ITER_NEW, _OP.FREE_MAP,
-)
-_ITER_OPS = _op_table(_OP.ITER_ADVANCE, _OP.ITER_REMOVE, _OP.FREE_ITER)
-_KEYED_OPS = _op_table(_OP.GET, _OP.PUT, _OP.REMOVE, _OP.CONTAINS_KEY)
-_CREATES = _op_table(_OP.CREATE, _OP.CREATE_COPY)
 #: Ops whose word carries an outcome bit, and the outcome bytes that set it.
 _OUTCOME_OPS = _op_table(_OP.GET, _OP.PUT, _OP.REMOVE, _OP.CONTAINS_KEY, _OP.ITER_ADVANCE)
 _YIELDED = np.ones(256, dtype=bool)
@@ -903,17 +883,17 @@ def process(raw: RawTrace) -> ProcessedTrace:
 def stats(trace: ProcessedTrace) -> Characterization:
     """Tally the operation mix: creates, reads, writes, iterates, total events."""
     kinds = trace.ops[0::3] & OP_KIND_MASK
-    count = np.bincount(kinds, minlength=int(RawOpKind.FREE_ITER) + 1)
+    count = np.bincount(kinds, minlength=_OP.FREE_ITER + 1)
 
-    def n(*ops: RawOpKind) -> int:
-        return int(sum(count[int(o)] for o in ops))
+    def n(*ops: int) -> int:
+        return int(count[list(ops)].sum())
 
     return Characterization(
         events=trace.op_count,
-        creates=n(RawOpKind.CREATE, RawOpKind.CREATE_COPY),
-        reads=n(RawOpKind.GET, RawOpKind.CONTAINS_KEY),
-        writes=n(RawOpKind.PUT, RawOpKind.REMOVE, RawOpKind.CLEAR),
-        iterates=n(RawOpKind.ITER_NEW, RawOpKind.ITER_ADVANCE, RawOpKind.ITER_REMOVE),
+        creates=n(_OP.CREATE, _OP.CREATE_COPY),
+        reads=n(_OP.GET, _OP.CONTAINS_KEY),
+        writes=n(_OP.PUT, _OP.REMOVE, _OP.CLEAR),
+        iterates=n(_OP.ITER_NEW, _OP.ITER_ADVANCE, _OP.ITER_REMOVE),
     )
 
 
@@ -1009,6 +989,34 @@ def _libdeflate():
     return inflate
 
 
+#: Bytes of stream the zlib path feeds, and of payload it takes, per call.
+_ZLIB_CHUNK = 1 << 16
+
+
+def _zlib_inflate(body: memoryview) -> memoryview:
+    """Inflate with zlib into one growing buffer, a bounded piece a call,
+    and return a read-only view of it: the peak is about the payload,
+    where `zlib.decompress` peaks near three times it. Errors are worded
+    as `zlib.decompress` words them, and input after the stream's end is
+    ignored, as it ignores it."""
+    z = zlib.decompressobj()
+    out = bytearray()
+    fed, tail = 0, b""
+    try:
+        while not z.eof:
+            if not tail:
+                tail, fed = body[fed : fed + _ZLIB_CHUNK], fed + _ZLIB_CHUNK
+            piece = z.decompress(tail, _ZLIB_CHUNK)
+            tail = z.unconsumed_tail
+            if not (piece or tail or z.eof) and fed >= len(body):  # every byte taken
+                raise zlib.error("Error -5 while decompressing data: "
+                                 "incomplete or truncated stream")
+            out += piece
+    except zlib.error as exc:
+        raise TraceFormatError(f"corrupt DEFLATE payload: {exc}", offset=8) from None
+    return memoryview(out).toreadonly()
+
+
 def decode(data: bytes) -> ProcessedTrace:
     if len(data) < 8:
         raise TraceFormatError("shorter than the 8-byte header", offset=0)
@@ -1021,10 +1029,7 @@ def decode(data: bytes) -> ProcessedTrace:
     inflate = _libdeflate()
     payload = inflate(body) if inflate is not None else None
     if payload is None:
-        try:
-            payload = zlib.decompress(body)
-        except zlib.error as exc:
-            raise TraceFormatError(f"corrupt DEFLATE payload: {exc}", offset=8) from None
+        payload = _zlib_inflate(body)
 
     # Offsets below are relative to the decompressed payload.
     pos = 0

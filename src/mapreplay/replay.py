@@ -82,7 +82,7 @@ from .refmap import (
     View,
     normalize_capacity,
 )
-from .tracer import RawOpKind
+from .tracer import _CREATES, _ITER_OPS, _KEYED_OPS, _OP
 
 MODES = ("timing", "counting", "validating")
 
@@ -91,9 +91,6 @@ MODES = ("timing", "counting", "validating")
 #: 2^24 slots is 128 MiB, where 2^30 would be 8 GiB.
 MAX_TABLE_SLOTS = 1 << 24
 
-_OP = RawOpKind
-#: Kinds whose second operand is a key index.
-_KEYED = (_OP.GET, _OP.PUT, _OP.REMOVE, _OP.CONTAINS_KEY)
 #: IterNew's view field, indexed by its value; the unused value 3 is an
 #: IndexError, which the loop reports as a trace fault.
 _VIEWS = (View.KEYS, View.VALUES, View.ENTRIES)
@@ -413,17 +410,17 @@ class ReplaySession:
         """Name the trace fault behind an AttributeError or IndexError raised
         by op (w, a, b), or None when its operands are sound."""
         kind = w & OP_KIND_MASK
-        on_iter = kind in (_OP.ITER_ADVANCE, _OP.ITER_REMOVE, _OP.FREE_ITER)
+        on_iter = _ITER_OPS[kind]
         slots, what = (iters, "iterator") if on_iter else (maps, "map")
         if not 0 <= a < len(slots):
             return f"{what} slot {a} out of range"
-        if kind in _KEYED and not 0 <= b < len(self.keys):
+        if _KEYED_OPS[kind] and not 0 <= b < len(self.keys):
             return f"key index {b} out of range"
         if kind == _OP.CREATE_COPY and not 0 <= b < len(maps):
             return f"map slot {b} out of range"
         if kind == _OP.ITER_NEW and not 0 <= b < len(iters):
             return f"iterator slot {b} out of range"
-        if kind not in (_OP.CREATE, _OP.CREATE_COPY) and slots[a] is None:
+        if not _CREATES[kind] and slots[a] is None:
             return f"{what} slot {a} used after free"
         if kind == _OP.ITER_NEW and (w >> VIEW_SHIFT) & VIEW_MASK >= len(_VIEWS):
             return f"unknown iterator view {(w >> VIEW_SHIFT) & VIEW_MASK}"
@@ -464,7 +461,7 @@ def _outgrown(ops: np.ndarray, n_keys: int, limit: int) -> tuple[np.ndarray, np.
         return np.empty(0, np.intp), np.empty(0, np.int64)
     words = ops[0::3]
     kinds = words & OP_KIND_MASK
-    creates = np.flatnonzero((kinds == _OP.CREATE) | (kinds == _OP.CREATE_COPY))
+    creates = np.flatnonzero(_CREATES[kinds])
     is_create = kinds[creates] == _OP.CREATE
     lf = np.where(
         is_create, (words[creates] >> LF_SHIFT) & LF_MASK, DEFAULT_CONFIG.load_factor_milli
@@ -484,8 +481,7 @@ def _keys_put(ops: np.ndarray, kinds: np.ndarray, creates: np.ndarray) -> np.nda
     its next Create, CreateCopy or FreeMap."""
     slots, keys = ops[1::3], ops[2::3]
     puts = kinds == _OP.PUT
-    events = np.flatnonzero(puts | (kinds == _OP.CREATE) | (kinds == _OP.CREATE_COPY)
-                            | (kinds == _OP.FREE_MAP))
+    events = np.flatnonzero(puts | _CREATES[kinds] | (kinds == _OP.FREE_MAP))
     # By slot, then in stream order: a put's map was begun by the latest
     # non-put event before it, when that event is on the put's slot.
     events = events[np.lexsort((events, slots[events]))]

@@ -10,15 +10,16 @@ its own canonical-key table, so the table dies with the map; the session
 keeps only the record buffers and id counters.
 
 Records are packed straight into per-thread-slot byte buffers in the MRT1
-record layout below; no Python object is kept per event. A session given
-a path streams: each time slot 0's buffer reaches 64 KiB it is appended to
-the file, which is started (header and sentinel count) on the first such
-flush, and a fresh buffer is begun. The later slots keep their buffers
-until `close`, which appends slot 0's remainder and then each later slot
-in slot order, patches the count in and returns a trace that reads the
-file, so a closed session holds no records. A session that records less
-than 64 KiB writes its file only at close. If the traced code raises, the
-file is closed as it stands, sentinel in place: the crash signature below.
+record layout below; no Python object is kept per event. Every session
+streams: each time slot 0's buffer reaches 64 KiB it is appended to the
+session's sink (its file, or an in-memory buffer when it has no path),
+which is started (header and sentinel count) on the first such flush.
+The later slots keep their buffers until `close`, which appends slot 0's
+remainder and then each later slot in slot order, patches the count in
+and returns a trace of the sink, so a closed session keeps no slot
+buffer. A session that records less than 64 KiB starts its sink only at
+close. If the traced code raises, a file is closed as it stands, sentinel
+in place: the crash signature below.
 
 A RawTrace is consumed a block of records at a time, each block a
 read-only numpy structured array in RAW_DTYPE, one row per event. It
@@ -62,6 +63,7 @@ events (IterAdvance, IterRemove) carry the iterator id in the map_id field.
 
 from __future__ import annotations
 
+import io
 import itertools
 import os
 import struct
@@ -72,6 +74,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Any
 
 import numpy as np
@@ -117,6 +120,30 @@ class RawOpKind(IntEnum):
     # Inserted by post-processing only; never recorded live.
     FREE_MAP = 11
     FREE_ITER = 12
+
+
+#: The op bytes as plain ints: numpy compares a uint8 column with an
+#: IntEnum member through int64 buffers, several times slower than with
+#: an int.
+_OP = SimpleNamespace(**{op.name: int(op) for op in RawOpKind})
+
+
+def _op_table(*ops: int) -> np.ndarray:
+    """Membership table indexed by op byte: `_op_table(...)[op]` is a mask."""
+    table = np.zeros(256, dtype=bool)
+    table[list(ops)] = True
+    return table
+
+
+#: Ops whose map_id field names a map, ops on an iterator, keyed ops, and
+#: the ops that create a map.
+_MAP_OPS = _op_table(
+    _OP.CREATE, _OP.CREATE_COPY, _OP.GET, _OP.PUT, _OP.REMOVE, _OP.CONTAINS_KEY,
+    _OP.CLEAR, _OP.ITER_NEW, _OP.FREE_MAP,
+)
+_ITER_OPS = _op_table(_OP.ITER_ADVANCE, _OP.ITER_REMOVE, _OP.FREE_ITER)
+_KEYED_OPS = _op_table(_OP.GET, _OP.PUT, _OP.REMOVE, _OP.CONTAINS_KEY)
+_CREATES = _op_table(_OP.CREATE, _OP.CREATE_COPY)
 
 
 @dataclass(frozen=True, slots=True)
@@ -241,41 +268,48 @@ def unpack_iternew_aux(aux: int) -> tuple[int, View]:
     return aux >> 2, View(aux & 0x3)
 
 
-#: Bytes of records slot 0 of a session with a path holds before it
-#: appends them to the file.
+#: Bytes of records slot 0 holds before it appends them to the session's
+#: sink; the later slots write theirs only at close.
 _FLUSH_BYTES = 1 << 16
 
 
 class _SlotState:
     __slots__ = ("slot", "buffer", "flush_at", "map_ids", "iter_ids", "key_ids")
 
-    def __init__(self, slot: int, flush_at: int = sys.maxsize):
+    def __init__(self, slot: int):
         self.slot = slot
         self.buffer = bytearray()  # packed MRT1 records
-        self.flush_at = flush_at  # buffer length at which the session flushes it
+        self.flush_at = _FLUSH_BYTES if slot == 0 else sys.maxsize
         first = (slot << _SLOT_SHIFT) + 1
         self.map_ids = itertools.count(first)
         self.iter_ids = itertools.count(first)
         self.key_ids = itertools.count(first)
 
 
+class _Bound(threading.local):
+    """The slot state a thread records to: slot 0's until it binds another."""
+
+    def __init__(self, first: _SlotState):
+        self.state = first
+
+
 class TraceSession:
-    """Collects raw records from traced maps and writes the raw trace file.
+    """Collects raw records from traced maps and writes the raw trace.
 
     Thread slots keep multi-threaded tracing deterministic: each slot has
     its own record buffer and id counters (ids are slot << 40 | counter),
-    and buffers are concatenated in slot order at close. Wrap worker-thread
-    code in `with session.thread(slot):`; unwrapped code records to slot 0.
-    A single map shared across threads still needs caller-side locking.
+    and buffers are written in slot order. Wrap worker-thread code in
+    `with session.thread(slot):`; unwrapped code records to slot 0. A
+    single map shared across threads still needs caller-side locking.
 
-    With a path, slot 0's records stream to the file in 64 KiB pieces while
-    recording, so slot 0 holds at most one piece; the later slots keep all
-    of theirs until `close()` appends them, in slot order, after slot 0's.
-    The file is not created until the first piece is written, and it reads
-    as truncated (its count still the sentinel) until `close()` patches the
-    count. Used as a context manager, the session closes on a clean exit;
-    on an exception it stops recording and closes the file as it stands,
-    leaving that crash signature, and `close()` then raises ValueError.
+    Slot 0's records stream to the sink in 64 KiB pieces while recording;
+    the later slots keep theirs until `close()` appends them, in slot
+    order, after slot 0's. With a path the sink is that file: it is not
+    created until the first piece is written, and it reads as truncated
+    (its count still the sentinel) until `close()` patches the count.
+    Without one it is an in-memory buffer. Used as a context manager, the
+    session closes on a clean exit; on an exception it stops recording and
+    closes a file as it stands, and `close()` then raises ValueError.
 
     The session records from construction until `close()`; later events
     are dropped. Maps hold the session and the session holds no map, so
@@ -284,10 +318,10 @@ class TraceSession:
 
     def __init__(self, path: str | Path | None = None):
         self._path = Path(path).absolute() if path is not None else None
-        first = _SlotState(0, _FLUSH_BYTES if path is not None else sys.maxsize)
+        first = _SlotState(0)
         self._states: dict[int, _SlotState] = {0: first}
         self._lock = threading.Lock()
-        self._local = threading.local()
+        self._local = _Bound(first)
         self._writer: _RawWriter | None = None
         self._recording = True
         self._trace: RawTrace | None = None
@@ -297,19 +331,23 @@ class TraceSession:
     def close(self) -> RawTrace:
         """Stop recording and return the trace; closing again returns it again.
 
-        Without a path, the slot buffers are joined in slot order into an
-        in-memory trace. With one, what slot 0 has not yet flushed and then
-        each later slot's buffer, in slot order, are appended to the file,
-        the count is patched in, and the trace returned reads the file.
+        What slot 0 has not yet flushed and then each later slot's buffer,
+        in slot order, are appended to the sink and the count is patched
+        in. With a path the trace returned reads the file; without one it
+        wraps the records in memory.
         """
         if self._trace is None:
             if not self._recording:
                 raise ValueError("the session was abandoned and holds no trace")
             self._recording = False
-            if self._path is None:
-                self._trace = RawTrace(np.frombuffer(self._join(), dtype=RAW_DTYPE))
-            else:
-                self._trace = self._write_out()
+            try:
+                for slot in sorted(self._states):
+                    self._flush(self._states[slot])
+            except BaseException:
+                self._abandon()
+                raise
+            writer, self._writer = self._writer, None
+            self._trace = writer.close()
         return self._trace
 
     def __enter__(self) -> "TraceSession":
@@ -329,26 +367,12 @@ class TraceSession:
         if writer is not None:
             writer.abandon()
 
-    def _flush(self) -> None:
-        """Append slot 0's records to the file, starting the file first."""
+    def _flush(self, state: _SlotState) -> None:
+        """Append a slot's records to the sink, starting the sink first."""
         if self._writer is None:
             self._writer = _RawWriter(self._path)
-        state = self._states[0]
         self._writer.write(state.buffer)
         state.buffer = bytearray()
-
-    def _write_out(self) -> RawTrace:
-        try:
-            self._flush()
-            for slot in sorted(self._states)[1:]:
-                state = self._states[slot]
-                self._writer.write(state.buffer)
-                state.buffer = bytearray()
-        except BaseException:
-            self._abandon()
-            raise
-        writer, self._writer = self._writer, None
-        return writer.close()
 
     # -- thread slots ------------------------------------------------------------
 
@@ -357,24 +381,11 @@ class TraceSession:
         slot unwrapped code records to) to 2^24 - 1."""
         if slot < 0 or slot >= (1 << 24):
             raise ValueError("thread slot out of range")
-        return _ThreadSlot(self._local, slot)
-
-    def _state(self) -> _SlotState:
-        slot = getattr(self._local, "slot", 0)
-        state = self._states.get(slot)
-        if state is None:
-            with self._lock:
-                state = self._states.setdefault(slot, _SlotState(slot))
-        return state
-
-    def _join(self) -> bytearray:
-        """Concatenate the buffers in slot order, emptying the later ones."""
-        states = [self._states[slot] for slot in sorted(self._states)]
-        joined = states[0].buffer
-        for state in states[1:]:
-            joined += state.buffer
-            state.buffer = bytearray()
-        return joined
+        with self._lock:
+            state = self._states.get(slot)
+            if state is None:
+                state = self._states[slot] = _SlotState(slot)
+        return _ThreadSlot(self._local, state)
 
     # -- recording ---------------------------------------------------------------
 
@@ -389,17 +400,17 @@ class TraceSession:
     ) -> None:
         if not self._recording:
             return
-        state = self._state()
+        state = self._local.state
         buffer = state.buffer
         buffer += _RECORD.pack(state.slot, op, map_id, key_id, hash32, aux, outcome)
         if len(buffer) >= state.flush_at:
-            self._flush()
+            self._flush(state)
 
     # -- traced map construction ----------------------------------------------------
 
     def new_map(self, config: MapConfig = DEFAULT_CONFIG) -> "TracedMap":
         """Create a traced map; emits a Create event with the requested config."""
-        map_id = next(self._state().map_ids)
+        map_id = next(self._local.state.map_ids)
         self.record(
             RawOpKind.CREATE,
             map_id,
@@ -414,25 +425,25 @@ class TraceSession:
         The copy takes the default config, not its source's, as Java's
         `HashMap(Map)` does, so the CreateCopy event records only the source.
         """
-        map_id = next(self._state().map_ids)
+        map_id = next(self._local.state.map_ids)
         self.record(RawOpKind.CREATE_COPY, map_id, aux=source.map_id)
         return TracedMap(self, RefMap.copy_of(source._inner), map_id, dict(source._keys))
 
 
 class _ThreadSlot:
-    __slots__ = ("_local", "_slot", "_prev")
+    __slots__ = ("_local", "_state", "_prev")
 
-    def __init__(self, local: threading.local, slot: int):
+    def __init__(self, local: _Bound, state: _SlotState):
         self._local = local
-        self._slot = slot
+        self._state = state
 
     def __enter__(self):
-        self._prev = getattr(self._local, "slot", 0)
-        self._local.slot = self._slot
+        self._prev = self._local.state
+        self._local.state = self._state
         return self
 
     def __exit__(self, *exc):
-        self._local.slot = self._prev
+        self._local.state = self._prev
 
 
 class TracedMap:
@@ -473,7 +484,7 @@ class TracedMap:
             )
         kid = self._keys.get(key)
         if kid is None:
-            kid = self._keys[key] = next(self._session._state().key_ids)
+            kid = self._keys[key] = next(self._session._local.state.key_ids)
         return kid, observed
 
     def get(self, key: Any) -> Any | None:
@@ -520,7 +531,7 @@ class TracedMap:
         return self._inner.size()
 
     def iterator(self, view: View = View.ENTRIES) -> "TracedIterator":
-        iter_id = next(self._session._state().iter_ids)
+        iter_id = next(self._session._local.state.iter_ids)
         self._session.record(
             RawOpKind.ITER_NEW, self.map_id, aux=pack_iternew_aux(iter_id, view)
         )
@@ -553,11 +564,7 @@ class TracedIterator:
 #: Records checked per block, by `RawTrace` and `read_raw_trace`: what
 #: reading holds.
 _CHECK_BLOCK = 1 << 12
-#: The op bytes and IterNew views a record may hold, as plain ints: the
-#: check runs on every block, and numpy compares with an IntEnum slowly.
-_FIRST_OP, _LAST_OP = int(RawOpKind.CREATE), int(RawOpKind.FREE_ITER)
-_ITER_NEW = int(RawOpKind.ITER_NEW)
-_CREATE = int(RawOpKind.CREATE)
+#: The largest IterNew view, as a plain int: the check runs on every block.
 _LAST_VIEW = int(max(View))
 
 
@@ -569,10 +576,10 @@ def _check_records(records: np.ndarray, first: int = 0) -> None:
     offset of the bad field in the MRT1 file.
     """
     op = records["op"]
-    if op.size and (op.min() < _FIRST_OP or op.max() > _LAST_OP):
-        i = int(np.argmax((op < _FIRST_OP) | (op > _LAST_OP)))
+    if op.size and (op.min() < _OP.CREATE or op.max() > _OP.FREE_ITER):
+        i = int(np.argmax((op < _OP.CREATE) | (op > _OP.FREE_ITER)))
         raise TraceFormatError(f"unknown op {op[i]}", offset=_field_offset(first + i, "op"))
-    news = np.flatnonzero(op == _ITER_NEW)
+    news = np.flatnonzero(op == _OP.ITER_NEW)
     views = records["aux"][news] & 0x3
     bad = np.flatnonzero(views > _LAST_VIEW)
     if bad.size:
@@ -580,7 +587,7 @@ def _check_records(records: np.ndarray, first: int = 0) -> None:
             f"IterNew view {views[bad[0]]} is not a valid view",
             offset=_field_offset(first + int(news[bad[0]]), "aux"),
         )
-    creates = np.flatnonzero(op == _CREATE)
+    creates = np.flatnonzero(op == _OP.CREATE)
     unspread = np.flatnonzero((records["aux"][creates] & SPREAD_AUX_BIT) == 0)
     if unspread.size:
         raise TraceFormatError(
@@ -598,16 +605,17 @@ def raw_trace_to_bytes(trace: RawTrace) -> bytes:
 
 
 class _RawWriter:
-    """An MRT1 file being written: the header goes first with the sentinel
-    count, then records are appended, and `close` patches the count in
-    last. A writer abandoned instead leaves the sentinel, which readers
-    treat as a missing end-marker."""
+    """An MRT1 stream being written to a file or, without a path, to an
+    in-memory buffer: the header goes first with the sentinel count, then
+    records are appended, and `close` patches the count in last. A writer
+    abandoned instead leaves the sentinel, which readers treat as a
+    missing end-marker."""
 
     __slots__ = ("_path", "_fh", "_count")
 
-    def __init__(self, path: Path):
+    def __init__(self, path: Path | None):
         self._path = path
-        self._fh = open(path, "wb")
+        self._fh = open(path, "wb") if path is not None else io.BytesIO()
         self._fh.write(_HEADER.pack(MAGIC, VERSION, _SENTINEL_COUNT))
         self._count = 0
 
@@ -626,10 +634,15 @@ class _RawWriter:
         self._count += memoryview(records).nbytes // _RECORD.size
 
     def close(self) -> RawTrace:
-        """Patch the count in and close; returns a trace reading the file."""
-        with self._fh as fh:
-            fh.seek(len(MAGIC) + 4)
-            fh.write(struct.pack("<Q", self._count))
+        """Patch the count in and close; returns a trace reading the file,
+        or, in memory, one wrapping the records after the header."""
+        fh = self._fh
+        fh.seek(len(MAGIC) + 4)
+        fh.write(struct.pack("<Q", self._count))
+        if self._path is None:
+            # The trace's records are a view that keeps the buffer alive.
+            return RawTrace(np.frombuffer(fh.getbuffer(), RAW_DTYPE, self._count, _HEADER.size))
+        with fh:
             fh.flush()
             stamp = _stamp(os.fstat(fh.fileno()))
         return RawTrace._of_file(self._path, stamp, self._count)

@@ -809,6 +809,23 @@ def test_decode_falls_back_to_zlib_without_an_inflate_buffer(small_traces, infla
     assert buffers == ([] if inflated is None else [32 * (len(data) - 8)])
 
 
+def test_zlib_path_peaks_near_the_payload(monkeypatch):
+    # zlib inflates a piece at a time into one buffer; a single
+    # zlib.decompress call peaked near 2.9 times the payload here.
+    monkeypatch.setattr(postproc, "_libdeflate", lambda: None)
+    trace = _identical_ops()
+    data = to_bytes(trace)
+    stream, payload = len(data) - 8, len(zlib.decompress(data[8:]))
+    tracemalloc.start()
+    try:
+        decoded = decode(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert decoded == trace and not decoded.ops.flags.writeable
+    assert peak <= 1.5 * payload + stream
+
+
 class _NoZlib:
     def __getattr__(self, name):
         raise AssertionError(f"decode called zlib.{name}")

@@ -3,6 +3,8 @@
 import gc
 import os
 import struct
+import sys
+import threading
 import warnings
 import weakref
 
@@ -294,6 +296,41 @@ def test_thread_slot_ids_are_namespaced():
     assert worker_map.map_id >> 40 == 2
     worker_events = [e for e in events if e.thread_id == 2]
     assert len(worker_events) == 2  # create + put, buffered on slot 2
+
+
+def test_threads_binding_slots_at_once_lose_no_record():
+    # Eight threads, four to a slot, bind their slots at once under a short
+    # switch interval while the main thread records to slot 0: a slot whose
+    # state was made twice would drop one state's records.
+    s = TraceSession()
+    puts = 200
+
+    def worker(slot, t):
+        with s.thread(slot):
+            m = s.new_map()
+            for i in range(puts):
+                m.put(IntKey(t * puts + i), i)
+        s.new_map()  # unbound again: slot 0
+
+    threads = [threading.Thread(target=worker, args=(1 + t % 2, t)) for t in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        m = s.new_map()
+        for i in range(puts):
+            m.put(IntKey(i), i)
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    r = s.close().records
+    slots = r["thread_id"]
+    assert np.bincount(slots).tolist() == [1 + puts + 8, 4 * (1 + puts), 4 * (1 + puts)]
+    assert (slots[1:] >= slots[:-1]).all()  # written in slot order
+    assert ((r["map_id"] >> 40) == slots).all()
 
 
 # -- raw trace file format ----------------------------------------------------------------

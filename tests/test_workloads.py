@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import threading
+from functools import cache
 
 import pytest
 
@@ -254,17 +255,48 @@ def test_direct_env_matches_traced_env_counts(small_traces):
         assert creates == len(run_direct(spec)), name
 
 
-@pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_counting_replay_counters_equal_the_direct_run(name):
+class _DirectAt(DirectEnv):
+    """DirectEnv under replay's rule for a run's config: a map created at
+    the default config, and every copy, takes `config` instead."""
+
+    def __init__(self, config: MapConfig):
+        super().__init__()
+        self.config = config
+
+    def new_map(self, config: MapConfig = DEFAULT_CONFIG):
+        return super().new_map(self.config if config == DEFAULT_CONFIG else config)
+
+    def copy_map(self, source):
+        return self._register(RefMap.copy_of(source, self.config))
+
+
+@cache
+def _seed_3_trace(name: str):
+    return process(generate(WorkloadSpec(name, seed=3)))
+
+
+@pytest.mark.parametrize(
+    "name, dic",
+    [
+        # The default DIC keeps the bare workload name as its id.
+        pytest.param(
+            name, dic, id=name if dic == DEFAULT_CONFIG.initial_capacity else f"{name}-dic{dic}"
+        )
+        for name in sorted(WORKLOADS)
+        for dic in (2, 16, 64, 1024)
+    ],
+)
+def test_counting_replay_counters_equal_the_direct_run(name, dic):
     # Exact fidelity: the replayed trace makes RefMap do the work the
-    # untraced application made it do, counter for counter.
-    spec = WorkloadSpec(name, seed=3)
-    env = DirectEnv()
-    _run(spec, env)
+    # untraced application made it do, counter for counter, at the default
+    # initial capacity and under an override of it.
+    config = MapConfig(dic)
+    env = _DirectAt(config)
+    _run(WorkloadSpec(name, seed=3), env)
     direct = OpCounters()
     for m in env.maps:
         direct.add(m.counters)
-    replayed = ReplaySession(process(generate(spec))).replay(RefMap, "counting").counters
+    replayed = ReplaySession(_seed_3_trace(name)).replay(RefMap, "counting", config).counters
     assert replayed == direct
 
 
