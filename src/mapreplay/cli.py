@@ -30,7 +30,6 @@ def _human_size(n: int) -> str:
         value /= 1024.0
         if value < 1024 or unit == "G":
             return f"{value:.1f}{unit}"
-    return f"{n}B"
 
 
 def _parse_params(pairs: list[str]) -> dict[str, int]:

@@ -165,28 +165,25 @@ class ProcessedTrace:
         )
 
 
-# Plain np.unique, and np.isin/union1d/setdiff1d built on it, import
-# numpy.ma on first use: ~13 ms and over 1 MB resident in a fresh process,
-# about what all four passes take on a 50k-event trace. Set operations
-# here are therefore sort/searchsorted based; np.unique with return_index
-# takes another path and is fine.
+# One sort rule: every sort and argsort here is stable (np.lexsort always
+# is), and `process` calls no np.insert, np.isin or plain np.unique. A
+# process maps numpy's code pages as it first runs them, and they count in
+# its peak RSS: the default quicksort kernels, np.insert and default-kind
+# argsorts each map their own (the quicksort of u64 ids alone ~256 kB),
+# while stable sorts of every dtype here share one family of kernels.
+# Plain np.unique, and np.isin/union1d/setdiff1d built on it, also import
+# numpy.ma on first use: ~13 ms and over 1 MB resident in a fresh process.
+# np.unique with return_index sorts stably and takes another path, so it
+# is fine. A sort's values do not depend on its kind, and no argsort here
+# has a tie that survives, so no output does either.
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
-    """Sorted distinct values."""
-    values = np.sort(values)
+    """Sorted distinct values, by the stable sort set operations here use."""
+    values = np.sort(values, kind="stable")
     first = np.ones(values.size, dtype=bool)
     first[1:] = values[1:] != values[:-1]
     return values[first]
-
-
-def _isin(values: np.ndarray, distinct: np.ndarray) -> np.ndarray:
-    """Mask of the values present in sorted, distinct `distinct`."""
-    if distinct.size == 0:
-        return np.zeros(values.shape, dtype=bool)
-    idx = np.searchsorted(distinct, values)
-    np.minimum(idx, distinct.size - 1, out=idx)
-    return distinct[idx] == values
 
 
 # -- the ranked stream ----------------------------------------------------------------
@@ -241,16 +238,15 @@ def _ops(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.uint8)[:, _OP_BYTE]
 
 
-def _with_ids(ids: np.ndarray, more: np.ndarray) -> np.ndarray:
-    """Sorted distinct `ids` merged with the distinct values of `more`."""
-    more = _distinct(more)
-    new = more[~_isin(more, ids)]
-    return np.insert(ids, np.searchsorted(ids, new), new) if new.size else ids
-
-
 def _id_tables(raw: RawTrace) -> list[np.ndarray]:
-    """Sorted distinct map, iterator and key ids of the records."""
+    """Sorted distinct map, iterator and key ids of the records.
+
+    Each block's distinct ids wait until they outnumber their table, then
+    join it in one stable sort, which merges the sorted runs it is given:
+    a table is copied only once the ids that waited pay for it.
+    """
     tables = [np.empty(0, dtype=np.uint64)] * 3
+    waiting: list[list[np.ndarray]] = [[], [], []]
     # No rows exist yet, so these blocks can be larger: fewer table merges.
     for block in raw.blocks(2 * _BLOCK):
         op, map_id, aux, key_id = block["op"], block["map_id"], block["aux"], block["key_id"]
@@ -260,8 +256,12 @@ def _id_tables(raw: RawTrace) -> list[np.ndarray]:
             (map_id[iter_rows], aux[op == _OP.ITER_NEW] >> 2),
             (key_id[_KEYED_OPS[op]],),
         )
-        tables = [_with_ids(t, np.concatenate(ids)) for t, ids in zip(tables, found)]
-    return tables
+        for k, ids in enumerate(found):
+            waiting[k].append(_distinct(np.concatenate(ids)))
+            if sum(map(len, waiting[k])) > tables[k].size:
+                tables[k] = _distinct(np.concatenate((tables[k], *waiting[k])))
+                waiting[k] = []
+    return [_distinct(np.concatenate((t, *w))) for t, w in zip(tables, waiting)]
 
 
 def _rank(raw: RawTrace) -> _Ranked:
@@ -570,7 +570,7 @@ def _merge_plan(t: _Ranked) -> _Merge | None:
         first = over[np.argmin(adv[heads[over]])]  # the first run in stream order
         raise TraceIntegrityError(f"advance step count {steps[first]} overflows i32")
     steps = steps.astype(np.int32)
-    merged = np.sort(adv[joins])
+    merged = np.sort(adv[joins], kind="stable")
     head_rows = adv[heads]
     return _Merge(merged, head_rows - np.searchsorted(merged, head_rows), steps)
 
@@ -584,7 +584,7 @@ def _epochs(mut_maps: np.ndarray, muts: np.ndarray, maps: np.ndarray, rows: np.n
     moves exactly when that map was mutated in between.
     """
     stride = max(int(muts.max(initial=0)), int(rows.max(initial=0))) + 1
-    keys = np.sort(mut_maps.astype(np.int64) * stride + muts)
+    keys = np.sort(mut_maps.astype(np.int64) * stride + muts, kind="stable")
     epochs = np.empty(maps.size, dtype=_index_dtype(keys.size))
     for start, stop in _chunks(maps.size):
         at = maps[start:stop].astype(np.int64)
@@ -739,7 +739,7 @@ def _assign_slots(obj_ids: np.ndarray, acquires: np.ndarray, rows: np.ndarray, n
     if live:
         raise TraceIntegrityError("input is missing free events; run insert_free_events first")
 
-    freed = np.argsort(obj_ids[~acquires])  # each created object is freed exactly once
+    freed = np.argsort(obj_ids[~acquires], kind="stable")  # each created object is freed once
     lives = _Lifetimes(ids, slots[acquires][first], rows[acquires][first], rows[~acquires][freed])
     return lives, high_water
 
@@ -792,7 +792,7 @@ def _key_indexes(t: _Ranked) -> np.ndarray:
                 f"key {t.keys[ranks[unstable[0]]]} hash changed; trace was not sanitized"
             )
         np.minimum.at(first_use, ranks, at + start)
-    by_first_use = np.argsort(first_use)[: np.count_nonzero(first_use < unused)]
+    by_first_use = np.argsort(first_use, kind="stable")[: np.count_nonzero(first_use < unused)]
     index_of = np.empty(t.keys.size, dtype=np.int32)
     index_of[by_first_use] = np.arange(by_first_use.size, dtype=np.int32)
     for start, stop in _chunks(len(rows)):

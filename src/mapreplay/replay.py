@@ -492,7 +492,7 @@ def _keys_put(ops: np.ndarray, kinds: np.ndarray, creates: np.ndarray) -> np.nda
     j = np.minimum(np.searchsorted(creates, begun), creates.size - 1)
     into = (creates[j] == begun) & (slots[begun] == slots[at])
     # Distinct (Create, key) pairs; keys are non-negative int32.
-    pairs = np.sort((j[into].astype(np.int64) << 32) | keys[at[into]])
+    pairs = np.sort((j[into].astype(np.int64) << 32) | keys[at[into]], kind="stable")
     first = np.ones(pairs.size, dtype=bool)
     first[1:] = pairs[1:] != pairs[:-1]
     return np.bincount(pairs[first] >> 32, minlength=creates.size)

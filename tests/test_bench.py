@@ -1,5 +1,6 @@
 """Harness statistics: bootstrap intervals, exact tests, report plumbing."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -234,6 +235,11 @@ def test_run_bench_self_comparison_smoke():
     assert len(twin.samples) == FAST.runs * FAST.measured_iters
 
 
+def test_run_bench_needs_a_variant():
+    with pytest.raises(ConfigError, match="need at least one variant"):
+        run_bench(tiny_trace(), [], FAST)
+
+
 def test_run_bench_speedup_convention_on_synthetic_samples():
     # Ratio arithmetic oracle: slower variant -> speedup < 1, CI sign negative.
     baseline = [10.0, 10.1, 9.9, 10.0]
@@ -393,6 +399,28 @@ def test_pipeline_validates_against_refmap_once(monkeypatch):
     assert len(built) == 1
     assert validating == [RefMap, PyDictMap]
     assert not any(v.excluded for v in report.variants)
+
+
+def test_pipeline_names_a_validation_failure(monkeypatch):
+    # A processed trace with one recorded outcome flipped no longer replays
+    # as recorded; pipeline says which stage refused it.
+    from mapreplay import bench
+    from mapreplay.errors import FidelityError
+    from mapreplay.postproc import OUTCOME_BIT, OP_KIND_MASK
+    from mapreplay.tracer import RawOpKind
+    from mapreplay.workloads import WorkloadSpec
+
+    def flipped(raw):
+        trace = process(raw)
+        ops = trace.ops.copy()
+        first_put = 3 * int(np.flatnonzero(ops[0::3] & OP_KIND_MASK == RawOpKind.PUT)[0])
+        ops[first_put] ^= OUTCOME_BIT
+        return dataclasses.replace(trace, ops=ops)
+
+    monkeypatch.setattr(bench, "process", flipped)
+    spec = WorkloadSpec("churn", seed=3, params={"maps": 2, "cycles": 2})
+    with pytest.raises(FidelityError, match="^pipeline validation failed: op "):
+        bench.pipeline(spec, [("refmap", 16)], FAST)
 
 
 # -- report files ----------------------------------------------------------------------

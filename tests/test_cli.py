@@ -113,6 +113,13 @@ def test_trace_rejects_non_integer_param(tmp_path, capsys):
     assert "mapreplay trace: bad --param 'scale=abc'; value must be an integer" in err
 
 
+def test_trace_rejects_a_param_with_no_value(tmp_path, capsys):
+    code, _, err = run(capsys, "trace", "wordfreq", "-o", str(tmp_path / "x.mrt"),
+                       "--param", "scale")
+    assert code == 2
+    assert err == "mapreplay trace: bad --param 'scale'; expected name=value\n"
+
+
 def test_trace_rejects_unknown_param_and_writes_nothing(tmp_path, capsys):
     out_file = tmp_path / "x.mrt"
     code, _, err = run(capsys, "trace", "churn", "-o", str(out_file), "--param", "mpas=2")
@@ -229,6 +236,18 @@ def test_pipeline_rejects_a_bad_override_before_recording(flag, value, fault, ca
     code, _, err = run(capsys, "pipeline", "wordfreq", flag, value)
     assert code == 2
     assert err == f"mapreplay pipeline: {fault}\n"
+
+
+def test_pipeline_rejects_a_dic_list_that_is_not_integers(capsys, monkeypatch):
+    from mapreplay import bench
+
+    def no_generate(spec):
+        raise AssertionError("pipeline recorded the workload before reading its --dic list")
+
+    monkeypatch.setattr(bench, "generate", no_generate)
+    code, _, err = run(capsys, "pipeline", "wordfreq", "--dic", "16,x")
+    assert code == 2
+    assert err == "mapreplay pipeline: bad --dic list '16,x'; expected e.g. 16,32,64\n"
 
 
 def test_bench_rejects_a_single_sample_before_timing(tmp_path, capsys, trace_of_words):

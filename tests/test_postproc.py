@@ -435,6 +435,23 @@ def test_encode_rejects_broken_lifetimes(rows, message, raw_records):
         encode(RawTrace(raw_records(rows)))
 
 
+#: A map whose iterator 3 advances with no IterNew.
+_ORPHAN_ADVANCE = [(OP.CREATE, 1), (OP.ITER_ADVANCE, 3, None, None, 1, 1), (OP.FREE_MAP, 1)]
+
+
+@pytest.mark.parametrize("pass_", [coalesce, insert_free_events])
+def test_passes_refuse_an_iterator_with_no_iter_new(pass_, raw_records):
+    # Both passes look up the map owning each advanced iterator.
+    with pytest.raises(TraceIntegrityError, match="^iterator 3 has no IterNew event$"):
+        pass_(RawTrace(raw_records(_ORPHAN_ADVANCE)))
+
+
+def test_encode_refuses_an_iterator_op_when_no_iterator_lives(raw_records):
+    # No IterNew or FreeIter row: the iterator slot table is empty.
+    with pytest.raises(TraceIntegrityError, match="^object 3 is not live at event 1$"):
+        encode(RawTrace(raw_records(_ORPHAN_ADVANCE)))
+
+
 def test_round_trip_on_workloads(small_traces):
     for name, (_, _, trace) in small_traces.items():
         assert decode(to_bytes(trace)) == trace, name

@@ -316,6 +316,16 @@ def test_iterator_remove_before_advance_raises():
         it.remove()
 
 
+def test_iterator_remove_of_an_entry_the_map_lost_raises():
+    m = RefMap()
+    m.put(k(1), 1)
+    it = m.iterator(View.KEYS)
+    assert it.advance() == k(1)
+    m.remove(k(1))
+    with pytest.raises(RuntimeError, match="stale iterator: entry no longer in its bucket"):
+        it.remove()
+
+
 def test_iteration_order_is_bucket_then_chain():
     m = RefMap()
     m.put(k(5), "a")  # bucket 5
@@ -356,6 +366,11 @@ def test_copy_of_empty_source_stays_lazy():
     dup = RefMap.copy_of(RefMap())
     assert dup.size() == 0
     assert dup.capacity() == 0
+
+
+def test_copy_of_another_map_kind_is_refused():
+    with pytest.raises(TypeError, match="RefMap.copy_of requires a RefMap source"):
+        RefMap.copy_of(PyDictMap())
 
 
 # -- digests ------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import gc
 import sys
 
+import numpy as np
 import pytest
 
 from mapreplay import replay
@@ -16,7 +17,7 @@ from mapreplay.replay import (
     get_implementation,
 )
 from mapreplay.tracer import RawOpKind, TraceSession
-from mapreplay.workloads import IntKey, WorkloadSpec, generate, run_direct
+from mapreplay.workloads import WORKLOADS, IntKey, WorkloadSpec, generate, run_direct
 
 
 def _trace_of(build):
@@ -486,7 +487,7 @@ def test_fault_op_index_is_exact_at_both_ends(mode, trace_of_words):
     # The loop counts no ops: the index comes from the words left unread.
     put, get, free_map = int(RawOpKind.PUT), int(RawOpKind.GET), int(RawOpKind.FREE_MAP)
     create, iter_new = int(RawOpKind.CREATE) | (1 << 19), int(RawOpKind.ITER_NEW)
-    iter_remove = int(RawOpKind.ITER_REMOVE)
+    iter_remove, copy = int(RawOpKind.ITER_REMOVE), int(RawOpKind.CREATE_COPY)
     advance = int(RawOpKind.ITER_ADVANCE) | OUTCOME_BIT
     streams = [  # (opcode stream, index of the faulty op, fault)
         ([put, 0, 0] + _CREATE + [put, 0, 0], 0, "map slot 0 used after free"),
@@ -495,6 +496,9 @@ def test_fault_op_index_is_exact_at_both_ends(mode, trace_of_words):
         (_CREATE + [put, 0, 0, free_map, 0, 0, get, 0, 0], 3, "map slot 0 used after free"),
         (_CREATE + [free_map, 0, 0, free_map, 0, 0], 2, "map slot 0 freed twice"),
         (_CREATE + [put, 0, 0, get, 0, 7], 2, "key index 7 out of range"),
+        # A copy's source: freed, or past the slot table.
+        (_CREATE + [free_map, 0, 0, copy, 0, 0], 2, "map slot 0 used after free"),
+        (_CREATE + [copy, 0, 5], 1, "map slot 5 out of range"),
         # Malformed words: a view no iterator has, a Create whose map would
         # not spread its hashes, a config no map accepts, and an iterator
         # remove with nothing to unlink.
@@ -596,15 +600,19 @@ def test_growth_above_the_table_limit_is_rejected_at_setup(trace_of_words):
     )
 
 
-@pytest.mark.parametrize("held", [1, 2**15 - 1])
-def test_growth_is_bounded_by_the_keys_put_into_each_map(held, trace_of_words):
-    # A trace of 2^15 keys whose map of load factor 1/1000 holds `held` of
-    # them, each put twice; the puts into its slot after its FreeMap are
-    # another map's. One entry needs a 1024-slot table and replays;
-    # 2^15 - 1 need 2^25 slots.
+def _flagged_words(held):
+    """A stream over 2^15 keys whose map of load factor 1/1000 holds `held`
+    of them, each put twice; the puts into its slot after its FreeMap are
+    another map's."""
     tiny = int(RawOpKind.CREATE) | (1 << 9) | (1 << 19)
     create, free = int(RawOpKind.CREATE) | (750 << 9) | (1 << 19), int(RawOpKind.FREE_MAP)
-    ops = [tiny, 0, 16] + _puts(held) * 2 + [free, 0, 0, create, 0, 16] + _puts(2**15)
+    return [tiny, 0, 16] + _puts(held) * 2 + [free, 0, 0, create, 0, 16] + _puts(2**15)
+
+
+@pytest.mark.parametrize("held", [1, 2**15 - 1])
+def test_growth_is_bounded_by_the_keys_put_into_each_map(held, trace_of_words):
+    # One entry needs a 1024-slot table and replays; 2^15 - 1 need 2^25 slots.
+    ops = _flagged_words(held)
     trace = trace_of_words(ops, n_keys=2**15)
     if held == 1:
         assert ReplaySession(trace).replay(RefMap).ops_executed == len(ops) // 3
@@ -615,6 +623,31 @@ def test_growth_is_bounded_by_the_keys_put_into_each_map(held, trace_of_words):
         f"op 0: a map with load factor 1/1000 grows to a {2**25}-slot table holding "
         f"{held} of the trace's {2**15} keys, above the {2**24}-slot limit"
     )
+
+
+def test_distill_and_setup_sort_stably(monkeypatch, trace_of_words):
+    # The package's one sort rule (see postproc): every np.sort and
+    # np.argsort that distilling a built-in workload, or setting up a trace
+    # whose growth check counts the keys put into a map, makes is stable.
+    raws = [generate(WorkloadSpec(name, seed=1)) for name in WORKLOADS]
+    flagged = trace_of_words(_flagged_words(1), n_keys=2**15)
+    kinds = []
+
+    def recording(sort):
+        def call(a, axis=-1, kind=None, order=None, **kwargs):
+            kinds.append(kind)
+            return sort(a, axis, kind, order, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(np, "sort", recording(np.sort))
+    monkeypatch.setattr(np, "argsort", recording(np.argsort))
+    for raw in raws:
+        process(raw)
+    distilled = len(kinds)
+    ReplaySession(flagged)
+    assert 0 < distilled < len(kinds)
+    assert set(kinds) == {"stable"}
 
 
 class _Largest(RefMap):

@@ -298,6 +298,12 @@ def test_thread_slot_ids_are_namespaced():
     assert len(worker_events) == 2  # create + put, buffered on slot 2
 
 
+@pytest.mark.parametrize("slot", [-1, 1 << 24])
+def test_thread_slot_out_of_range_is_refused(slot):
+    with pytest.raises(ValueError, match="thread slot out of range"):
+        TraceSession().thread(slot)
+
+
 def test_threads_binding_slots_at_once_lose_no_record():
     # Eight threads, four to a slot, bind their slots at once under a short
     # switch interval while the main thread records to slot 0: a slot whose
