@@ -81,10 +81,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_replay(args) -> int:
     # A bad --dic or --lf fails here, before the trace is read.
-    config = MapConfig(
-        DEFAULT_INITIAL_CAPACITY if args.dic is None else args.dic,
-        DEFAULT_LOAD_FACTOR_MILLI if args.lf is None else args.lf,
-    )
+    config = MapConfig(args.dic, args.lf)
     factory = get_implementation(args.impl)
     session = ReplaySession(read_processed(args.processed))
     result = session.replay(factory, args.mode, config)
@@ -171,12 +168,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("replay", help="replay a processed trace once")
     p.add_argument("processed")
     p.add_argument("--impl", default="refmap")
-    p.add_argument("--dic", type=int, default=None,
+    p.add_argument("--dic", type=int, default=DEFAULT_INITIAL_CAPACITY,
                    help="initial capacity for copies and default-config creates "
-                        "(default: as recorded)")
-    p.add_argument("--lf", type=int, default=None,
+                        "(default: %(default)s; at both defaults every map keeps "
+                        "its recorded config)")
+    p.add_argument("--lf", type=int, default=DEFAULT_LOAD_FACTOR_MILLI,
                    help="load factor in thousandths for copies and default-config creates "
-                        "(default: as recorded)")
+                        "(default: %(default)s; at both defaults every map keeps "
+                        "its recorded config)")
     p.add_argument("--mode", choices=MODES, default="timing")
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_replay)

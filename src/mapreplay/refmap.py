@@ -69,6 +69,15 @@ class MapConfig:
 DEFAULT_CONFIG = MapConfig()
 
 
+def run_config(capacity: int, load_factor_milli: int, run: MapConfig) -> MapConfig:
+    """The config a map requested at (`capacity`, `load_factor_milli`) is
+    built with in a run at `run`: the run's when the request is the default
+    (16, 750), else the requested one. Replay and the direct run share it."""
+    if capacity == DEFAULT_INITIAL_CAPACITY and load_factor_milli == DEFAULT_LOAD_FACTOR_MILLI:
+        return run
+    return MapConfig(capacity, load_factor_milli)
+
+
 def normalize_capacity(requested: int) -> int:
     """Round `requested` up to the smallest power of two, capped at 2^30."""
     if requested < 1:
@@ -160,8 +169,8 @@ class MapAdapter(ABC):
     @abstractmethod
     def copy_of(cls, source: "MapAdapter", config: MapConfig = DEFAULT_CONFIG) -> "MapAdapter":
         """Construct a new map holding the same mappings as `source`, built
-        with `config`. Replay passes the run's config: a copy keeps none of
-        its source's."""
+        with `config`. Replay and the direct run pass the run's config: a
+        copy keeps none of its source's."""
 
     @abstractmethod
     def get(self, key: Any) -> Any | None: ...

@@ -51,7 +51,8 @@ value information. A run has one config, DEFAULT_CONFIG unless the caller
 passes another. Every CreateCopy takes it, as Java's `HashMap(Map)` takes
 no config of its own, and is sized to its source by the adapter itself. A
 Create takes it only when it was recorded at the default (16, 750); any
-other Create keeps its recorded configuration.
+other Create keeps its recorded configuration. That rule is
+`refmap.run_config`, which `workloads.DirectEnv` applies as well.
 """
 
 from __future__ import annotations
@@ -81,6 +82,7 @@ from .refmap import (
     RefMap,
     View,
     normalize_capacity,
+    run_config,
 )
 from .tracer import _CREATES, _ITER_OPS, _KEYED_OPS, _OP
 
@@ -499,14 +501,11 @@ def _keys_put(ops: np.ndarray, kinds: np.ndarray, creates: np.ndarray) -> np.nda
 
 
 def _create_config(word: int, capacity: int, config: MapConfig) -> MapConfig:
-    """The config a Create builds its map with: the run's `config` when it
-    was recorded at the default, else its recorded one."""
+    """The config a Create builds its map with, by `run_config`: the run's
+    `config` when it was recorded at the default, else its recorded one."""
     if not word & SPREAD_BIT:
         raise TraceIntegrityError("create with the spread bit (bit 19) clear")
-    lf = (word >> LF_SHIFT) & LF_MASK
-    if capacity == DEFAULT_CONFIG.initial_capacity and lf == DEFAULT_CONFIG.load_factor_milli:
-        return config
-    return MapConfig(capacity, lf)
+    return run_config(capacity, (word >> LF_SHIFT) & LF_MASK, config)
 
 
 #: Named adapter implementations selectable from the command line.

@@ -12,7 +12,9 @@ equivalence testing).
 
 A workload runs against an environment: a TraceSession records events,
 DirectEnv applies the same operations to plain RefMaps so final map states
-can be compared against replay. Both offer new_map, copy_map and thread;
+and work counters can be compared against replay; at a run config it
+builds each map as replay does (`refmap.run_config`, and a copy takes the
+run's config). Both offer new_map, copy_map and thread;
 iterators are drained with `refmap.iterate`. Each workload declares its
 params as keyword-only arguments with defaults; a spec naming any other
 param, an empty key universe or more churn threads than maps is rejected
@@ -32,7 +34,7 @@ from pathlib import Path
 from typing import Callable, Iterator
 
 from .errors import ConfigError
-from .refmap import DEFAULT_CONFIG, MapConfig, RefMap, View, iterate, to_signed32
+from .refmap import DEFAULT_CONFIG, MapConfig, RefMap, View, iterate, run_config, to_signed32
 from .tracer import RawTrace, TraceSession
 
 
@@ -114,10 +116,14 @@ class WorkloadSpec:
 class DirectEnv:
     """Runs a workload against plain RefMaps, keeping them in creation order.
 
-    A copy takes the default config, as Java's `HashMap(Map)` does.
+    The run has one `config`, and its maps are built by replay's rule
+    (`refmap.run_config`): a map requested at the default config takes
+    the run's, any other keeps its own, and every copy takes the run's, as
+    Java's `HashMap(Map)` takes none of its own.
     """
 
-    def __init__(self):
+    def __init__(self, config: MapConfig = DEFAULT_CONFIG):
+        self.config = config
         self.maps: list[RefMap] = []
         self._lock = threading.Lock()
 
@@ -127,10 +133,11 @@ class DirectEnv:
         return m
 
     def new_map(self, config: MapConfig = DEFAULT_CONFIG):
-        return self._register(RefMap(config))
+        built = run_config(config.initial_capacity, config.load_factor_milli, self.config)
+        return self._register(RefMap(built))
 
     def copy_map(self, source):
-        return self._register(RefMap.copy_of(source))
+        return self._register(RefMap.copy_of(source, self.config))
 
     def thread(self, slot: int):
         return nullcontext()

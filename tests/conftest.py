@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from mapreplay.postproc import ProcessedTrace, process
-from mapreplay.refmap import MapConfig, RefMap
+from mapreplay.refmap import DEFAULT_CONFIG, MapConfig, RefMap
+from mapreplay.replay import ReplaySession
 from mapreplay.tracer import (
     ABSENT_HASH,
     ABSENT_OUTCOME,
@@ -33,6 +34,27 @@ def small_traces():
         raw = generate(spec)
         out[name] = (spec, raw, process(raw))
     return out
+
+
+def _create_configs_seen(trace, config=DEFAULT_CONFIG):
+    """Replay just to observe the configs maps were constructed with,
+    copies included (`copy_of` builds through `__init__`)."""
+    seen = []
+
+    class Probe(RefMap):
+        def __init__(self, config=DEFAULT_CONFIG):
+            seen.append(config)
+            super().__init__(config)
+
+    ReplaySession(trace).replay(Probe, mode="timing", config=config)
+    return seen
+
+
+@pytest.fixture
+def create_configs_seen():
+    """`_create_configs_seen`: the configs replay of a trace at a run
+    config builds its maps with, in creation order, copies included."""
+    return _create_configs_seen
 
 
 @pytest.fixture

@@ -17,8 +17,10 @@ from mapreplay.refmap import (
     bucket_index,
     iterate,
     normalize_capacity,
+    run_config,
     threshold,
 )
+from mapreplay.tracer import TraceSession
 from mapreplay.workloads import IntKey
 
 
@@ -52,6 +54,34 @@ def test_normalize_capacity_rejects_zero():
 
 def test_normalize_capacity_small_values():
     assert [normalize_capacity(n) for n in (1, 2, 3, 5, 9)] == [1, 2, 4, 8, 16]
+
+
+# -- run_config --------------------------------------------------------------------
+
+_RUN = MapConfig(64, 500)
+
+
+def test_run_config_gives_a_default_request_the_runs_config():
+    # An explicit (16, 750) is the default: MRT1 records it with the
+    # default's aux, so replay cannot tell the two apart.
+    assert run_config(16, 750, _RUN) is _RUN
+    s = TraceSession()
+    s.new_map()
+    s.new_map(MapConfig(16, 750))
+    first, second = s.close().events
+    assert first.aux == second.aux
+
+
+@pytest.mark.parametrize("capacity, lf", [(16, 500), (64, 750), (64, 500), (1, 1000)])
+def test_run_config_keeps_any_other_request(capacity, lf):
+    assert run_config(capacity, lf, _RUN) == MapConfig(capacity, lf)
+    assert run_config(capacity, lf, DEFAULT_CONFIG) == MapConfig(capacity, lf)
+
+
+@pytest.mark.parametrize("capacity, lf", [(0, 750), (16, 0), (16, 1001), (2**31, 750)])
+def test_run_config_rejects_a_request_no_map_accepts(capacity, lf):
+    with pytest.raises(ConfigError):
+        run_config(capacity, lf, _RUN)
 
 
 # -- bucket_index -------------------------------------------------------------------

@@ -378,21 +378,7 @@ def test_coalescing_changes_dispatch_not_adapter_calls(small_traces):
 # -- the run's config --------------------------------------------------------------------
 
 
-def _create_configs_seen(trace, config=DEFAULT_CONFIG):
-    """Replay just to observe the configs maps were constructed with,
-    copies included (`copy_of` builds through `__init__`)."""
-    seen = []
-
-    class Probe(RefMap):
-        def __init__(self, config=DEFAULT_CONFIG):
-            seen.append(config)
-            super().__init__(config)
-
-    ReplaySession(trace).replay(Probe, mode="timing", config=config)
-    return seen
-
-
-def test_override_applies_to_default_creates():
+def test_override_applies_to_default_creates(create_configs_seen):
     def copied(s):
         m = s.new_map()
         m.put(IntKey(1), 1)
@@ -400,28 +386,26 @@ def test_override_applies_to_default_creates():
 
     # A Create recorded at the default, then that and a CreateCopy.
     for trace, maps in ((_insert_only_trace(1), 1), (_trace_of(copied), 2)):
-        assert _create_configs_seen(trace, MapConfig(64)) == [MapConfig(64, 750)] * maps
-        assert _create_configs_seen(trace) == [DEFAULT_CONFIG] * maps
+        assert create_configs_seen(trace, MapConfig(64)) == [MapConfig(64, 750)] * maps
+        assert create_configs_seen(trace) == [DEFAULT_CONFIG] * maps
 
 
-def test_override_preserves_explicit_configs():
+def test_override_preserves_explicit_configs(create_configs_seen):
     def build(s):
         m = s.new_map(MapConfig(100))
         m.put(IntKey(1), 1)
 
     trace = _trace_of(build)
-    (cfg,) = _create_configs_seen(trace, MapConfig(64))
+    (cfg,) = create_configs_seen(trace, MapConfig(64))
     assert cfg.initial_capacity == 100
 
 
 def test_override_equal_to_default_is_identity():
-    _, _, trace = (None, None, None)
-    raw = generate(WorkloadSpec("random", seed=21))
-    trace = process(raw)
-    session = ReplaySession(trace)
+    session = ReplaySession(process(generate(WorkloadSpec("random", seed=21))))
     base = session.replay(RefMap, mode="validating")
     same = session.replay(RefMap, mode="validating", config=MapConfig(16, 750))
     assert base.digests == same.digests
+    assert base.map_digests == same.map_digests
 
 
 # -- fidelity and integrity errors ----------------------------------------------------------

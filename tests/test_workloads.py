@@ -255,21 +255,6 @@ def test_direct_env_matches_traced_env_counts(small_traces):
         assert creates == len(run_direct(spec)), name
 
 
-class _DirectAt(DirectEnv):
-    """DirectEnv under replay's rule for a run's config: a map created at
-    the default config, and every copy, takes `config` instead."""
-
-    def __init__(self, config: MapConfig):
-        super().__init__()
-        self.config = config
-
-    def new_map(self, config: MapConfig = DEFAULT_CONFIG):
-        return super().new_map(self.config if config == DEFAULT_CONFIG else config)
-
-    def copy_map(self, source):
-        return self._register(RefMap.copy_of(source, self.config))
-
-
 @cache
 def _seed_3_trace(name: str):
     return process(generate(WorkloadSpec(name, seed=3)))
@@ -291,13 +276,27 @@ def test_counting_replay_counters_equal_the_direct_run(name, dic):
     # untraced application made it do, counter for counter, at the default
     # initial capacity and under an override of it.
     config = MapConfig(dic)
-    env = _DirectAt(config)
+    env = DirectEnv(config)
     _run(WorkloadSpec(name, seed=3), env)
     direct = OpCounters()
     for m in env.maps:
         direct.add(m.counters)
     replayed = ReplaySession(_seed_3_trace(name)).replay(RefMap, "counting", config).counters
     assert replayed == direct
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+@pytest.mark.parametrize(
+    "config",
+    [MapConfig(2), MapConfig(64), MapConfig(64, 500), DEFAULT_CONFIG],
+    ids=["dic2", "dic64", "dic64-lf500", "default"],
+)
+def test_direct_run_builds_its_maps_as_replay_does(name, config, create_configs_seen):
+    # One create-config rule on both sides: each map of the direct run,
+    # copies included, has the config replay builds it with at that run.
+    env = DirectEnv(config)
+    _run(WorkloadSpec(name, seed=3), env)
+    assert [m.config for m in env.maps] == create_configs_seen(_seed_3_trace(name), config)
 
 
 @pytest.mark.parametrize("env", [TraceSession, DirectEnv])
