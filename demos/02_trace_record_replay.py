@@ -57,7 +57,7 @@ print("\n=== replay with validation ===")
 replayer = ReplaySession(trace)
 result = replayer.replay(RefMap, mode="validating")
 print(f"ops executed: {result.ops_executed}, maps constructed: {result.factory_calls}")
-print(f"every recorded hit/miss reproduced; {len(result.digests)} final map "
+print(f"every recorded hit/miss reproduced; {len(result.map_digests)} final map "
       "states digested at their free points")
 
 print("\n=== replay with counting ===")
@@ -66,4 +66,4 @@ print("deterministic work counters:", counted.counters.as_dict())
 
 print("\n=== replay is deterministic ===")
 again = replayer.replay(RefMap, mode="validating")
-print(f"digests identical across replays: {again.digests == result.digests}")
+print(f"digests identical across replays: {again.map_digests == result.map_digests}")

@@ -94,8 +94,8 @@ def _cmd_replay(args) -> int:
     ]
     if result.counters is not None:
         lines += [f"counters.{k}={v}" for k, v in result.counters.as_dict().items()]
-    if result.digests is not None:
-        lines.append(f"digests={len(result.digests)}")
+    if result.map_digests is not None:
+        lines.append(f"digests={len(result.map_digests)}")
     text = "\n".join(lines)
     print(text)
     if args.report:

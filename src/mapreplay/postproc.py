@@ -108,6 +108,7 @@ import numpy as np
 
 from .errors import TraceFormatError, TraceIntegrityError
 from .tracer import ABSENT_HASH, ABSENT_OUTCOME, ABSENT_U64, RAW_DTYPE, RawOpKind, RawTrace
+from .tracer import _CHECK_BLOCK
 from .tracer import _CREATES, _ITER_OPS, _KEYED_OPS, _MAP_OPS, _OP, _field_offset, _op_table
 
 MAGIC = b"MPT1"
@@ -215,10 +216,6 @@ _RAW_OUTCOME_SHIFT = 20
 _RAW_OUTCOME_BITS = 0xFF << _RAW_OUTCOME_SHIFT
 #: The word's low byte, the op kind, within a row's 12 bytes.
 _OP_BYTE = 0 if sys.byteorder == "little" else 3
-#: Records ranked per block (160 KiB of them): a block and its
-#: temporaries stay small beside the int32 rows, the only row-sized array
-#: while ranking, and a file-backed trace is read in few calls.
-_BLOCK = 1 << 12
 
 
 class _Ranked(NamedTuple):
@@ -248,7 +245,7 @@ def _id_tables(raw: RawTrace) -> list[np.ndarray]:
     tables = [np.empty(0, dtype=np.uint64)] * 3
     waiting: list[list[np.ndarray]] = [[], [], []]
     # No rows exist yet, so these blocks can be larger: fewer table merges.
-    for block in raw.blocks(2 * _BLOCK):
+    for block in raw.blocks(2 * _CHECK_BLOCK):
         op, map_id, aux, key_id = block["op"], block["map_id"], block["aux"], block["key_id"]
         iter_rows = _ITER_OPS[op]
         found = (
@@ -282,7 +279,10 @@ def _rank(raw: RawTrace) -> _Ranked:
     )
     seen = np.zeros(keys.size, dtype=bool)
     start = 0
-    for block in raw.blocks(_BLOCK):
+    # Ranked a block at a time, as RawTrace checks them (160 KiB of
+    # records): a block and its temporaries stay small beside the rows, the
+    # only row-sized array here, and a file-backed trace is read in few calls.
+    for block in raw.blocks(_CHECK_BLOCK):
         row = t.rows[start : start + block.size]
         row[:, 0] = block["op"]
         _rank_objects(t, block, row)

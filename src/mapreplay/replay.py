@@ -7,22 +7,24 @@ holding the recorded hashes (see MockupKey), built in C by one
 collector does not track, so building thousands of keys counts no
 allocations toward a collection and freeing them walks no collector list:
 setup leaves the collector alone, and the replay loop runs with it as the
-caller left it. The opcode stream is held as one packed `array("i")`,
-copied once from the decoded trace, so setup boxes no per-op ints and the
-stream costs 12 bytes per op. The replay phase is a single dispatch loop
-over that buffer, bound to exactly one adapter class per run (monomorphic
-replay). It reads three words at a time from one iterator,
-`for w, a, b in zip(it, it, it)`, so the array creates each int as it
-yields it, and calls the handler the op kind selects from a table built per
-run; the modes differ only in that table and in the hook its FreeMap
-handler calls:
+caller left it. The opcode stream is held once, as one packed
+`array("i")` copied from the decoded trace, and the session's `trace.ops`
+is a read-only numpy view of it: setup boxes no per-op ints, the stream
+costs 12 bytes per op, and the session keeps nothing of the trace it was
+given. The replay phase is a single dispatch loop over that buffer, bound
+to exactly one adapter class per run (monomorphic replay). It reads three
+words at a time from one iterator, `for w, a, b in zip(it, it, it)`, so
+the array creates each int as it yields it, and calls the handler the op
+kind selects from a table built per run; the modes differ only in that
+table and in the hook its FreeMap handler calls:
 
     timing      plain handlers; the result is the wall-clock of the loop
     counting    plain handlers; the FreeMap hook adds the map's OpCounters
                 (the adapter must be RefMap-based)
     validating  get, put, remove, containsKey and iterator advance compare
                 each outcome bit against the recorded one; the FreeMap hook
-                captures the map's state digest
+                captures the map's state digest, reported in map
+                creation order (None for an adapter without one)
 
 The loop checks nothing per op. Setup rejects, once for the whole stream,
 a negative word or operand, since Python would wrap a negative index; an
@@ -178,8 +180,7 @@ class ReplayResult:
     ops_executed: int
     factory_calls: int
     counters: OpCounters | None = None
-    digests: dict[int, int] | None = None  # FreeMap op index -> state digest
-    map_digests: list[int] | None = None  # digests in map-creation order
+    map_digests: list[int] | None = None  # state at each FreeMap, in map-creation order
 
 
 class ReplaySession:
@@ -238,16 +239,19 @@ class ReplaySession:
                 f"op {i}: a map with load factor {lf}/1000 grows to a {slots}-slot "
                 f"table holding {keys} keys, above the {limit}-slot limit"
             )
-        self.trace = trace
-        hashes = memoryview(np.ascontiguousarray(trace.key_hashes, np.int32))
-        self.keys = list(map(MockupKey, hashes))
-        # One copy into a packed buffer; its ints are created as the loop
-        # reads them, not all at once here. Imported here so that recording
-        # and distilling, which import this module, never load `array`.
+        # One copy into a packed buffer, whose ints are created as the loop
+        # reads them; `self.trace` is rebuilt over it and a copy of the key
+        # hashes, so the session holds no array of the caller's or of the
+        # decoded payload. Imported here so that recording and distilling,
+        # which import this module, never load `array`.
         from array import array
 
         self._ops = array("i")
         self._ops.frombytes(memoryview(np.ascontiguousarray(trace.ops, np.int32)).cast("B"))
+        ops, hashes = np.frombuffer(self._ops, np.int32), np.array(trace.key_hashes, np.int32)
+        ops.flags.writeable = hashes.flags.writeable = False
+        self.trace = ProcessedTrace(hashes, trace.max_map_slots, trace.max_iter_slots, ops)
+        self.keys = list(map(MockupKey, memoryview(hashes)))
 
     def replay(
         self,
@@ -262,13 +266,13 @@ class ReplaySession:
         if mode == "counting" and not (isinstance(factory, type) and issubclass(factory, RefMap)):
             raise ConfigError("counting mode requires a RefMap-based adapter")
         validating = mode == "validating"
+        digesting = validating and hasattr(factory, "state_digest")
         ops = self._ops
         keys = self.keys
         maps: list = [None] * self.trace.max_map_slots
         iters: list = [None] * self.trace.max_iter_slots
         ordinal = [0] * len(maps)  # creation ordinal of each slot's occupant
         map_digests: list[int] = []  # one per create; 0 until the map is freed
-        freed: list[int] = []  # state digest at each FreeMap, in op order
         counters = OpCounters() if mode == "counting" else None
 
         # The FreeMap hook: the only place counting and digesting happen.
@@ -277,12 +281,10 @@ class ReplaySession:
             def on_free(m, a):
                 counters.add(m.counters)
 
-        elif validating and hasattr(factory, "state_digest"):
+        elif digesting:
 
             def on_free(m, a):
-                d = m.state_digest()
-                freed.append(d)
-                map_digests[ordinal[a]] = d
+                map_digests[ordinal[a]] = m.state_digest()
 
         else:
 
@@ -401,12 +403,9 @@ class ReplaySession:
             raise TraceIntegrityError(f"op {_failed_op(n, it)}: {fault}") from None
         elapsed = time.perf_counter() - start
 
-        result = ReplayResult(elapsed, n // 3, len(map_digests), counters=counters)
-        if validating:
-            free_ops = np.flatnonzero((self.trace.ops[0::3] & OP_KIND_MASK) == _OP.FREE_MAP)
-            result.digests = dict(zip(free_ops.tolist(), freed))
-            result.map_digests = map_digests
-        return result
+        return ReplayResult(
+            elapsed, n // 3, len(map_digests), counters, map_digests if digesting else None
+        )
 
     def _trace_fault(self, w: int, a: int, b: int, maps: list, iters: list) -> str | None:
         """Name the trace fault behind an AttributeError or IndexError raised

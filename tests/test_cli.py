@@ -40,7 +40,12 @@ def test_trace_process_stats_replay(tmp_path, capsys):
     code, out, _ = run(capsys, "replay", str(mpt), "--mode", "validating",
                        "--report", str(report))
     assert code == 0
-    assert "digests=" in report.read_text()
+    fields = dict(line.split("=") for line in report.read_text().splitlines())
+    assert fields["digests"] == fields["factory_calls"]  # one per map
+
+    code, out, _ = run(capsys, "replay", str(mpt), "--mode", "validating", "--impl", "pydict")
+    assert code == 0
+    assert "digests=" not in out  # the dict adapter has no state digest
 
 
 def test_process_and_stats_report_the_file_size(tmp_path, capsys):

@@ -12,7 +12,7 @@ from importlib import resources
 import pytest
 
 from mapreplay import tracer, workloads
-from mapreplay.postproc import process
+from mapreplay.postproc import decode, process, to_bytes
 from mapreplay.replay import ReplaySession
 from mapreplay.tracer import TraceSession, read_raw_trace
 from mapreplay.workloads import WorkloadSpec, generate
@@ -122,6 +122,28 @@ def test_replay_session_holds_at_most_24_bytes_per_op():
         tracemalloc.stop()
     assert len(session.keys) == len(trace.key_hashes)
     assert held <= 24 * trace.op_count
+
+
+@pytest.mark.parametrize(
+    "name, scale", [("wordfreq", 1), ("scan", 1), ("churn", 2)], ids=["wordfreq", "scan", "churn"]
+)
+def test_replay_session_holds_its_op_stream_once(name, scale):
+    # The session copies the opcode stream into one packed buffer, 12 B/op,
+    # and its trace's ops is a view of it, so the decoded payload, which
+    # the caller dropped, is freed. The rest is the mockup keys, an int and
+    # a list slot each, and a copy of their hashes.
+    data = to_bytes(process(generate(WorkloadSpec(name, seed=1, scale=scale))))
+    ReplaySession(decode(data))  # first-use imports are no per-trace cost
+    tracemalloc.start()
+    try:
+        session = ReplaySession(decode(data))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    trace = session.trace
+    assert trace == decode(data)
+    assert not trace.ops.flags.writeable
+    assert held <= 14 * trace.op_count + 48 * len(trace.key_hashes) + 128 * 1024
 
 
 def test_generate_keeps_no_workload_input():

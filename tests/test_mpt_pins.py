@@ -6,20 +6,23 @@ the raw map, key and thread ids the tracer hands out are pinned too; MPT1
 renumbers them into slots and cannot see them. The second is of the MPT1
 bytes, recorded with the per-event reference implementation of the tracer
 and post-processor. The third is of the replay outputs: counting-mode
-counters, validating-mode map digests in creation order, and the
-FreeMap-indexed state digests, recorded with the two-loop reference
-replayer. Any rewrite of those layers must reproduce them.
+counters, validating-mode map digests in creation order, and the same
+digests indexed by FreeMap op, recorded with the two-loop reference
+replayer. Replay reports only the first order; the test rebuilds the
+second from the trace's words. Any rewrite of those layers must reproduce
+them.
 """
 
 import hashlib
+import itertools
 import json
 
 import pytest
 
-from mapreplay.postproc import process, to_bytes
+from mapreplay.postproc import OP_KIND_MASK, process, to_bytes
 from mapreplay.refmap import RefMap
 from mapreplay.replay import ReplaySession
-from mapreplay.tracer import raw_trace_to_bytes
+from mapreplay.tracer import RawOpKind, raw_trace_to_bytes
 from mapreplay.workloads import WORKLOADS, WorkloadSpec, generate
 
 PINS = [
@@ -95,6 +98,22 @@ def test_replay_outputs_match_pin(pin):
     name, seed, params, _, _, digest = pin
     session = ReplaySession(process(generate(WorkloadSpec(name, seed=seed, params=params))))
     counters = session.replay(RefMap, "counting").counters.as_dict()
-    validated = session.replay(RefMap, "validating")
-    outputs = [counters, validated.map_digests, sorted(validated.digests.items())]
+    digests = session.replay(RefMap, "validating").map_digests
+    outputs = [counters, digests, _by_free_op(session.trace.ops, digests)]
     assert hashlib.sha256(json.dumps(outputs).encode()).hexdigest() == digest
+
+
+def _by_free_op(ops, map_digests) -> list[tuple[int, int]]:
+    """(FreeMap op index, digest) pairs, in op order, of the digests given
+    in map-creation order: a FreeMap frees its slot's latest Create or
+    CreateCopy."""
+    created = itertools.count()
+    ordinal: dict[int, int] = {}  # slot -> creation ordinal of its map
+    pairs = []
+    for i, (word, slot, _) in enumerate(ops.reshape(-1, 3).tolist()):
+        kind = word & OP_KIND_MASK
+        if kind in (RawOpKind.CREATE, RawOpKind.CREATE_COPY):
+            ordinal[slot] = next(created)
+        elif kind == RawOpKind.FREE_MAP:
+            pairs.append((i, map_digests[ordinal[slot]]))
+    return pairs

@@ -224,7 +224,7 @@ def test_validating_replay_reproduces_workload(small_traces):
 def test_validating_replay_accepts_pydict():
     trace = _insert_only_trace(20)
     result = ReplaySession(trace).replay(PyDictMap, mode="validating")
-    assert result.digests == {}  # no state_digest on dict adapter
+    assert result.map_digests is None  # no state_digest on dict adapter
     assert result.factory_calls == 1
 
 
@@ -302,7 +302,7 @@ def test_replay_deterministic(small_traces):
     session = ReplaySession(trace)
     a = session.replay(RefMap, mode="validating")
     b = session.replay(RefMap, mode="validating")
-    assert a.digests == b.digests
+    assert a.map_digests == b.map_digests
     ca = session.replay(RefMap, mode="counting")
     cb = session.replay(RefMap, mode="counting")
     assert ca.counters == cb.counters
@@ -404,7 +404,6 @@ def test_override_equal_to_default_is_identity():
     session = ReplaySession(process(generate(WorkloadSpec("random", seed=21))))
     base = session.replay(RefMap, mode="validating")
     same = session.replay(RefMap, mode="validating", config=MapConfig(16, 750))
-    assert base.digests == same.digests
     assert base.map_digests == same.map_digests
 
 
