@@ -25,9 +25,11 @@ rows.
 Sanitize's kernel yields a keep mask, coalesce's the rows to merge away
 and the step counts to set, free insertion's the free rows and the row
 each follows, and encode's kernel rewrites the rows into the opcode
-triples. No kernel builds a Python object per event; the one sequential
-loop left is slot assignment in encode, which visits only create and free
-rows.
+triples: it gives each map and iterator rank a slot and a lifetime (its
+create and free rows) and each key rank its index, then looks every
+operand up by its rank. No kernel builds a Python object per event; the
+one Python loop left is slot assignment in encode, which visits only
+create and free rows.
 
 The public passes `sanitize`, `coalesce`, `insert_free_events` and
 `encode` rank their RawTrace's records, run their kernel, and apply its
@@ -43,9 +45,10 @@ most free insertion can add. It then runs the four kernels and edits the
 rows in place in that buffer: sanitize's and coalesce's deletions move
 the kept rows toward the front, and free insertion moves rows toward the
 back, starting from the end, and writes the free rows into the gaps, each
-a chunk of rows at a time. No pass copies the rows; the plans over them
-(coalesce's per-advance index arrays, the last row of each object, the
-key indexes, the slot lookups) are int32 or built a chunk at a time.
+a chunk of rows at a time; encode then rewrites the rows in place, also
+a chunk at a time. No pass copies the rows; the plans over them (coalesce's
+per-advance index arrays, the last row of each object, encode's per-rank
+tables) are int32, per object, or built a chunk at a time.
 
 A ProcessedTrace is the payload below and nothing else: its size is the
 size of the file it is written to or read from, and `stats()` tallies its
@@ -108,7 +111,7 @@ import numpy as np
 
 from .errors import TraceFormatError, TraceIntegrityError
 from .tracer import ABSENT_HASH, ABSENT_OUTCOME, ABSENT_U64, RAW_DTYPE, RawOpKind, RawTrace
-from .tracer import _CHECK_BLOCK
+from .tracer import _CHECK_BLOCK, unpack_create_aux
 from .tracer import _CREATES, _ITER_OPS, _KEYED_OPS, _MAP_OPS, _OP, _field_offset, _op_table
 
 MAGIC = b"MPT1"
@@ -361,10 +364,8 @@ def _rank_arguments(t: _Ranked, block: np.ndarray, row: np.ndarray, first: int) 
         second[advances] = steps
     if count[_OP.CREATE]:
         creates = np.flatnonzero(op == _OP.CREATE)
-        create_aux = aux[creates]
-        capacity = create_aux & 0xFFFFFFFF
+        capacity, lf = unpack_create_aux(aux[creates])
         _refuse_above_i32(capacity, creates, first, "Create capacity")
-        lf = (create_aux >> 32) & LF_MASK
         words[creates] |= ((lf << LF_SHIFT) | SPREAD_BIT).astype(np.int32)
         second[creates] = capacity
     if count[_OP.ITER_NEW]:
@@ -697,12 +698,22 @@ def _freed(t: _Ranked, frees: _Frees) -> _Ranked:
 
 
 class _Lifetimes(NamedTuple):
-    """One row per object, sorted by rank: its slot and first and last row."""
+    """Per object rank: its slot and its create and free rows. A rank that
+    is never created is live at no row."""
 
-    ids: np.ndarray
     slot: np.ndarray
-    first: np.ndarray
-    last: np.ndarray
+    create: np.ndarray
+    free: np.ndarray
+
+    def slots_at(self, ranks: np.ndarray, at: np.ndarray, names) -> np.ndarray:
+        """Slot of object `ranks[j]` used at row `at[j]`, which must lie
+        within its lifetime, its create and free rows included."""
+        ranks = ranks.astype(np.intp)  # numpy gathers faster by intp
+        dead = np.flatnonzero((self.create[ranks] > at) | (at > self.free[ranks]))
+        if dead.size:
+            bad = dead[0]
+            raise TraceIntegrityError(f"object {names[ranks[bad]]} is not live at event {at[bad]}")
+        return self.slot[ranks]
 
 
 def _assign_slots(obj_ids: np.ndarray, acquires: np.ndarray, rows: np.ndarray, names):
@@ -710,13 +721,19 @@ def _assign_slots(obj_ids: np.ndarray, acquires: np.ndarray, rows: np.ndarray, n
 
     `obj_ids`, `acquires` and `rows` describe the create (acquire) and free
     rows in stream order; `names` holds the raw id of each object rank.
-    Returns the lifetimes and the slot-table size.
+    This is encode's one Python loop, and it visits only those rows.
+    Returns the per-rank lifetimes and the slot-table size.
     """
-    created = obj_ids[acquires]
-    ids, first = np.unique(created, return_index=True)
-    if ids.size != created.size:
-        twice = names[np.delete(created, first)[0]]
-        raise TraceIntegrityError(f"object {twice} is created more than once")
+    lives = _Lifetimes(
+        np.zeros(names.size, dtype=np.int32),
+        np.full(names.size, np.iinfo(rows.dtype).max, dtype=rows.dtype),
+        np.full(names.size, -1, dtype=rows.dtype),
+    )
+    created, at = obj_ids[acquires], rows[acquires]
+    lives.create[created] = at
+    twice = np.flatnonzero(lives.create[created] != at)  # overwritten by a later create
+    if twice.size:
+        raise TraceIntegrityError(f"object {names[created[twice[0]]]} is created more than once")
 
     slots = np.empty(obj_ids.size, dtype=np.int32)
     free: list[int] = []
@@ -737,48 +754,21 @@ def _assign_slots(obj_ids: np.ndarray, acquires: np.ndarray, rows: np.ndarray, n
             heapq.heappush(free, slot)
         slots[j] = slot
     if live:
-        raise TraceIntegrityError("input is missing free events; run insert_free_events first")
+        raise TraceIntegrityError(
+            f"object {names[next(iter(live))]} is never freed: "
+            "input is missing free events; run insert_free_events first"
+        )
 
-    freed = np.argsort(obj_ids[~acquires], kind="stable")  # each created object is freed once
-    lives = _Lifetimes(ids, slots[acquires][first], rows[acquires][first], rows[~acquires][freed])
+    # Each object is now created once and freed once.
+    lives.slot[created] = slots[acquires]
+    lives.free[obj_ids[~acquires]] = rows[~acquires]
     return lives, high_water
 
 
-def _slots_at(
-    lives: _Lifetimes, obj_ids: np.ndarray, rows: np.ndarray | None, names, uses=None
-):
-    """Slot of the object named at each row.
-
-    `rows` holds the row of each entry of `obj_ids`; None means entry j
-    is row j. Every object named where `uses` is set (everywhere by
-    default) must be live at its row, its own create and free rows
-    included. Other rows get an arbitrary slot.
-    """
-    slots = np.zeros(obj_ids.size, dtype=np.int32)
-    for start, stop in _chunks(obj_ids.size):
-        part = slice(start, stop)
-        ids = obj_ids[part]
-        at = np.arange(start, stop) if rows is None else rows[part]
-        if lives.ids.size == 0:
-            live = np.zeros(ids.shape, dtype=bool)
-        else:
-            i = np.searchsorted(lives.ids, ids)
-            np.minimum(i, lives.ids.size - 1, out=i)
-            live = lives.ids[i] == ids
-            live &= lives.first[i] <= at
-            live &= at <= lives.last[i]
-            slots[part] = lives.slot[i]
-        dead = np.flatnonzero(~live if uses is None else uses[part] & ~live)
-        if dead.size:
-            bad = dead[0]
-            raise TraceIntegrityError(f"object {names[ids[bad]]} is not live at event {at[bad]}")
-    return slots
-
-
-def _key_indexes(t: _Ranked) -> np.ndarray:
-    """Rewrite each keyed row's key rank into its dense key index, in
-    first-use order, a chunk at a time; returns the hash table. A key
-    recorded with two hashes is refused: sanitize would have dropped it."""
+def _key_indexes(t: _Ranked) -> tuple[np.ndarray, np.ndarray]:
+    """Each key rank's dense key index, in first-use order, found a chunk at
+    a time, and the hash table those indexes index. A key recorded with two
+    hashes is refused: sanitize would have dropped it."""
     rows = t.rows
     unused = len(rows)
     first_use = np.full(t.keys.size, unused, dtype=np.intp)
@@ -795,47 +785,53 @@ def _key_indexes(t: _Ranked) -> np.ndarray:
     by_first_use = np.argsort(first_use, kind="stable")[: np.count_nonzero(first_use < unused)]
     index_of = np.empty(t.keys.size, dtype=np.int32)
     index_of[by_first_use] = np.arange(by_first_use.size, dtype=np.int32)
-    for start, stop in _chunks(len(rows)):
-        chunk = rows[start:stop]
-        at = np.flatnonzero(_KEYED_OPS[_ops(chunk)])
-        chunk[at, 2] = index_of[chunk[at, 2]]
-    return t.key_hash[by_first_use]
+    return index_of, t.key_hash[by_first_use]
 
 
 def _encode(t: _Ranked) -> ProcessedTrace:
-    """Encode's kernel: rewrites `t.rows` into the opcode triples, in place."""
+    """Encode's kernel: rewrites `t.rows` into the opcode triples, in place.
+
+    It plans first: each key rank's index, then each map and iterator
+    rank's slot and lifetime (`_assign_slots`, the only Python loop). Then
+    it rewrites the rows in one pass, a chunk at a time, by lookups on
+    those per-rank tables: each object operand becomes its slot once its
+    object is seen live at that row, and each key rank its key index.
+    """
     rows = t.rows
     op = _ops(rows)
 
-    key_hashes = _key_indexes(t)
-
-    # Read the iterator and copy operands before map slots overwrite them.
-    iter_rows = np.flatnonzero(_ITER_OPS[op])
-    iter_ranks = rows[iter_rows, 1]
-    iter_life = np.flatnonzero((op == _OP.ITER_NEW) | (op == _OP.FREE_ITER))
-    news = op[iter_life] == _OP.ITER_NEW
-    iter_ids = np.where(news, rows[iter_life, 2], rows[iter_life, 1])
-    copies = np.flatnonzero(op == _OP.CREATE_COPY)
-    copy_ids, sources = rows[copies, 1], rows[copies, 2]
-
-    # Map slots. Every map op, creates and frees included, names its map in
-    # operand 1; iterator ops name their iterator there and are rewritten below.
+    index_of, key_hashes = _key_indexes(t)
+    # Every map op, creates and frees included, names its map in operand 1.
     life = np.flatnonzero(_CREATES[op] | (op == _OP.FREE_MAP))
     map_lives, max_map_slots = _assign_slots(rows[life, 1], _CREATES[op[life]], life, t.maps)
-    rows[:, 1] = _slots_at(map_lives, rows[:, 1], None, t.maps, _MAP_OPS[op])
-    self_copies = np.flatnonzero(sources == copy_ids)
+    copies = np.flatnonzero(op == _OP.CREATE_COPY)
+    self_copies = copies[rows[copies, 2] == rows[copies, 1]]
     if self_copies.size:
-        raise TraceIntegrityError(
-            f"map {t.maps[sources[self_copies[0]]]} is not live before its copy"
-        )
-    rows[copies, 2] = _slots_at(map_lives, sources, copies, t.maps)
+        bad = t.maps[rows[self_copies[0], 1]]
+        raise TraceIntegrityError(f"map {bad} is not live before its copy")
+    # IterNew acquires the iterator in operand 2, FreeIter releases it.
+    life = np.flatnonzero((op == _OP.ITER_NEW) | (op == _OP.FREE_ITER))
+    news = op[life] == _OP.ITER_NEW
+    iter_ids = np.where(news, rows[life, 2], rows[life, 1])
+    iter_lives, max_iter_slots = _assign_slots(iter_ids, news, life, t.iters)
 
-    # Iterator slots: IterNew acquires the iterator in operand 2, FreeIter releases.
-    iter_lives, max_iter_slots = _assign_slots(iter_ids, news, iter_life, t.iters)
-    rows[iter_life[news], 2] = _slots_at(iter_lives, iter_ids[news], iter_life[news], t.iters)
-    rows[iter_rows, 1] = _slots_at(iter_lives, iter_ranks, iter_rows, t.iters)
-
-    rows[:, 0] &= ~_RAW_OUTCOME_BITS
+    for start, stop in _chunks(len(rows)):
+        chunk = rows[start:stop]
+        words, first, second = chunk.T
+        kind = _ops(chunk)
+        on_iter = _ITER_OPS[kind]
+        for lives, names, operand, uses in (
+            (map_lives, t.maps, first, ~on_iter),
+            (map_lives, t.maps, second, kind == _OP.CREATE_COPY),  # the source
+            (iter_lives, t.iters, second, kind == _OP.ITER_NEW),
+            (iter_lives, t.iters, first, on_iter),
+        ):
+            at = np.flatnonzero(uses)
+            if at.size:
+                operand[at] = lives.slots_at(operand[at], at + start, names)
+        at = np.flatnonzero(_KEYED_OPS[kind])
+        second[at] = index_of[second[at].astype(np.intp)]
+        words &= ~_RAW_OUTCOME_BITS
 
     return ProcessedTrace(
         key_hashes=key_hashes,

@@ -346,6 +346,22 @@ def test_run_bench_sends_children_the_trace_not_its_bytes(monkeypatch):
     assert len(report.variants[0].samples) == 2
 
 
+def test_spawned_run_names_the_childs_error():
+    # The child builds its own ReplaySession, which refuses a negative operand.
+    import multiprocessing
+
+    from mapreplay.bench import _resolve, _spawned_run
+
+    trace = tiny_trace()
+    ops = trace.ops.copy()
+    ops[1] = -1
+    variant = _resolve([("refmap", 16)], 750)[0]
+    with pytest.raises(MapReplayError, match="^benchmark child failed: TraceIntegrityError: "
+                       "op 0: negative word or operand -1$"):
+        _spawned_run(multiprocessing.get_context("spawn"),
+                     dataclasses.replace(trace, ops=ops), variant, FAST)
+
+
 def test_run_bench_custom_adapter_falls_back_in_process():
     trace = tiny_trace()
     cfg = BenchConfig(runs=1, warmup_iters=0, measured_iters=2,
@@ -522,6 +538,12 @@ def test_report_render_layout():
     assert "x)" in text
 
 
+def test_report_render_names_an_excluded_variant():
+    line = _hand_built_report().render().splitlines()[-1]
+    assert line.split()[:3] == ["Broken:dic16", "excluded", "-"]
+    assert line.endswith("op 3: get outcome 0, recorded 1")
+
+
 def test_read_report_rejects_other_files(tmp_path):
     path = tmp_path / "nope.txt"
     path.write_text("hello\n")
@@ -575,6 +597,16 @@ def test_compare_classification_symbols():
     assert result.pearson is not None
     text = result.render()
     assert "concordant=4/5" in text
+
+
+def test_compare_without_speedup_variance_has_no_pearson():
+    # A's speedups are all equal, so the correlation is undefined.
+    a = _report("A", [("v1", 1.5, False), ("v2", 1.5, False), ("v3", 1.5, False)])
+    b = _report("B", [("v1", 1.1, False), ("v2", 1.2, False), ("v3", 1.3, False)])
+    result = compare_reports(a, b)
+    assert result.pearson is None
+    assert "pearson_r=n/a" in result.render().splitlines()
+    assert result.concordant == 3
 
 
 def test_compare_requires_shared_variants():

@@ -417,7 +417,11 @@ def test_encode_requires_free_annotations():
     def build(s):
         s.new_map().put(IntKey(1), 1)
 
-    with pytest.raises(TraceIntegrityError):
+    with pytest.raises(
+        TraceIntegrityError,
+        match="^object 1 is never freed: input is missing free events; "
+        "run insert_free_events first$",
+    ):
         encode(_session_trace(build))
 
 

@@ -629,6 +629,17 @@ def test_session_left_by_an_exception_records_nothing_more(tmp_path):
     assert not path.exists()  # the one record never reached a flush
 
 
+def test_session_whose_directory_is_missing_fails_to_close(tmp_path):
+    path = tmp_path / "missing" / "t.mrt"
+    s = TraceSession(path)
+    s.new_map().put(IntKey(1), 1)
+    with pytest.raises(OSError):
+        s.close()
+    assert not path.exists()
+    with pytest.raises(ValueError, match="abandoned"):
+        s.close()
+
+
 def test_raw_trace_wraps_only_raw_records():
     with pytest.raises(TypeError, match="RAW_DTYPE"):
         RawTrace([])
