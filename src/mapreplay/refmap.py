@@ -513,12 +513,9 @@ class PyDictMap(MapAdapter):
     @classmethod
     def copy_of(cls, source: MapAdapter, config: MapConfig = DEFAULT_CONFIG) -> "PyDictMap":
         new = cls(config)
-        if isinstance(source, PyDictMap):
-            new._d = dict(source._d)
-        else:
-            it = source.iterator(View.ENTRIES)
-            while (kv := it.advance()) is not None:
-                new._d[kv[0]] = kv[1]
+        if not isinstance(source, PyDictMap):
+            raise TypeError("PyDictMap.copy_of requires a PyDictMap source")
+        new._d = dict(source._d)
         return new
 
     def get(self, key: Any) -> Any | None:

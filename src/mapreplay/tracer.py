@@ -9,6 +9,12 @@ while reproducing the exact hash/bucket control flow. Each TracedMap keeps
 its own canonical-key table, so the table dies with the map; the session
 keeps only the record buffers and id counters.
 
+Every traced call checks its arguments and performs its map operation
+first, and only then takes an id (for a new map, iterator or key) and
+records. A refused call (a bad key, a None value, a bad view, config or
+copy source) records nothing and takes no id, so the trace holds only
+calls that happened and each slot's ids are dense.
+
 Records are packed straight into per-thread-slot byte buffers in the MRT1
 record layout below; no Python object is kept per event. Every session
 streams: each time slot 0's buffer reaches 64 KiB it is appended to the
@@ -46,17 +52,17 @@ Raw trace file format (little-endian):
 The event count doubles as the end-marker: it is a sentinel (all ones)
 while the file is being written and is patched at close, so a crashed
 session, or a failed `write_raw_trace`, leaves a detectably truncated
-file. Both write through one writer of header, records and patch. Each
-record is
+file. Both drive one writer of header, records and patch the same way:
+write, then close, or abandon on any exception. Each record is
 
     u64 thread_id | u8 op | u64 map_id | u64 key_id | i32 hash |
     u64 aux | u8 outcome | 2 pad bytes
 
-with absent fields encoded as all-ones. `aux` is op-specific:
-Create packs requested capacity (bits 0-31), load factor thousandths
-(bits 32-41) and the spread flag (bit 42), which is always 1: every map
-spreads its keys' hashes, and a Create with the bit clear is refused by
-every RawTrace. CreateCopy carries the source map id; IterNew packs
+laid out once, in `_LAYOUT`, with absent fields encoded as all-ones.
+`aux` is op-specific: Create packs requested capacity (bits 0-31), load
+factor thousandths (bits 32-41) and the spread flag (bit 42), which is
+always 1: every map spreads its keys' hashes, and a Create with the bit
+clear is refused by every RawTrace. CreateCopy carries the source map id; IterNew packs
 (iterator id << 2) | view; IterAdvance carries the step count. Iterator
 events (IterAdvance, IterRemove) carry the iterator id in the map_id field.
 """
@@ -71,6 +77,7 @@ import sys
 import threading
 from collections import deque
 from collections.abc import Iterator
+from contextlib import AbstractContextManager, contextmanager
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
@@ -85,23 +92,22 @@ from .refmap import DEFAULT_CONFIG, MapConfig, RefMap, View
 MAGIC = b"MRT1"
 VERSION = 1
 _HEADER = struct.Struct("<4sIQ")
-_RECORD = struct.Struct("<QBQQiQB2x")
 _SENTINEL_COUNT = 0xFFFFFFFFFFFFFFFF
 ABSENT_U64 = 0xFFFFFFFFFFFFFFFF
 ABSENT_HASH = -1
 ABSENT_OUTCOME = 0xFF
 
-_FIELDS = ("thread_id", "op", "map_id", "key_id", "hash", "aux", "outcome")
+#: The MRT1 record layout, field by field, then 2 pad bytes: the record
+#: struct and RAW_DTYPE both derive from it.
+_LAYOUT = (
+    ("thread_id", "Q"), ("op", "B"), ("map_id", "Q"), ("key_id", "Q"),
+    ("hash", "i"), ("aux", "Q"), ("outcome", "B"),
+)
+_FIELDS = tuple(name for name, _ in _LAYOUT)
+_RECORD = struct.Struct("<" + "".join(code for _, code in _LAYOUT) + "2x")
 #: One MRT1 record as a numpy row. The pad bytes are a field too, so the
 #: dtype has no holes and numpy copies whole records, pad included.
-RAW_DTYPE = np.dtype(
-    {
-        "names": [*_FIELDS, "pad"],
-        "formats": ["<u8", "u1", "<u8", "<u8", "<i4", "<u8", "u1", "V2"],
-        "offsets": [0, 8, 9, 17, 25, 29, 37, 38],
-        "itemsize": _RECORD.size,
-    }
-)
+RAW_DTYPE = np.dtype([(name, "<" + code) for name, code in _LAYOUT] + [("pad", "V2")])
 
 _SLOT_SHIFT = 40  # ids are (thread slot << 40) | per-slot counter
 
@@ -376,16 +382,18 @@ class TraceSession:
 
     # -- thread slots ------------------------------------------------------------
 
-    def thread(self, slot: int) -> "_ThreadSlot":
+    def thread(self, slot: int) -> AbstractContextManager[None]:
         """Bind the calling thread's events and ids to `slot`, from 0 (the
-        slot unwrapped code records to) to 2^24 - 1."""
+        slot unwrapped code records to) to 2^24 - 1, within a `with` block.
+        Each slot counts its map, iterator and key ids from 1 with no gaps,
+        since a refused traced call takes none."""
         if slot < 0 or slot >= (1 << 24):
             raise ValueError("thread slot out of range")
         with self._lock:
             state = self._states.get(slot)
             if state is None:
                 state = self._states[slot] = _SlotState(slot)
-        return _ThreadSlot(self._local, state)
+        return _bind(self._local, state)
 
     # -- recording ---------------------------------------------------------------
 
@@ -410,12 +418,9 @@ class TraceSession:
 
     def new_map(self, config: MapConfig = DEFAULT_CONFIG) -> "TracedMap":
         """Create a traced map; emits a Create event with the requested config."""
+        aux = pack_create_aux(config.initial_capacity, config.load_factor_milli)
         map_id = next(self._local.state.map_ids)
-        self.record(
-            RawOpKind.CREATE,
-            map_id,
-            aux=pack_create_aux(config.initial_capacity, config.load_factor_milli),
-        )
+        self.record(RawOpKind.CREATE, map_id, aux=aux)
         return TracedMap(self, RefMap(config), map_id, {})
 
     def copy_map(self, source: "TracedMap") -> "TracedMap":
@@ -425,25 +430,20 @@ class TraceSession:
         The copy takes the default config, not its source's, as Java's
         `HashMap(Map)` does, so the CreateCopy event records only the source.
         """
+        inner = RefMap.copy_of(source._inner)
         map_id = next(self._local.state.map_ids)
         self.record(RawOpKind.CREATE_COPY, map_id, aux=source.map_id)
-        return TracedMap(self, RefMap.copy_of(source._inner), map_id, dict(source._keys))
+        return TracedMap(self, inner, map_id, dict(source._keys))
 
 
-class _ThreadSlot:
-    __slots__ = ("_local", "_state", "_prev")
-
-    def __init__(self, local: _Bound, state: _SlotState):
-        self._local = local
-        self._state = state
-
-    def __enter__(self):
-        self._prev = self._local.state
-        self._local.state = self._state
-        return self
-
-    def __exit__(self, *exc):
-        self._local.state = self._prev
+@contextmanager
+def _bind(local: _Bound, state: _SlotState) -> Iterator[None]:
+    """Record the calling thread's events to `state` until the block ends."""
+    prev, local.state = local.state, state
+    try:
+        yield
+    finally:
+        local.state = prev
 
 
 class TracedMap:
@@ -496,6 +496,8 @@ class TracedMap:
         return value
 
     def put(self, key: Any, value: Any) -> Any | None:
+        if value is None:
+            raise TypeError("a map value must not be None: None means absent")
         kid, h = self._key(key)
         old = self._inner.put(key, value)
         self._session.record(
@@ -531,11 +533,12 @@ class TracedMap:
         return self._inner.size()
 
     def iterator(self, view: View = View.ENTRIES) -> "TracedIterator":
+        inner = self._inner.iterator(view)  # refuses a bad view
         iter_id = next(self._session._local.state.iter_ids)
         self._session.record(
             RawOpKind.ITER_NEW, self.map_id, aux=pack_iternew_aux(iter_id, view)
         )
-        return TracedIterator(self._session, self._inner.iterator(view), iter_id)
+        return TracedIterator(self._session, inner, iter_id)
 
 
 class TracedIterator:
@@ -619,15 +622,6 @@ class _RawWriter:
         self._fh.write(_HEADER.pack(MAGIC, VERSION, _SENTINEL_COUNT))
         self._count = 0
 
-    def __enter__(self) -> "_RawWriter":
-        return self
-
-    def __exit__(self, exc_type, *exc) -> None:
-        if exc_type is None:
-            self.close()
-        else:
-            self.abandon()
-
     def write(self, records) -> None:
         """Append packed records: a buffer of whole 40-byte records."""
         self._fh.write(records)
@@ -659,8 +653,13 @@ def write_raw_trace(trace: RawTrace, path: str | Path) -> None:
     opened, so it can be written over the file it was read from.
     """
     records = trace.records
-    with _RawWriter(Path(path).absolute()) as out:
-        out.write(records.data)
+    writer = _RawWriter(Path(path).absolute())
+    try:
+        writer.write(records.data)
+    except BaseException:
+        writer.abandon()
+        raise
+    writer.close()
 
 
 def _event_count(header: bytes, size: int) -> int:

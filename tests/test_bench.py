@@ -544,6 +544,19 @@ def test_report_render_names_an_excluded_variant():
     assert line.endswith("op 3: get outcome 0, recorded 1")
 
 
+def test_report_render_prints_whole_milliseconds_from_100():
+    # Traces of 100 ms or more render as the paper's tables print them.
+    report = _hand_built_report()
+    base, other = report.variants[:2]
+    report.variants[:2] = [
+        dataclasses.replace(base, mean=1234.5678, half_width=100.4),
+        dataclasses.replace(other, mean=617.3, half_width=99.5),
+    ]
+    rows = [line.split() for line in report.render().splitlines()[2:]]
+    assert rows[0][1] == "1235±100"
+    assert rows[1][1:3] == ["617±99.5", "(2.00x)"]
+
+
 def test_read_report_rejects_other_files(tmp_path):
     path = tmp_path / "nope.txt"
     path.write_text("hello\n")

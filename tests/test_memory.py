@@ -33,7 +33,8 @@ def _run_fresh(code: str) -> str:
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, check=True,
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": pythonpath},
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": pythonpath,
+             "PYTHONDONTWRITEBYTECODE": "1"},
     )
     return out.stdout.strip()
 

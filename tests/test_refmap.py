@@ -398,9 +398,12 @@ def test_copy_of_empty_source_stays_lazy():
     assert dup.capacity() == 0
 
 
-def test_copy_of_another_map_kind_is_refused():
-    with pytest.raises(TypeError, match="RefMap.copy_of requires a RefMap source"):
-        RefMap.copy_of(PyDictMap())
+@pytest.mark.parametrize("cls, other", [(RefMap, PyDictMap), (PyDictMap, RefMap)],
+                         ids=["RefMap", "PyDictMap"])
+def test_copy_of_another_map_kind_is_refused(cls, other):
+    name = cls.__name__
+    with pytest.raises(TypeError, match=f"^{name}.copy_of requires a {name} source$"):
+        cls.copy_of(other())
 
 
 # -- digests ------------------------------------------------------------------------

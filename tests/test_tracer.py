@@ -54,6 +54,15 @@ def test_create_event_records_default_config():
     assert e.aux >> 42 & 1  # the spread bit, set on every Create
 
 
+@pytest.mark.parametrize("make", ["new_map", "copy_map"])
+def test_refused_map_construction_records_nothing_and_takes_no_id(make):
+    s = TraceSession()
+    with pytest.raises(AttributeError):
+        getattr(s, make)(object())  # neither a MapConfig nor a TracedMap
+    assert s.new_map().map_id == 1
+    assert [e.op for e in events_of(s)] == [RawOpKind.CREATE]
+
+
 def test_create_event_records_requested_capacity():
     s = TraceSession()
     s.new_map(MapConfig(100, 600))
@@ -210,6 +219,20 @@ def test_hash_leaving_range_later_is_rejected_before_the_map_changes():
     assert ops == [RawOpKind.PUT, RawOpKind.GET]
 
 
+def test_none_value_is_refused_before_the_map_or_key_table_changes():
+    # None means absent: a stored None would read as a miss on get and a
+    # hit on contains_key, which no replay can reproduce.
+    s = TraceSession()
+    m = s.new_map()
+    with pytest.raises(TypeError, match="^a map value must not be None: None means absent$"):
+        m.put(IntKey(1), None)
+    assert m.size() == 0 and m._keys == {}
+    m.put(IntKey(2), 2)
+    raw = s.close()
+    assert [(e.op, e.key_id) for e in raw.events] == [(RawOpKind.CREATE, None), (RawOpKind.PUT, 1)]
+    assert process(raw).op_count == 3  # Create, Put and the inserted FreeMap
+
+
 # -- outcome bits --------------------------------------------------------------------
 
 
@@ -280,6 +303,26 @@ def test_fresh_iterator_ids_per_iter_new():
     news = by_op(events_of(s), RawOpKind.ITER_NEW)
     ids = [unpack_iternew_aux(e.aux)[0] for e in news]
     assert len(set(ids)) == 2
+
+
+@pytest.mark.parametrize("view", [5, 3, -1, "keys"])
+def test_refused_view_records_nothing_and_takes_no_id(view):
+    def session(refused):
+        s = TraceSession()
+        m = s.new_map()
+        m.put(IntKey(1), 1)
+        if refused:
+            with pytest.raises(ValueError):
+                m.iterator(view)
+        it = m.iterator(View.KEYS)
+        while it.advance() is not None:
+            pass
+        return s.close(), it.iter_id
+
+    (clean, clean_id), (raw, iter_id) = session(False), session(True)
+    assert iter_id == clean_id == 1
+    assert raw.events == clean.events
+    assert to_bytes(process(raw)) == to_bytes(process(clean))
 
 
 # -- per-thread id namespacing ----------------------------------------------------------
@@ -616,6 +659,24 @@ def test_workload_raising_mid_recording_leaves_a_truncated_file(tmp_path, monkey
     assert err.value.offset == 8
 
 
+def test_write_raw_trace_failing_mid_write_leaves_a_truncated_file(tmp_path, monkeypatch):
+    trace = _session_with_traffic().close()
+    write = tracer._RawWriter.write
+
+    def failing(self, records):
+        write(self, bytes(records)[: 3 * 40])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(tracer._RawWriter, "write", failing)
+    path = tmp_path / "t.mrt"
+    with pytest.raises(OSError, match="disk full"):
+        write_raw_trace(trace, path)
+    assert path.stat().st_size == 16 + 3 * 40
+    with pytest.raises(TraceFormatError, match="missing end-marker") as err:
+        read_raw_trace(path)
+    assert err.value.offset == 8
+
+
 def test_session_left_by_an_exception_records_nothing_more(tmp_path):
     path = tmp_path / "t.mrt"
     with pytest.raises(RuntimeError):
@@ -731,6 +792,12 @@ def test_record_layout_is_40_bytes():
     m.put(IntKey(1), 1)
     data = raw_trace_to_bytes(s.close())
     assert len(data) == 16 + 2 * 40
+    assert tracer.RAW_DTYPE == np.dtype({
+        "names": ["thread_id", "op", "map_id", "key_id", "hash", "aux", "outcome", "pad"],
+        "formats": ["<u8", "u1", "<u8", "<u8", "<i4", "<u8", "u1", "V2"],
+        "offsets": [0, 8, 9, 17, 25, 29, 37, 38],
+        "itemsize": 40,
+    })
 
 
 # -- recorded control flow matches application keys ------------------------------------

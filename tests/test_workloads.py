@@ -70,7 +70,7 @@ def test_wordfreq_deterministic_across_hash_seeds():
             [sys.executable, "-c", code],
             capture_output=True, text=True, check=True,
             env={"PYTHONHASHSEED": hash_seed, "PATH": "/usr/bin:/bin",
-                 "PYTHONPATH": pythonpath},
+                 "PYTHONPATH": pythonpath, "PYTHONDONTWRITEBYTECODE": "1"},
         )
         digests.add(out.stdout.strip())
     assert len(digests) == 1
