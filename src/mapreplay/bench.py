@@ -167,6 +167,15 @@ class BenchConfig:
         # An iteration replays until its deadline; a NaN deadline never comes.
         if not (math.isfinite(self.iter_duration) and self.iter_duration > 0):
             raise ConfigError(f"iter_duration must be finite and > 0, not {self.iter_duration!r}")
+        # The bootstrap's own arguments: numpy would refuse the first and
+        # last only after every run has been timed, and a level of 0 gives
+        # zero-width intervals that call any difference significant.
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, not {self.seed}")
+        if not 0 < self.level < 1:
+            raise ConfigError(f"level must be in (0, 1), not {self.level!r}")
+        if self.resamples < 1:
+            raise ConfigError(f"resamples must be >= 1, not {self.resamples}")
 
 
 @dataclass(slots=True)
@@ -577,7 +586,13 @@ def compare_reports(report_a: BenchReport, report_b: BenchReport) -> CompareResu
     """Concordance analysis of two reports' non-baseline variants, matched
     by label: per-comparison change classification, Pearson correlation of
     the speedup ratios, the one-sided binomial test on concordant
-    directions, and Cohen's h against the 0.5 proportion."""
+    directions, and Cohen's h against the 0.5 proportion. Each speedup is
+    against its own report's baseline, so the two baselines must match."""
+    if report_a.baseline.label != report_b.baseline.label:
+        raise ConfigError(
+            f"reports have different baselines: {report_a.baseline.label} "
+            f"against {report_b.baseline.label}"
+        )
     b_by_label = {v.label: v for v in report_b.variants[1:] if not v.excluded}
     comparisons = []
     ratios_a = []

@@ -16,10 +16,11 @@ The pipeline turns a raw event stream into the replayable artifact:
 The passes run on the events in ranked form: every map, iterator and key
 id renumbered to its dense int32 rank, and each event one int32 row
 (word, operand, operand) laid out like the MPT1 triple it becomes, beside
-small per-object tables (the raw id of each rank, each key's hash). The
-passes trust the records they rank: every RawTrace has checked them, and
-ranking refuses, at the field's MRT1 byte offset, what a row cannot hold
-(see the ranked stream below), so each operand is the int32 it becomes.
+small per-object tables (the raw id of each rank, each key's hash, each
+iterator's owning map, found once, while ranking). The passes trust the
+records they rank: every RawTrace has checked them, and ranking refuses,
+at the field's MRT1 byte offset, what a row cannot hold (see the ranked
+stream below), so each operand is the int32 it becomes.
 Each pass's logic is one kernel of whole-array numpy operations on those
 rows.
 Sanitize's kernel yields a keep mask, coalesce's the rows to merge away
@@ -231,6 +232,7 @@ class _Ranked(NamedTuple):
     keys: np.ndarray  # u64 raw id of each key rank, sorted
     key_hash: np.ndarray  # int32 hash first recorded for each key rank
     unstable: np.ndarray  # bool per key rank: recorded with two hashes
+    owner: np.ndarray  # int32 map rank of each iterator rank's last IterNew, -1 for none
 
 
 def _ops(rows: np.ndarray) -> np.ndarray:
@@ -279,6 +281,7 @@ def _rank(raw: RawTrace) -> _Ranked:
         keys=keys,
         key_hash=np.zeros(keys.size, dtype=np.int32),
         unstable=np.zeros(keys.size, dtype=bool),
+        owner=np.full(iters.size, -1, dtype=np.int32),
     )
     seen = np.zeros(keys.size, dtype=bool)
     start = 0
@@ -351,7 +354,8 @@ def _refuse_above_i32(values: np.ndarray, at: np.ndarray, first: int, what: str)
 
 def _rank_arguments(t: _Ranked, block: np.ndarray, row: np.ndarray, first: int) -> None:
     """The word flags and argument operands of a block's records, which
-    start at record `first`."""
+    start at record `first`, and each owner their IterNews give: a later
+    IterNew, in this block or a later one, overwrites an earlier one."""
     op, aux, outcome = block["op"], block["aux"], block["outcome"]
     words, second = row[:, 0], row[:, 2]
     words[_OUTCOME_OPS[op] & _YIELDED[outcome]] |= OUTCOME_BIT
@@ -372,6 +376,9 @@ def _rank_arguments(t: _Ranked, block: np.ndarray, row: np.ndarray, first: int) 
         news = np.flatnonzero(op == _OP.ITER_NEW)
         words[news] |= ((aux[news] & VIEW_MASK) << VIEW_SHIFT).astype(np.int32)
         second[news] = np.searchsorted(t.iters, aux[news] >> 2)
+        news = news[::-1]  # np.unique keeps each iterator's first index: its last IterNew
+        its, last = np.unique(second[news], return_index=True)
+        t.owner[its] = row[news[last], 1]
     if count[_OP.CREATE_COPY]:
         copies = np.flatnonzero(op == _OP.CREATE_COPY)
         second[copies] = np.searchsorted(t.maps, aux[copies])
@@ -443,21 +450,9 @@ def _expand(buffer: np.ndarray, n: int, at: np.ndarray, new: np.ndarray) -> int:
     return n + len(at)
 
 
-def _owners(t: _Ranked) -> np.ndarray:
-    """The map rank owning each iterator rank, -1 for one with no IterNew.
-
-    The owner is the map of the iterator's last IterNew row.
-    """
-    news = np.flatnonzero(_ops(t.rows) == _OP.ITER_NEW)[::-1]
-    its, last = np.unique(t.rows[news, 2], return_index=True)
-    owner = np.full(t.iters.size, -1, dtype=np.int32)
-    owner[its] = t.rows[news[last], 1]
-    return owner
-
-
-def _owners_of(t: _Ranked, owner: np.ndarray, iter_ranks: np.ndarray) -> np.ndarray:
+def _owners_of(t: _Ranked, iter_ranks: np.ndarray) -> np.ndarray:
     """Owning map rank of each iterator; every one must have an IterNew."""
-    maps = owner[iter_ranks]
+    maps = t.owner[iter_ranks]
     missing = np.flatnonzero(maps < 0)
     if missing.size:
         bad = t.iters[iter_ranks[missing[0]]]
@@ -497,13 +492,12 @@ def _kept_rows(t: _Ranked) -> np.ndarray:
             break
         dropped[orphaned] = True
 
+    kept_iters = t.owner >= 0
+    kept_iters[kept_iters] = ~dropped[t.owner[kept_iters]]
     iter_rows = _ITER_OPS[op]
     keep = np.empty(len(rows), dtype=bool)
     keep[~iter_rows] = ~dropped[map_of[~iter_rows]]
-    owner = _owners(t)[map_of[iter_rows]]
-    owned = owner >= 0
-    owned[owned] = ~dropped[owner[owned]]
-    keep[iter_rows] = owned
+    keep[iter_rows] = kept_iters[map_of[iter_rows]]
     return keep
 
 
@@ -539,20 +533,19 @@ def _merge_plan(t: _Ranked) -> _Merge | None:
     adv = _where(op == _OP.ITER_ADVANCE)
     if adv.size == 0:
         return None
-    owner = _owners(t)
 
     # Only mutations between the first and last advance can split a run.
     muts = _where(_RUN_BREAKERS[op[adv[0] : adv[-1]]]) + adv[0]
     mut_maps = rows[muts, 1]
     through_iter = op[muts] == _OP.ITER_REMOVE
-    mut_maps[through_iter] = _owners_of(t, owner, mut_maps[through_iter])
+    mut_maps[through_iter] = _owners_of(t, mut_maps[through_iter])
 
     # Group the advances by iterator, in stream order within each group.
     adv = adv[np.argsort(rows[adv, 1], kind="stable")]
     iters = rows[adv, 1]
     joins = np.zeros(adv.size, dtype=bool)
     joins[1:] = iters[1:] == iters[:-1]
-    maps = _owners_of(t, owner, iters)
+    maps = _owners_of(t, iters)
     del iters
     epochs = _epochs(mut_maps, muts, maps, adv)
     del maps
@@ -639,7 +632,6 @@ def _free_plan(t: _Ranked) -> _Frees:
     """Free insertion's kernel: the last row using each map and iterator,
     found a chunk at a time."""
     rows = t.rows
-    owner = _owners(t)
     map_last = np.full(t.maps.size, -1, dtype=np.intp)
     iter_last = np.full(t.iters.size, -1, dtype=np.intp)
     for start, stop in _chunks(len(rows)):
@@ -650,7 +642,7 @@ def _free_plan(t: _Ranked) -> _Frees:
         # copy uses its source too, and an IterNew its iterator.
         iter_rows = _ITER_OPS[op]
         maps = first.copy()
-        maps[iter_rows] = _owners_of(t, owner, first[iter_rows])
+        maps[iter_rows] = _owners_of(t, first[iter_rows])
         np.maximum.at(map_last, maps, at)
         copies = op == _OP.CREATE_COPY
         np.maximum.at(map_last, second[copies], at[copies])

@@ -187,6 +187,11 @@ class ReplaySession:
     """Decoded trace plus everything preallocated for repeated replays."""
 
     def __init__(self, trace: ProcessedTrace):
+        # Replay reads the ops as whole triples and would drop a cut-off tail.
+        if trace.ops.size % 3:
+            raise TraceIntegrityError(
+                f"op {trace.ops.size // 3}: {trace.ops.size % 3} of its 3 words, the rest cut off"
+            )
         # Valid words and operands are never negative; a negative index
         # would wrap around the slot and key lists instead of failing.
         if trace.ops.size and trace.ops.min() < 0:

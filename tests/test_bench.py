@@ -35,6 +35,10 @@ FAST = BenchConfig(
 @pytest.mark.parametrize("field, value", [
     ("iter_duration", math.nan), ("iter_duration", math.inf),
     ("iter_duration", 0.0), ("iter_duration", -1.0), ("warmup_iters", -1),
+    # The bootstrap's arguments: numpy refuses the first and last only after
+    # every run, and a level of 0 calls any difference significant.
+    ("seed", -1), ("level", 0.0), ("level", 1.0), ("level", 1.5), ("level", math.nan),
+    ("resamples", 0),
 ])
 def test_bench_config_rejects_unbounded_or_negative_iterations(field, value):
     # A NaN deadline is never reached, so the iteration would never end.
@@ -620,6 +624,16 @@ def test_compare_without_speedup_variance_has_no_pearson():
     assert result.pearson is None
     assert "pearson_r=n/a" in result.render().splitlines()
     assert result.concordant == 3
+
+
+def test_compare_refuses_reports_with_different_baselines():
+    # Each speedup is against its own report's baseline, so they would not compare.
+    a = _report("A", [("v1", 1.5, True)])
+    b = _report("B", [("v1", 1.5, True)])
+    b.variants[0].label = "refmap:dic32"
+    with pytest.raises(ConfigError,
+                       match="^reports have different baselines: base against refmap:dic32$"):
+        compare_reports(a, b)
 
 
 def test_compare_requires_shared_variants():

@@ -208,7 +208,8 @@ def test_bench_rejects_unbounded_or_negative_iterations(flag, value, field, tmp_
 @pytest.mark.parametrize("flag, value, fault", [
     ("--lf", "0", "load factor must be in (0, 1] thousandths, got 0"),
     ("--dic", "16,0", "initial capacity must be in [1, 2^31-1], got 0"),
-], ids=["lf", "dic"])
+    ("--seed", "-1", "seed must be >= 0, not -1"),
+], ids=["lf", "dic", "seed"])
 def test_bench_rejects_a_bad_override_before_replaying(flag, value, fault, tmp_path, capsys,
                                                        monkeypatch, trace_of_words):
     # Runs are spawned (no --in-process): the error is the parent's own,
@@ -229,7 +230,8 @@ def test_bench_rejects_a_bad_override_before_replaying(flag, value, fault, tmp_p
 @pytest.mark.parametrize("flag, value, fault", [
     ("--lf", "2000", "load factor must be in (0, 1] thousandths, got 2000"),
     ("--dic", "16,0", "initial capacity must be in [1, 2^31-1], got 0"),
-], ids=["lf", "dic"])
+    ("--bench-seed", "-1", "seed must be >= 0, not -1"),
+], ids=["lf", "dic", "seed"])
 def test_pipeline_rejects_a_bad_override_before_recording(flag, value, fault, capsys,
                                                           monkeypatch):
     from mapreplay import bench

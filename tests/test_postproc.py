@@ -450,6 +450,47 @@ def test_passes_refuse_an_iterator_with_no_iter_new(pass_, raw_records):
         pass_(RawTrace(raw_records(_ORPHAN_ADVANCE)))
 
 
+@pytest.mark.parametrize("block", [None, 1])
+@pytest.mark.parametrize("pass_", [coalesce, insert_free_events])
+def test_passes_refuse_an_iterator_with_no_iter_new_beside_owned_ones(pass_, block, raw_records):
+    # Iterator 3 removes through itself between two advances of iterator
+    # 4, which has an IterNew: coalescing looks 3's owner up as a mutation,
+    # free insertion as a use, and ranking may see them in separate blocks.
+    rows = [(OP.CREATE, 1), (OP.PUT, 1, 5, 7, 0, 0), (OP.ITER_NEW, 1, None, None, 4 << 2),
+            (OP.ITER_ADVANCE, 4, None, None, 1, 1), (OP.ITER_REMOVE, 3),
+            (OP.ITER_ADVANCE, 4, None, None, 1, 0)]
+    with mock.patch.object(postproc, "_CHECK_BLOCK", block or postproc._CHECK_BLOCK):
+        with pytest.raises(TraceIntegrityError, match="^iterator 3 has no IterNew event$"):
+            pass_(RawTrace(raw_records(rows)))
+
+
+#: Map 1 is created; map 2 is not, so sanitize drops it as foreign.
+_TWO_MAPS = [(OP.CREATE, 1), (OP.PUT, 1, 5, 7, 0, 0), (OP.PUT, 1, 6, 8, 0, 0),
+             (OP.PUT, 2, 5, 7, 0, 0)]
+#: Iterator 3 advances, removes through itself, and drains.
+_ITERATION = [(OP.ITER_ADVANCE, 3, None, None, 1, 1), (OP.ITER_ADVANCE, 3, None, None, 1, 1),
+              (OP.ITER_REMOVE, 3), (OP.ITER_ADVANCE, 3, None, None, 1, 0)]
+
+
+@pytest.mark.parametrize("block", [None, len(_TWO_MAPS) + 1, 1],
+                         ids=["one-block", "new-per-block", "row-per-block"])
+@pytest.mark.parametrize("last", [1, 2], ids=["last-on-created", "last-on-foreign"])
+def test_an_iterator_belongs_to_the_map_of_its_last_iter_new(last, block, raw_records):
+    # The iterator gets one IterNew on each map, `last`'s second. Its rows
+    # survive sanitize exactly when `last` does; the IterNew on map 1
+    # always does. With a block of len(_TWO_MAPS) + 1 rows, ranking sees
+    # the two IterNews in separate blocks.
+    news = [(OP.ITER_NEW, m, None, None, 3 << 2) for m in (3 - last, last)]
+    raw = RawTrace(raw_records(_TWO_MAPS + news + _ITERATION))
+    n = len(_TWO_MAPS)
+    kept = [0, 1, 2, n + (last == 1)]
+    if last == 1:
+        kept += range(n + 2, len(raw))
+    with mock.patch.object(postproc, "_CHECK_BLOCK", block or postproc._CHECK_BLOCK):
+        assert sanitize(raw).records.tobytes() == raw.records[kept].tobytes()
+        assert process(raw) == encode(insert_free_events(coalesce(sanitize(raw))))
+
+
 def test_encode_refuses_an_iterator_op_when_no_iterator_lives(raw_records):
     # No IterNew or FreeIter row: the iterator slot table is empty.
     with pytest.raises(TraceIntegrityError, match="^object 3 is not live at event 1$"):

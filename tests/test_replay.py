@@ -549,6 +549,19 @@ def test_overlong_exhausted_advance_is_rejected_at_setup(n_keys, trace_of_words)
     assert ReplaySession(once).replay(RefMap, mode="validating").ops_executed == 3
 
 
+@pytest.mark.parametrize("cut", [1, 2])
+def test_op_stream_that_is_not_whole_triples_is_rejected_at_setup(cut, trace_of_words):
+    # A Create and a FreeMap cut off after `cut` words: replay would drop
+    # the tail and report one op and one map digest.
+    free_map = int(RawOpKind.FREE_MAP)
+    words = _CREATE + [free_map, 0, 0][:cut]
+    cut_off = f"^op 1: {cut} of its 3 words, the rest cut off$"
+    with pytest.raises(TraceIntegrityError, match=cut_off):
+        ReplaySession(trace_of_words(words))
+    whole = trace_of_words(_CREATE + [free_map, 0, 0])
+    assert ReplaySession(whole).replay(RefMap, mode="validating").ops_executed == 2
+
+
 def test_create_above_the_table_limit_is_rejected_at_setup(trace_of_words):
     # Without the setup check, one Create and one Put ask RefMap for a
     # whole table of up to 2^30 slots (8 GiB of list). Only setup is
