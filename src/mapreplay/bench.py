@@ -386,9 +386,9 @@ def _one_run(session: ReplaySession, variant: _Variant, config: BenchConfig) -> 
     return times[config.warmup_iters:]
 
 
-def _bench_worker(conn, trace: ProcessedTrace, variant: _Variant, config) -> None:
+def _bench_worker(conn, variant: _Variant, config) -> None:
     try:
-        conn.send(("ok", _one_run(ReplaySession(trace), variant, config)))
+        conn.send(("ok", _one_run(ReplaySession(conn.recv()), variant, config)))
     except Exception as exc:  # surfaced in the parent
         conn.send(("err", f"{type(exc).__name__}: {exc}"))
     finally:
@@ -396,19 +396,23 @@ def _bench_worker(conn, trace: ProcessedTrace, variant: _Variant, config) -> Non
 
 
 def _spawned_run(ctx, trace, variant: _Variant, config) -> list[float]:
-    parent, child = ctx.Pipe(duplex=False)
-    proc = ctx.Process(target=_bench_worker, args=(child, trace, variant, config))
+    # The trace goes over the pipe, not in the start arguments: those are
+    # written while the parent still holds the child's end of its pipe, so
+    # a child that dies while starting would block a large write forever.
+    parent, child = ctx.Pipe()
+    proc = ctx.Process(target=_bench_worker, args=(child, variant, config))
     proc.start()
     child.close()
-    try:
-        status, payload = parent.recv()
-    except EOFError:
-        proc.join()
-        raise MapReplayError(
-            f"benchmark child exited without a result (code {proc.exitcode})"
-        ) from None
+    with parent:
+        try:
+            parent.send(trace)
+            status, payload = parent.recv()
+        except (BrokenPipeError, ConnectionResetError, EOFError):
+            proc.join()
+            raise MapReplayError(
+                f"benchmark child exited without a result (code {proc.exitcode})"
+            ) from None
     proc.join()
-    parent.close()
     if status != "ok":
         raise MapReplayError(f"benchmark child failed: {payload}")
     return payload

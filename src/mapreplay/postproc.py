@@ -36,6 +36,11 @@ The public passes `sanitize`, `coalesce`, `insert_free_events` and
 `encode` rank their RawTrace's records, run their kernel, and apply its
 result to the records. They never modify their input: each returns a new
 RawTrace, or the input's records unchanged when there is nothing to do.
+They stay for the layer benchmark, which times each pass. The oracle for
+both them and `process` is the plain-Python reference distiller in
+`tests/reference_distill.py`, written from the format specifications and
+the pass docstrings: the tests hold each pass to its stage and `process`
+to its trace, byte for byte.
 `process` never holds the records: it ranks them from `RawTrace.blocks`,
 one block at a time, in two passes (the id tables, then the rows), so a
 trace read from a file is ranked straight from it and the only row-sized
@@ -853,7 +858,8 @@ def process(raw: RawTrace) -> ProcessedTrace:
     kernels as the public passes and delete and insert rows in place, in
     the one buffer ranking allocated, and encoding rewrites the rows into
     the opcode triples in place; the result equals
-    `encode(insert_free_events(coalesce(sanitize(raw))))`.
+    `encode(insert_free_events(coalesce(sanitize(raw))))` and the trace of
+    the reference distiller in `tests/reference_distill.py`, its oracle.
     """
     t = _rank(raw)
     del raw

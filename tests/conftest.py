@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from mapreplay.postproc import ProcessedTrace, process
+from mapreplay.postproc import (
+    ProcessedTrace,
+    coalesce,
+    encode,
+    insert_free_events,
+    process,
+    sanitize,
+    to_bytes,
+)
 from mapreplay.refmap import DEFAULT_CONFIG, MapConfig, RefMap
 from mapreplay.replay import ReplaySession
 from mapreplay.tracer import (
@@ -15,6 +23,8 @@ from mapreplay.tracer import (
     unpack_iternew_aux,
 )
 from mapreplay.workloads import WorkloadSpec, generate
+
+import reference_distill as reference
 
 SMALL_SPECS = {
     "random": WorkloadSpec("random", seed=11, scale=1),
@@ -132,36 +142,65 @@ _KEYED_CALLS = {
 }
 
 
-def _interpret_raw(events):
-    """Oracle: apply raw events one at a time to plain RefMaps, with no
-    post-processing. Asserts every recorded outcome, stepping an advance
-    `aux` times, and returns each map's state digest in creation order."""
+def _interpret_raw(raw):
+    """Oracle: apply a RawTrace's records one at a time to plain RefMaps,
+    with no post-processing. Asserts every recorded outcome, stepping an
+    advance `aux` times, and returns each map's state digest in creation
+    order."""
     maps, iters, keys, created = {}, {}, {}, []
-    for e in events:
-        if e.op == RawOpKind.CREATE:
-            maps[e.map_id] = RefMap(MapConfig(*unpack_create_aux(e.aux)))
-            created.append(maps[e.map_id])
-        elif e.op == RawOpKind.CREATE_COPY:
-            # A copy takes the default config, as Java's HashMap(Map) does.
-            maps[e.map_id] = RefMap.copy_of(maps[e.aux])
-            created.append(maps[e.map_id])
-        elif e.op in _KEYED_CALLS:
-            key = keys.setdefault(e.key_id, _OracleKey(e.key_id, e.hash))
-            assert _KEYED_CALLS[e.op](maps[e.map_id], key) == bool(e.outcome), e
-        elif e.op == RawOpKind.CLEAR:
-            maps[e.map_id].clear()
-        elif e.op == RawOpKind.ITER_NEW:
-            iter_id, view = unpack_iternew_aux(e.aux)
-            iters[iter_id] = maps[e.map_id].iterator(view)
-        elif e.op == RawOpKind.ITER_ADVANCE:
-            for _ in range(e.aux):
-                assert (iters[e.map_id].advance() is not None) == bool(e.outcome), e
-        elif e.op == RawOpKind.ITER_REMOVE:
-            iters[e.map_id].remove()
+    for block in raw.blocks(1024):
+        for record in block.tolist():
+            _, op, map_id, key_id, h, aux, outcome, _ = record
+            if op == RawOpKind.CREATE:
+                maps[map_id] = RefMap(MapConfig(*unpack_create_aux(aux)))
+                created.append(maps[map_id])
+            elif op == RawOpKind.CREATE_COPY:
+                # A copy takes the default config, as Java's HashMap(Map) does.
+                maps[map_id] = RefMap.copy_of(maps[aux])
+                created.append(maps[map_id])
+            elif op in _KEYED_CALLS:
+                key = keys.setdefault(key_id, _OracleKey(key_id, h))
+                assert _KEYED_CALLS[op](maps[map_id], key) == bool(outcome), record
+            elif op == RawOpKind.CLEAR:
+                maps[map_id].clear()
+            elif op == RawOpKind.ITER_NEW:
+                iter_id, view = unpack_iternew_aux(aux)
+                iters[iter_id] = maps[map_id].iterator(view)
+            elif op == RawOpKind.ITER_ADVANCE:
+                for _ in range(aux):
+                    assert (iters[map_id].advance() is not None) == bool(outcome), record
+            elif op == RawOpKind.ITER_REMOVE:
+                iters[map_id].remove()
     return [m.state_digest() for m in created]
 
 
 @pytest.fixture
 def interpret_raw():
-    """The raw-event oracle `_interpret_raw`: events in, digests out."""
+    """The raw-record oracle `_interpret_raw`: a RawTrace in, digests out."""
     return _interpret_raw
+
+
+def _distill_all(raw):
+    """Distill `raw` through `process`, the public pass chain and the
+    reference distiller, and return the reference's `Stages`.
+
+    Each chain stage must equal the reference's stage record for record
+    (RAW_DTYPE bytes, pad included), and `process` and the chain must give
+    the reference's trace, with equal MPT1 bytes.
+    """
+    stages = reference.Stages(*reference.distill(raw))
+    chain = raw
+    for step, expected in zip((sanitize, coalesce, insert_free_events), stages):
+        chain = step(chain)
+        assert chain.records.tobytes() == reference.as_array(expected).tobytes(), step.__name__
+    assert encode(chain) == stages.trace
+    trace = process(raw)
+    assert trace == stages.trace
+    assert to_bytes(trace) == to_bytes(stages.trace)
+    return stages
+
+
+@pytest.fixture(scope="session")
+def distill_all():
+    """`_distill_all`: a RawTrace in, the reference's checked stages out."""
+    return _distill_all

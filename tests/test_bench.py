@@ -2,6 +2,10 @@
 
 import dataclasses
 import math
+import os
+import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -25,7 +29,7 @@ from mapreplay.errors import ConfigError, MapReplayError
 from mapreplay.postproc import Characterization, process
 from mapreplay.replay import IMPLEMENTATIONS
 from mapreplay.tracer import TraceSession
-from mapreplay.workloads import IntKey
+from mapreplay.workloads import IntKey, WorkloadSpec, generate
 
 FAST = BenchConfig(
     runs=2, warmup_iters=1, measured_iters=3, iter_duration=0.004, use_processes=False
@@ -364,6 +368,34 @@ def test_spawned_run_names_the_childs_error():
                        "op 0: negative word or operand -1$"):
         _spawned_run(multiprocessing.get_context("spawn"),
                      dataclasses.replace(trace, ops=ops), variant, FAST)
+
+
+#: A caller with no `if __name__ == "__main__":` guard: each spawned child
+#: runs it again and dies starting a process of its own.
+_UNGUARDED = """
+from mapreplay.bench import BenchConfig, run_bench
+from mapreplay.postproc import process
+from mapreplay.workloads import WorkloadSpec, generate
+
+trace = process(generate(WorkloadSpec("populate-copy", seed=1)))
+run_bench(trace, [("refmap", 16)],
+          BenchConfig(runs=1, warmup_iters=0, measured_iters=2, iter_duration=0.05))
+"""
+
+
+def test_spawned_run_from_an_unguarded_script_fails_instead_of_hanging(tmp_path):
+    # The trace pickles past a pipe's 64 KiB buffer, so a parent writing it
+    # while it still holds the dead child's end of the pipe would block.
+    trace = process(generate(WorkloadSpec("populate-copy", seed=1)))
+    assert len(pickle.dumps(trace)) > 1 << 16
+    script = tmp_path / "unguarded.py"
+    script.write_text(_UNGUARDED)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    out = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                         env=env, cwd=tmp_path, timeout=60)
+    assert out.returncode == 1, out.stderr
+    assert "MapReplayError: benchmark child exited without a result (code 1)" in out.stderr
 
 
 def test_run_bench_custom_adapter_falls_back_in_process():

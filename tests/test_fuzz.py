@@ -20,7 +20,10 @@ file may be cut short. Each result is read from its bytes and, written to
 a file, with `read_raw_trace`: both must read, or raise the same
 TraceFormatError message and byte offset; then
 `process` of either must give what the public passes give in turn: the
-same MPT1 bytes, or the same MapReplayError and message.
+same MPT1 bytes, or the same MapReplayError and message. The reference
+distiller (`tests/reference_distill.py`) is the oracle for both: a mutant
+that distills must give its MPT1 bytes, and each public pass its stage,
+and one that fails must fail there with the same exception class.
 
 Examples are derandomized, so every run tries the same inputs.
 """
@@ -71,6 +74,8 @@ from mapreplay.tracer import (
     read_raw_trace,
 )
 from mapreplay.workloads import WorkloadSpec, generate
+
+import reference_distill as reference
 
 #: Small traces that between them use every op kind.
 BASES = (
@@ -318,7 +323,9 @@ def _read(read, source) -> object:
     st.lists(_raw_mutation, min_size=1, max_size=3),
     st.one_of(st.none(), _index),
 )
-def test_mutated_raw_records_distill_like_the_public_passes(mutant_path, base, mutations, cut):
+def test_mutated_raw_records_distill_like_the_public_passes(
+    distill_all, mutant_path, base, mutations, cut
+):
     data = _mutate_raw(_raw_base(base), mutations)
     if cut is not None:
         data = data[: cut % len(data)]
@@ -331,3 +338,8 @@ def test_mutated_raw_records_distill_like_the_public_passes(mutant_path, base, m
     expected = _distilled(_pass_chain, raw)
     assert _distilled(process, raw) == expected
     assert _distilled(process, from_file) == expected
+    if isinstance(expected, bytes):
+        distill_all(raw)
+    else:
+        failed = _distilled(reference.process, raw)
+        assert isinstance(failed, tuple) and failed[0] is expected[0], (expected, failed)

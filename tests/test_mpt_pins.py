@@ -5,12 +5,13 @@ Each row holds three sha256 digests. The first is of the MRT1 bytes, so
 the raw map, key and thread ids the tracer hands out are pinned too; MPT1
 renumbers them into slots and cannot see them. The second is of the MPT1
 bytes, recorded with the per-event reference implementation of the tracer
-and post-processor. The third is of the replay outputs: counting-mode
-counters, validating-mode map digests in creation order, and the same
-digests indexed by FreeMap op, recorded with the two-loop reference
-replayer. Replay reports only the first order; the test rebuilds the
-second from the trace's words. Any rewrite of those layers must reproduce
-them.
+and post-processor; both `process` and the plain-Python reference
+distiller (`tests/reference_distill.py`) must reproduce it. The third is
+of the replay outputs: counting-mode counters, validating-mode map
+digests in creation order, and the same digests indexed by FreeMap op,
+recorded with the two-loop reference replayer. Replay reports only the
+first order; the test rebuilds the second from the trace's words. Any
+rewrite of those layers must reproduce them.
 """
 
 import hashlib
@@ -24,6 +25,8 @@ from mapreplay.refmap import RefMap
 from mapreplay.replay import ReplaySession
 from mapreplay.tracer import RawOpKind, raw_trace_to_bytes
 from mapreplay.workloads import WORKLOADS, WorkloadSpec, generate
+
+import reference_distill as reference
 
 PINS = [
     ("wordfreq", 1, {},
@@ -90,6 +93,14 @@ def test_mrt1_bytes_match_pin(pin):
 def test_mpt1_bytes_match_pin(pin):
     name, seed, params, _, digest, _ = pin
     data = to_bytes(process(generate(WorkloadSpec(name, seed=seed, params=params))))
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize("pin", PINS, ids=_pin_id)
+def test_reference_distiller_reproduces_mpt1_pin(pin):
+    name, seed, params, _, digest, _ = pin
+    raw = generate(WorkloadSpec(name, seed=seed, params=params))
+    data = to_bytes(reference.process(raw))
     assert hashlib.sha256(data).hexdigest() == digest
 
 

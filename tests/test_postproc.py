@@ -40,6 +40,8 @@ from mapreplay.tracer import (
 )
 from mapreplay.workloads import WORKLOADS, IntKey, WorkloadSpec, generate
 
+import reference_distill as reference
+
 OP = RawOpKind
 #: A default map's Create aux, for hand-built Create rows.
 CREATE_AUX = pack_create_aux(16, 750)
@@ -51,24 +53,43 @@ def _session_trace(build):
     return s.close()
 
 
+#: Each public pass beside the reference's stage, which takes and gives records.
+_STAGES = {
+    sanitize: reference.sanitize,
+    coalesce: reference.coalesce,
+    insert_free_events: reference.insert_frees,
+    encode: reference.encode,
+}
+
+
+def _both_refuse(pass_, raw, error, message):
+    """The public pass and the reference's stage refuse `raw` alike."""
+    for run in (pass_, lambda trace: _STAGES[pass_](reference.read(trace))):
+        with pytest.raises(error, match=message):
+            run(raw)
+
+
+def _ops(records):
+    return [r.op for r in records]
+
+
 # -- sanitize ------------------------------------------------------------------------
 
 
-def test_sanitize_identity_when_clean():
+def test_sanitize_identity_when_clean(distill_all):
     raw = generate(WorkloadSpec("random", seed=3))
-    assert sanitize(raw).events == raw.events
+    assert distill_all(raw).sanitized == reference.read(raw)
 
 
-def test_sanitize_drops_orphan_map_events(raw_records):
+def test_sanitize_drops_orphan_map_events(raw_records, distill_all):
     # Fresh ids: injected traffic must not collide with recorded keys.
     orphan = raw_records([(OP.GET, (7 << 40) | 12345, (7 << 40) | 1, 1, 0, 0)])
     raw = generate(WorkloadSpec("random", seed=3))
     injected = RawTrace(np.insert(raw.records, 5, orphan))
-    cleaned = sanitize(injected)
-    assert cleaned.events == sanitize(raw).events
+    assert distill_all(injected).sanitized == distill_all(raw).sanitized
 
 
-def test_sanitize_drops_foreign_map_traffic(raw_records):
+def test_sanitize_drops_foreign_map_traffic(raw_records, distill_all):
     # A foreign map's traffic is recorded but it has no Create, as for a map
     # built before tracing began.
     foreign, inside = 1, 2
@@ -78,12 +99,12 @@ def test_sanitize_drops_foreign_map_traffic(raw_records):
         (OP.PUT, foreign, 2, 2, 0, 0),
         (OP.GET, foreign, 2, 2, 0, 1),
     ]))
-    cleaned = sanitize(raw)
-    assert all(e.map_id != foreign for e in cleaned.events)
-    assert len(cleaned.events) == 2  # create + put on the traced map
+    cleaned = distill_all(raw).sanitized
+    assert all(r.map_id != foreign for r in cleaned)
+    assert len(cleaned) == 2  # create + put on the traced map
 
 
-def test_sanitize_drops_poisoned_map_entirely():
+def test_sanitize_drops_poisoned_map_entirely(distill_all):
     class Unstable:
         def __init__(self):
             self.h = 5
@@ -109,12 +130,12 @@ def test_sanitize_drops_poisoned_map_entirely():
     raw = s.close()
 
     # Oracle: the poisoned-map id set is exactly {sick.map_id}.
-    cleaned = sanitize(raw)
-    assert {e.map_id for e in cleaned.events} == {healthy.map_id}
-    assert len(cleaned.events) == 2
+    cleaned = distill_all(raw).sanitized
+    assert {r.map_id for r in cleaned} == {healthy.map_id}
+    assert len(cleaned) == 2
 
 
-def test_sanitize_cascades_to_copies_of_dropped_maps(raw_records):
+def test_sanitize_cascades_to_copies_of_dropped_maps(raw_records, distill_all):
     foreign, copy, copy2, kept = 1, 2, 3, 4
     raw = RawTrace(raw_records([
         (OP.PUT, foreign, 1, 1, 0, 0),
@@ -125,11 +146,11 @@ def test_sanitize_cascades_to_copies_of_dropped_maps(raw_records):
         (OP.CREATE, kept),
         (OP.PUT, kept, 2, 9, 0, 0),
     ]))
-    cleaned = sanitize(raw)
-    assert {e.map_id for e in cleaned.events} == {kept}
+    cleaned = distill_all(raw).sanitized
+    assert {r.map_id for r in cleaned} == {kept}
 
 
-def test_sanitize_drops_iterators_of_dropped_maps(raw_records):
+def test_sanitize_drops_iterators_of_dropped_maps(raw_records, distill_all):
     foreign, kept, it = 1, 2, 1
     raw = RawTrace(raw_records([
         (OP.PUT, foreign, 1, 1, 0, 0),
@@ -138,28 +159,27 @@ def test_sanitize_drops_iterators_of_dropped_maps(raw_records):
         (OP.CREATE, kept),
         (OP.PUT, kept, 2, 2, 0, 0),
     ]))
-    cleaned = sanitize(raw)
-    ops = [e.op for e in cleaned.events]
+    ops = _ops(distill_all(raw).sanitized)
     assert OP.ITER_NEW not in ops
     assert OP.ITER_ADVANCE not in ops
 
 
-def test_sanitize_rejects_unknown_map_in_copy(raw_records):
+def test_sanitize_rejects_unknown_map_in_copy(raw_records, distill_all):
     records = raw_records([
         (OP.CREATE_COPY, 2, None, None, 999),
         (OP.GET, 2, 1, 1, 0, 0),
     ])
-    assert sanitize(RawTrace(records)).events == []
+    assert distill_all(RawTrace(records)).sanitized == []
 
 
 # -- coalesce ------------------------------------------------------------------------
 
 
-def _advance_run(trace):
-    return [e for e in trace.events if e.op is OP.ITER_ADVANCE]
+def _advance_run(records):
+    return [r for r in records if r.op == OP.ITER_ADVANCE]
 
 
-def test_coalesce_merges_long_run():
+def test_coalesce_merges_long_run(distill_all):
     def build(s):
         m = s.new_map()
         for i in range(1000):
@@ -168,15 +188,13 @@ def test_coalesce_merges_long_run():
         for _ in range(1000):
             assert it.advance() is not None
 
-    raw = _session_trace(build)
-    out = coalesce(raw)
-    runs = _advance_run(out)
+    runs = _advance_run(distill_all(_session_trace(build)).coalesced)
     assert len(runs) == 1
     assert runs[0].aux == 1000
     assert runs[0].outcome == 1
 
 
-def test_coalesce_breaks_at_iterator_remove():
+def test_coalesce_breaks_at_iterator_remove(distill_all):
     def build(s):
         m = s.new_map()
         for i in range(5):
@@ -186,14 +204,13 @@ def test_coalesce_breaks_at_iterator_remove():
         it.remove()
         it.advance()
 
-    out = coalesce(_session_trace(build))
-    runs = _advance_run(out)
-    assert [r.aux for r in runs] == [1, 1]
-    ops = [e.op for e in out.events]
+    out = distill_all(_session_trace(build)).coalesced
+    assert [r.aux for r in _advance_run(out)] == [1, 1]
+    ops = _ops(out)
     assert ops.index(OP.ITER_REMOVE) == ops.index(OP.ITER_ADVANCE) + 1
 
 
-def test_coalesce_breaks_at_mutation_of_same_map():
+def test_coalesce_breaks_at_mutation_of_same_map(distill_all):
     def build(s):
         m = s.new_map()
         for i in range(6):
@@ -205,12 +222,26 @@ def test_coalesce_breaks_at_mutation_of_same_map():
         it2 = m.iterator(View.KEYS)
         it2.advance()
 
-    out = coalesce(_session_trace(build))
-    runs = _advance_run(out)
+    runs = _advance_run(distill_all(_session_trace(build)).coalesced)
     assert [r.aux for r in runs] == [2, 1]
 
 
-def test_coalesce_survives_reads_and_other_maps():
+@pytest.mark.parametrize("between", [
+    [(OP.PUT, 1, 6, 6, 0, 0)],
+    [(OP.REMOVE, 1, 5, 5, 0, 1)],
+    [(OP.CLEAR, 1)],
+    [(OP.ITER_NEW, 1, None, None, 4 << 2), (OP.ITER_REMOVE, 4)],
+], ids=["put", "remove", "clear", "remove-through-another-iterator"])
+def test_coalesce_breaks_at_every_mutation_of_the_iterators_map(between, raw_records, distill_all):
+    # Iterator 3 advances on map 1 on either side of one mutation of map 1.
+    rows = [(OP.CREATE, 1), (OP.PUT, 1, 5, 5, 0, 0), (OP.ITER_NEW, 1, None, None, 3 << 2),
+            (OP.ITER_ADVANCE, 3, None, None, 1, 1), *between,
+            (OP.ITER_ADVANCE, 3, None, None, 1, 1)]
+    runs = _advance_run(distill_all(RawTrace(raw_records(rows))).coalesced)
+    assert [r.aux for r in runs] == [1, 1]
+
+
+def test_coalesce_survives_reads_and_other_maps(distill_all):
     def build(s):
         m = s.new_map()
         other = s.new_map()
@@ -223,12 +254,11 @@ def test_coalesce_survives_reads_and_other_maps():
         other.put(IntKey(9), 9)  # mutation of another map: run continues
         it.advance()
 
-    out = coalesce(_session_trace(build))
-    runs = _advance_run(out)
+    runs = _advance_run(distill_all(_session_trace(build)).coalesced)
     assert [r.aux for r in runs] == [3]
 
 
-def test_coalesce_splits_on_outcome_flip():
+def test_coalesce_splits_on_outcome_flip(distill_all):
     def build(s):
         m = s.new_map()
         m.put(IntKey(1), 1)
@@ -237,104 +267,100 @@ def test_coalesce_splits_on_outcome_flip():
         it.advance()   # exhausted
         it.advance()   # exhausted again
 
-    out = coalesce(_session_trace(build))
-    runs = _advance_run(out)
+    runs = _advance_run(distill_all(_session_trace(build)).coalesced)
     assert [(r.aux, r.outcome) for r in runs] == [(1, 1), (1, 0)]
 
 
-def test_coalesce_collapses_exhausted_run_to_one_step():
+def test_coalesce_collapses_exhausted_run_to_one_step(distill_all):
     def build(s):
         m = s.new_map()
         it = m.iterator(View.KEYS)
         for _ in range(3):
             assert it.advance() is None
 
-    runs = _advance_run(coalesce(_session_trace(build)))
+    runs = _advance_run(distill_all(_session_trace(build)).coalesced)
     assert [(r.aux, r.outcome) for r in runs] == [(1, 0)]
 
 
-def test_coalesce_no_advances_is_identity():
+def test_coalesce_no_advances_is_identity(distill_all):
     raw = generate(WorkloadSpec("dedupe", seed=1, params={"ops": 50, "universe": 20}))
-    assert coalesce(raw).events == raw.events
+    assert distill_all(raw).coalesced == reference.read(raw)
 
 
-def test_coalesce_preserves_yield_totals():
+def test_coalesce_preserves_yield_totals(distill_all):
     raw = generate(WorkloadSpec("scan", seed=2, params={"maps": 20}))
-    before = sum(e.aux for e in raw.events if e.op is OP.ITER_ADVANCE and e.outcome == 1)
-    out = coalesce(raw)
-    after = sum(e.aux for e in out.events if e.op is OP.ITER_ADVANCE and e.outcome == 1)
-    assert before == after
+
+    def yields(records):
+        return sum(r.aux for r in records if r.op == OP.ITER_ADVANCE and r.outcome == 1)
+
+    assert yields(distill_all(raw).coalesced) == yields(reference.read(raw))
 
 
 # -- free events -----------------------------------------------------------------------
 
 
-def _last_use_oracle(events):
+def _last_use_oracle(records):
     """Independent last-use scan (mirrors the spec's rule, separate code)."""
     iter_owner = {}
-    for e in events:
-        if e.op is OP.ITER_NEW:
-            iter_owner[unpack_iternew_aux(e.aux)[0]] = e.map_id
+    for r in records:
+        if r.op == OP.ITER_NEW:
+            iter_owner[unpack_iternew_aux(r.aux)[0]] = r.map_id
     last = {}
-    for i, e in enumerate(events):
-        if e.op in (OP.FREE_MAP, OP.FREE_ITER):
+    for i, r in enumerate(records):
+        if r.op in (OP.FREE_MAP, OP.FREE_ITER):
             continue
-        if e.op in (OP.ITER_ADVANCE, OP.ITER_REMOVE):
-            last[("iter", e.map_id)] = i
-            last[("map", iter_owner[e.map_id])] = i
+        if r.op in (OP.ITER_ADVANCE, OP.ITER_REMOVE):
+            last[("iter", r.map_id)] = i
+            last[("map", iter_owner[r.map_id])] = i
         else:
-            last[("map", e.map_id)] = i
-            if e.op is OP.CREATE_COPY:
-                last[("map", e.aux)] = i
-            elif e.op is OP.ITER_NEW:
-                last[("iter", unpack_iternew_aux(e.aux)[0])] = i
+            last[("map", r.map_id)] = i
+            if r.op == OP.CREATE_COPY:
+                last[("map", r.aux)] = i
+            elif r.op == OP.ITER_NEW:
+                last[("iter", unpack_iternew_aux(r.aux)[0])] = i
     return last
 
 
-def _check_free_placement(annotated):
-    events = annotated.events
-    last = _last_use_oracle(events)
+def _check_free_placement(records):
+    last = _last_use_oracle(records)
     frees = {}
-    for i, e in enumerate(events):
-        if e.op is OP.FREE_MAP:
-            key = ("map", e.map_id)
-        elif e.op is OP.FREE_ITER:
-            key = ("iter", e.map_id)
+    for i, r in enumerate(records):
+        if r.op == OP.FREE_MAP:
+            key = ("map", r.map_id)
+        elif r.op == OP.FREE_ITER:
+            key = ("iter", r.map_id)
         else:
             continue
         assert key not in frees, f"duplicate free for {key}"
         frees[key] = i
     assert set(frees) == set(last)
-    base = {k: v for k, v in last.items()}
     for key, free_idx in frees.items():
-        last_idx = base[key]
+        last_idx = last[key]
         assert free_idx > last_idx
-        between = events[last_idx + 1 : free_idx]
-        assert all(e.op in (OP.FREE_MAP, OP.FREE_ITER) for e in between), key
+        between = records[last_idx + 1 : free_idx]
+        assert all(r.op in (OP.FREE_MAP, OP.FREE_ITER) for r in between), key
 
 
-def test_free_directly_after_single_use():
+def test_free_directly_after_single_use(distill_all):
     def build(s):
         m = s.new_map()
         m.put(IntKey(1), 1)
         other = s.new_map()
         other.put(IntKey(2), 2)
 
-    out = insert_free_events(_session_trace(build))
-    ops = [e.op for e in out.events]
+    ops = _ops(distill_all(_session_trace(build)).freed)
     assert ops == [OP.CREATE, OP.PUT, OP.FREE_MAP, OP.CREATE, OP.PUT, OP.FREE_MAP]
 
 
-def test_free_at_stream_end():
+def test_free_at_stream_end(distill_all):
     def build(s):
         m = s.new_map()
         m.put(IntKey(1), 1)
 
-    out = insert_free_events(_session_trace(build))
-    assert out.events[-1].op is OP.FREE_MAP
+    assert distill_all(_session_trace(build)).freed[-1].op == OP.FREE_MAP
 
 
-def test_free_iter_before_unrelated_opcodes():
+def test_free_iter_before_unrelated_opcodes(distill_all):
     def build(s):
         m = s.new_map()
         m.put(IntKey(1), 1)
@@ -344,15 +370,15 @@ def test_free_iter_before_unrelated_opcodes():
         other = s.new_map()
         other.put(IntKey(2), 2)
 
-    out = insert_free_events(coalesce(_session_trace(build)))
-    ops = [e.op for e in out.events]
+    out = distill_all(_session_trace(build)).freed
+    ops = _ops(out)
     free_iter_at = ops.index(OP.FREE_ITER)
     later_create = ops.index(OP.CREATE, 1)
     assert free_iter_at < later_create
     _check_free_placement(out)
 
 
-def test_free_map_waits_for_its_iterators():
+def test_free_map_waits_for_its_iterators(distill_all):
     def build(s):
         m = s.new_map()
         for i in range(3):
@@ -361,39 +387,35 @@ def test_free_map_waits_for_its_iterators():
         it.advance()
         it.remove()  # mutates the map through the iterator
 
-    out = insert_free_events(coalesce(_session_trace(build)))
-    ops = [e.op for e in out.events]
+    out = distill_all(_session_trace(build)).freed
+    ops = _ops(out)
     assert ops.index(OP.FREE_MAP) > ops.index(OP.ITER_REMOVE)
     _check_free_placement(out)
 
 
-def test_iterator_never_advanced_is_freed_after_its_iter_new():
+def test_iterator_never_advanced_is_freed_after_its_iter_new(distill_all):
     def build(s):
         m = s.new_map()
         m.put(IntKey(1), 1)
         m.iterator()
         m.get(IntKey(1))
 
-    raw = _session_trace(build)
-    out = insert_free_events(raw)
-    assert list(out.records["op"]) == [
-        OP.CREATE, OP.PUT, OP.ITER_NEW, OP.FREE_ITER, OP.GET, OP.FREE_MAP
-    ]
     with mock.patch.object(postproc, "_CHUNK", 1):
-        assert process(raw) == encode(out)
+        out = distill_all(_session_trace(build)).freed
+    assert _ops(out) == [OP.CREATE, OP.PUT, OP.ITER_NEW, OP.FREE_ITER, OP.GET, OP.FREE_MAP]
 
 
 @pytest.mark.parametrize("name", ["random", "scan", "populate-copy", "mixed"])
-def test_free_placement_on_workloads(small_traces, name):
+def test_free_placement_on_workloads(small_traces, distill_all, name):
     _, raw, _ = small_traces[name]
-    _check_free_placement(insert_free_events(coalesce(sanitize(raw))))
+    _check_free_placement(distill_all(raw).freed)
 
 
 # -- encode / decode -------------------------------------------------------------------
 
 
-def test_encode_empty_trace(raw_records):
-    trace = encode(RawTrace(raw_records([])))
+def test_encode_empty_trace(raw_records, distill_all):
+    trace = distill_all(RawTrace(raw_records([]))).trace
     assert trace.op_count == 0
     assert len(trace.key_hashes) == 0
     assert stats(trace) == Characterization()
@@ -409,20 +431,18 @@ def test_encode_rejects_a_key_recorded_with_two_hashes(raw_records, chunk):
             (OP.GET, 1, 5, 7, 0, 1, 0), (OP.GET, 1, 5, 8, 0, 1, 0),
             (OP.FREE_MAP, 1, None, None, 0, None, 0)]
     with mock.patch.object(postproc, "_CHUNK", chunk):
-        with pytest.raises(TraceIntegrityError, match="key 5 hash changed; trace was not sanitized"):
-            encode(RawTrace(raw_records(rows)))
+        _both_refuse(encode, RawTrace(raw_records(rows)), TraceIntegrityError,
+                     "^key 5 hash changed; trace was not sanitized$")
 
 
 def test_encode_requires_free_annotations():
     def build(s):
         s.new_map().put(IntKey(1), 1)
 
-    with pytest.raises(
-        TraceIntegrityError,
-        match="^object 1 is never freed: input is missing free events; "
-        "run insert_free_events first$",
-    ):
-        encode(_session_trace(build))
+    _both_refuse(
+        encode, _session_trace(build), TraceIntegrityError,
+        "^object 1 is never freed: input is missing free events; run insert_free_events first$",
+    )
 
 
 @pytest.mark.parametrize(
@@ -435,8 +455,7 @@ def test_encode_requires_free_annotations():
     ids=["create-twice", "use-after-free", "copy-of-itself"],
 )
 def test_encode_rejects_broken_lifetimes(rows, message, raw_records):
-    with pytest.raises(TraceIntegrityError, match=message):
-        encode(RawTrace(raw_records(rows)))
+    _both_refuse(encode, RawTrace(raw_records(rows)), TraceIntegrityError, message)
 
 
 #: A map whose iterator 3 advances with no IterNew.
@@ -446,8 +465,8 @@ _ORPHAN_ADVANCE = [(OP.CREATE, 1), (OP.ITER_ADVANCE, 3, None, None, 1, 1), (OP.F
 @pytest.mark.parametrize("pass_", [coalesce, insert_free_events])
 def test_passes_refuse_an_iterator_with_no_iter_new(pass_, raw_records):
     # Both passes look up the map owning each advanced iterator.
-    with pytest.raises(TraceIntegrityError, match="^iterator 3 has no IterNew event$"):
-        pass_(RawTrace(raw_records(_ORPHAN_ADVANCE)))
+    _both_refuse(pass_, RawTrace(raw_records(_ORPHAN_ADVANCE)), TraceIntegrityError,
+                 "^iterator 3 has no IterNew event$")
 
 
 @pytest.mark.parametrize("block", [None, 1])
@@ -460,8 +479,8 @@ def test_passes_refuse_an_iterator_with_no_iter_new_beside_owned_ones(pass_, blo
             (OP.ITER_ADVANCE, 4, None, None, 1, 1), (OP.ITER_REMOVE, 3),
             (OP.ITER_ADVANCE, 4, None, None, 1, 0)]
     with mock.patch.object(postproc, "_CHECK_BLOCK", block or postproc._CHECK_BLOCK):
-        with pytest.raises(TraceIntegrityError, match="^iterator 3 has no IterNew event$"):
-            pass_(RawTrace(raw_records(rows)))
+        _both_refuse(pass_, RawTrace(raw_records(rows)), TraceIntegrityError,
+                     "^iterator 3 has no IterNew event$")
 
 
 #: Map 1 is created; map 2 is not, so sanitize drops it as foreign.
@@ -475,7 +494,7 @@ _ITERATION = [(OP.ITER_ADVANCE, 3, None, None, 1, 1), (OP.ITER_ADVANCE, 3, None,
 @pytest.mark.parametrize("block", [None, len(_TWO_MAPS) + 1, 1],
                          ids=["one-block", "new-per-block", "row-per-block"])
 @pytest.mark.parametrize("last", [1, 2], ids=["last-on-created", "last-on-foreign"])
-def test_an_iterator_belongs_to_the_map_of_its_last_iter_new(last, block, raw_records):
+def test_an_iterator_belongs_to_the_map_of_its_last_iter_new(last, block, raw_records, distill_all):
     # The iterator gets one IterNew on each map, `last`'s second. Its rows
     # survive sanitize exactly when `last` does; the IterNew on map 1
     # always does. With a block of len(_TWO_MAPS) + 1 rows, ranking sees
@@ -487,14 +506,14 @@ def test_an_iterator_belongs_to_the_map_of_its_last_iter_new(last, block, raw_re
     if last == 1:
         kept += range(n + 2, len(raw))
     with mock.patch.object(postproc, "_CHECK_BLOCK", block or postproc._CHECK_BLOCK):
-        assert sanitize(raw).records.tobytes() == raw.records[kept].tobytes()
-        assert process(raw) == encode(insert_free_events(coalesce(sanitize(raw))))
+        sanitized = distill_all(raw).sanitized
+    assert reference.as_array(sanitized).tobytes() == raw.records[kept].tobytes()
 
 
 def test_encode_refuses_an_iterator_op_when_no_iterator_lives(raw_records):
     # No IterNew or FreeIter row: the iterator slot table is empty.
-    with pytest.raises(TraceIntegrityError, match="^object 3 is not live at event 1$"):
-        encode(RawTrace(raw_records(_ORPHAN_ADVANCE)))
+    _both_refuse(encode, RawTrace(raw_records(_ORPHAN_ADVANCE)), TraceIntegrityError,
+                 "^object 3 is not live at event 1$")
 
 
 def test_round_trip_on_workloads(small_traces):
@@ -526,22 +545,23 @@ def test_process_and_write_compress_once(tmp_path, small_traces, monkeypatch):
     assert len(compressors) == 1
 
 
-def test_process_equals_the_public_pass_chain(small_traces):
+def test_process_equals_the_public_pass_chain(small_traces, distill_all):
     # process() ranks the records once and runs every kernel on the ranked
     # rows; each public pass ranks its input and applies its kernel's result
-    # to the records. Both must give the same artifact.
+    # to the records. Both must give the reference distiller's artifact,
+    # and each pass its stage.
     for name, (_, raw, trace) in small_traces.items():
-        assert trace == encode(insert_free_events(coalesce(sanitize(raw)))), name
+        assert distill_all(raw).trace == trace, name
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 64])
-def test_process_in_small_chunks_equals_the_public_pass_chain(small_traces, chunk):
+def test_process_in_small_chunks_equals_the_public_pass_chain(small_traces, chunk, distill_all):
     # process() edits its rows in place and its kernels scan them a chunk
     # at a time; small chunks put chunk edges inside every run, lifetime
     # and gap that the small workloads have.
     with mock.patch.object(postproc, "_CHUNK", chunk):
         for name, (_, raw, trace) in small_traces.items():
-            assert process(raw) == trace, name
+            assert distill_all(raw).trace == trace, name
 
 
 @st.composite
@@ -574,6 +594,14 @@ def test_in_place_compact_and_expand_equal_delete_and_insert(edits, chunk):
         grown = postproc._expand(buffer, n, at, new)
         assert np.array_equal(buffer[:grown], np.insert(rows, at, new, axis=0))
     assert (buffer[grown:] == 99).all()  # nothing is written past the new length
+
+
+#: `process`, the public pass chain and the reference distiller.
+_DISTILLERS = (
+    process,
+    lambda raw: encode(insert_free_events(coalesce(sanitize(raw)))),
+    reference.process,
+)
 
 
 # Ids as the tracer allocates them for thread slots 1 and 2: above 32 bits,
@@ -610,11 +638,10 @@ def test_process_errors_name_raw_ids(rows, message, raw_records):
     # Ranks are dense and small (here 0 and 1), so a message naming one
     # would not show the raw id.
     raw = RawTrace(raw_records(rows))
-    with pytest.raises(TraceIntegrityError) as chain:
-        encode(insert_free_events(coalesce(sanitize(raw))))
-    with pytest.raises(TraceIntegrityError) as distilled:
-        process(raw)
-    assert str(distilled.value) == str(chain.value) == message
+    for distill in _DISTILLERS:
+        with pytest.raises(TraceIntegrityError) as err:
+            distill(raw)
+        assert str(err.value) == message, distill
 
 
 def _record_field(index, field_offset):
@@ -671,11 +698,12 @@ _ITERATED = [(OP.CREATE, 1), (OP.PUT, 1, 5, 7, 0, 0), (OP.ITER_NEW, 1, None, Non
 def test_distill_refuses_what_a_row_cannot_hold(rows, error, offset, message, raw_records):
     # A trace built from an array checks its records as one read from a
     # file does, and ranking refuses operands that do not fit an int32 row,
-    # at the field's offset; process and the public chain refuse alike.
+    # at the field's offset; process, the public chain and the reference
+    # refuse alike.
     records = raw_records(rows)
     if offset is not None:
         message = f"at offset {offset}: {message}"
-    for distill in (process, lambda raw: encode(insert_free_events(coalesce(sanitize(raw))))):
+    for distill in _DISTILLERS:
         with pytest.raises(error) as err:
             distill(RawTrace(records))
         assert str(err.value) == message
@@ -695,23 +723,23 @@ def test_disjoint_lifetimes_share_slot_zero():
     assert [c[1] for c in creates] == [0, 0]
 
 
-def _interval_overlap_oracle(events):
+def _interval_overlap_oracle(records):
     """Max simultaneously live maps, from create/free index intervals."""
     live = 0
     peak = 0
-    for e in events:
-        if e.op in (OP.CREATE, OP.CREATE_COPY):
+    for r in records:
+        if r.op in (OP.CREATE, OP.CREATE_COPY):
             live += 1
             peak = max(peak, live)
-        elif e.op is OP.FREE_MAP:
+        elif r.op == OP.FREE_MAP:
             live -= 1
     return peak
 
 
-def test_slot_bound_matches_interval_overlap_oracle(small_traces):
+def test_slot_bound_matches_interval_overlap_oracle(small_traces, distill_all):
     for name, (_, raw, trace) in small_traces.items():
-        annotated = insert_free_events(coalesce(sanitize(raw)))
-        assert trace.max_map_slots == _interval_overlap_oracle(annotated.events), name
+        annotated = distill_all(raw).freed
+        assert trace.max_map_slots == _interval_overlap_oracle(annotated), name
 
 
 @pytest.fixture(params=["libdeflate", "zlib"])
@@ -1029,16 +1057,17 @@ def test_stats_matches_direct_tally(small_traces):
 # -- post-processing preserves map-state evolution ----------------------------------------
 
 
-def test_processing_preserves_state_evolution(small_traces, interpret_raw):
+def test_processing_preserves_state_evolution(small_traces, interpret_raw, distill_all):
     for name, (_, raw, trace) in small_traces.items():
-        oracle = interpret_raw(sanitize(raw).events)
+        oracle = interpret_raw(reference.as_raw(distill_all(raw).sanitized))
         result = ReplaySession(trace).replay(RefMap, mode="validating")
         assert result.map_digests == oracle, name
 
 
 def test_counting_same_for_coalesced_and_uncoalesced(small_traces):
     for name, (_, raw, trace) in small_traces.items():
-        uncoalesced = encode(insert_free_events(sanitize(raw)))
+        sanitized = reference.sanitize(reference.read(raw))
+        uncoalesced = reference.encode(reference.insert_frees(sanitized))
         a = ReplaySession(uncoalesced).replay(RefMap, mode="counting")
         b = ReplaySession(trace).replay(RefMap, mode="counting")
         assert a.counters == b.counters, name

@@ -826,4 +826,4 @@ def test_outcome_bits_reproducible_by_raw_interpretation(interpret_raw):
     """Replaying each map's raw event subsequence reproduces recorded outcomes."""
     from mapreplay.workloads import WorkloadSpec, generate
 
-    interpret_raw(generate(WorkloadSpec("random", seed=5, scale=2)).events)
+    interpret_raw(generate(WorkloadSpec("random", seed=5, scale=2)))
