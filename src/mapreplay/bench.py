@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -322,7 +321,13 @@ def read_report(path: str | Path) -> BenchReport:
         fields = read(p, "variant")
         fields.update(read(p, "excluded" if fields["excluded"] else "measured"))
         variants.append(VariantResult(**fields))
-    return BenchReport(kv.get("label", "trace"), config, variants)
+    for key in ("variant.0.label", "label", "baseline"):
+        if key not in kv:
+            raise MapReplayError(f"report {path}: missing {key}")
+    if kv["baseline"] != variants[0].label:
+        raise MapReplayError(f"report {path}: baseline={kv['baseline']!r} is not "
+                             f"variant.0.label={variants[0].label!r}")
+    return BenchReport(kv["label"], config, variants)
 
 
 @dataclass(frozen=True, slots=True)
@@ -333,7 +338,6 @@ class _Variant:
     impl: str  # the registry name, or the adapter class's __name__
     factory: type
     config: MapConfig  # the run's config (see ReplaySession.replay)
-    registered: bool  # only a registry adapter can be sent to a child process
 
 
 def _resolve(variants: Sequence[tuple], lf_milli: int) -> list[_Variant]:
@@ -348,7 +352,7 @@ def _resolve(variants: Sequence[tuple], lf_milli: int) -> list[_Variant]:
         name = impl if registered else getattr(impl, "__name__", "custom")
         config = MapConfig(dic, lf_milli)
         factory = get_implementation(impl) if registered else impl
-        resolved.append(_Variant(f"{name}:dic{dic}", name, factory, config, registered))
+        resolved.append(_Variant(f"{name}:dic{dic}", name, factory, config))
     return resolved
 
 
@@ -424,19 +428,15 @@ def _collect_all_samples(
     """Measure every variant, one run at a time in round-robin order.
 
     Spawned child processes give each run a fresh interpreter and build
-    their own session from `session.trace`, which they are sent. The
-    in-process fallback replays `session` for every variant (a replay only
-    reads it) and interleaves variants across runs so process warm-up drift
-    spreads evenly instead of biasing later variants.
+    their own session from `session.trace`, which they are sent; each
+    adapter class goes by reference, which the child imports, so one that
+    does not pickle by reference (a class defined in a function) is
+    refused before any run. In process, every variant replays `session`
+    (a replay only reads it), and variants interleave across runs either
+    way, so process warm-up drift spreads evenly instead of biasing later
+    variants.
     """
     in_process = not config.use_processes
-    if not in_process and not all(v.registered for v in variants):
-        warnings.warn(
-            "non-registry adapter cannot be sent to a child process; "
-            "falling back to in-process runs"
-        )
-        in_process = True
-
     if in_process:
         # One unmeasured replay per variant absorbs cold-start costs that a
         # fresh child process would otherwise isolate.
@@ -444,7 +444,17 @@ def _collect_all_samples(
             session.replay(v.factory, "timing", v.config)
     else:
         import multiprocessing  # only spawning needs it: ~0.75 MB RSS on import
+        import pickle
 
+        for v in variants:
+            try:
+                pickle.dumps(v.factory)
+            except (pickle.PicklingError, AttributeError, TypeError) as exc:
+                raise MapReplayError(
+                    f"adapter {v.impl} cannot be sent to a benchmark child process "
+                    f"({exc}): define it at a module's top level, or pass "
+                    "use_processes=False"
+                ) from None
         ctx = multiprocessing.get_context("spawn")
     samples: list[list[float]] = [[] for _ in variants]
     for _ in range(config.runs):

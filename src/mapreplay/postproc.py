@@ -18,9 +18,10 @@ id renumbered to its dense int32 rank, and each event one int32 row
 (word, operand, operand) laid out like the MPT1 triple it becomes, beside
 small per-object tables (the raw id of each rank, each key's hash, each
 iterator's owning map, found once, while ranking). The passes trust the
-records they rank: every RawTrace has checked them, and ranking refuses,
-at the field's MRT1 byte offset, what a row cannot hold (see the ranked
-stream below), so each operand is the int32 it becomes.
+records they rank: every RawTrace has checked them, and ranking refuses
+the first record in the file that a row cannot hold, at the field's MRT1
+byte offset (see the ranked stream below), so each operand is the int32
+it becomes.
 Each pass's logic is one kernel of whole-array numpy operations on those
 rows.
 Sanitize's kernel yields a keep mask, coalesce's the rows to merge away
@@ -42,9 +43,10 @@ both them and `process` is the plain-Python reference distiller in
 the pass docstrings: the tests hold each pass to its stage and `process`
 to its trace, byte for byte.
 `process` never holds the records: it ranks them from `RawTrace.blocks`,
-one block at a time, in two passes (the id tables, then the rows), so a
-trace read from a file is ranked straight from it and the only row-sized
-array is one int32 row buffer (12 bytes an event against a record's 40).
+one block at a time, in two passes (the first refuses and builds the id
+tables, the second ranks the rows), so a trace read from a file is ranked
+straight from it and the only row-sized array is one int32 row buffer
+(12 bytes an event against a record's 40).
 The buffer is allocated once, once the id tables are known, with room
 after the events for one free row per distinct map and iterator id, the
 most free insertion can add. It then runs the four kernels and edits the
@@ -211,15 +213,15 @@ def _distinct(values: np.ndarray) -> np.ndarray:
 #                capacity for Create, step count for IterAdvance, else 0
 #
 # Every record of a RawTrace is checked where it enters (see tracer), and
-# ranking refuses the operands that would not fit a row, each with a
-# TraceFormatError at the field's MRT1 offset: a keyed op with no key id,
-# any other op naming a key, and a Create capacity or IterAdvance step
-# count above 2^31-1 (within a block, a key-id fault before an operand
-# fault). So every operand is the int32 it becomes, and a row
-# is all the passes read of its event; coalescing refuses a merged step
-# count above 2^31-1 (TraceIntegrityError). A key recorded with two
-# hashes keeps the first in `key_hash` and is marked `unstable`: sanitize
-# drops every map that used it, and encode refuses it.
+# ranking's first pass refuses the first record in the file that a row
+# cannot hold, with a TraceFormatError at the field's MRT1 offset: a keyed
+# op with no key id, any other op naming a key, and a Create capacity or
+# IterAdvance step count above 2^31-1 (the key id first within a record).
+# So every operand is the int32 it becomes, and a row is all the passes
+# read of its event; coalescing refuses a merged step count above 2^31-1
+# (TraceIntegrityError). A key recorded with two hashes keeps the first in
+# `key_hash` and is marked `unstable`: sanitize drops every map that used
+# it, and encode refuses it.
 
 _RAW_OUTCOME_SHIFT = 20
 _RAW_OUTCOME_BITS = 0xFF << _RAW_OUTCOME_SHIFT
@@ -246,34 +248,57 @@ def _ops(rows: np.ndarray) -> np.ndarray:
 
 
 def _id_tables(raw: RawTrace) -> list[np.ndarray]:
-    """Sorted distinct map, iterator and key ids of the records.
-
-    Each block's distinct ids wait until they outnumber their table, then
-    join it in one stable sort, which merges the sorted runs it is given:
-    a table is copied only once the ids that waited pay for it.
-    """
-    tables = [np.empty(0, dtype=np.uint64)] * 3
-    waiting: list[list[np.ndarray]] = [[], [], []]
-    # No rows exist yet, so these blocks can be larger: fewer table merges.
-    for block in raw.blocks(2 * _CHECK_BLOCK):
+    """Sorted distinct map, iterator and key ids of the records, each table
+    one stable sort of every block's distinct ids, which merges the sorted
+    runs it is given. This first pass also refuses the first record in the
+    file that no row can hold (see `_refuse_unfit`)."""
+    found: list[list[np.ndarray]] = [[np.empty(0, dtype=np.uint64)] for _ in range(3)]
+    n = 2 * _CHECK_BLOCK  # no rows exist yet, so blocks can be larger: fewer calls
+    for j, block in enumerate(raw.blocks(n)):
         op, map_id, aux, key_id = block["op"], block["map_id"], block["aux"], block["key_id"]
-        iter_rows = _ITER_OPS[op]
-        found = (
+        keyed, iter_rows = _KEYED_OPS[op], _ITER_OPS[op]
+        _refuse_unfit(block, keyed, j * n)
+        for ids, block_ids in zip(found, (
             (map_id[~iter_rows], aux[op == _OP.CREATE_COPY]),
             (map_id[iter_rows], aux[op == _OP.ITER_NEW] >> 2),
-            (key_id[_KEYED_OPS[op]],),
+            (key_id[keyed],),
+        )):
+            ids.append(_distinct(np.concatenate(block_ids)))
+    return [_distinct(np.concatenate(ids)) for ids in found]
+
+
+def _refuse_unfit(block: np.ndarray, keyed: np.ndarray, first: int) -> None:
+    """Refuse the first record of a block that no row can hold, with a
+    TraceFormatError at the field's MRT1 offset; within a record, the key
+    id is checked first. `keyed` marks the block's keyed ops, and the
+    block starts at record `first`."""
+    op, aux, key_id = block["op"], block["aux"], block["key_id"]
+    unfit = keyed == (key_id == ABSENT_U64)
+    creates = np.flatnonzero(op == _OP.CREATE)
+    unfit[creates[unpack_create_aux(aux[creates])[0] > _I32_MAX]] = True
+    advances = np.flatnonzero(op == _OP.ITER_ADVANCE)
+    unfit[advances[aux[advances] > _I32_MAX]] = True
+    if not unfit.any():
+        return
+    i = int(np.argmax(unfit))
+    kind = RawOpKind(op[i])
+    if keyed[i] == (key_id[i] == ABSENT_U64):
+        raise TraceFormatError(
+            f"{kind.name} record has no key id" if keyed[i]
+            else f"{kind.name} record names key {key_id[i]} but takes no key",
+            offset=_field_offset(first + i, "key_id"),
         )
-        for k, ids in enumerate(found):
-            waiting[k].append(_distinct(np.concatenate(ids)))
-            if sum(map(len, waiting[k])) > tables[k].size:
-                tables[k] = _distinct(np.concatenate((tables[k], *waiting[k])))
-                waiting[k] = []
-    return [_distinct(np.concatenate((t, *w))) for t, w in zip(tables, waiting)]
+    what, value = (
+        ("Create capacity", unpack_create_aux(int(aux[i]))[0]) if kind == _OP.CREATE
+        else ("IterAdvance step count", aux[i])
+    )
+    raise TraceFormatError(f"{what} {value} overflows i32", offset=_field_offset(first + i, "aux"))
 
 
 def _rank(raw: RawTrace) -> _Ranked:
     """Rank a raw trace's records, one block at a time, in two passes:
-    the id tables, then the rows."""
+    the first refuses what no row can hold and builds the id tables, the
+    second only ranks, into the rows and the per-rank tables."""
     maps, iters, keys = _id_tables(raw)
     # One free row per map and per iterator fits after the events, so
     # every pass edits the rows in this one buffer.
@@ -297,8 +322,8 @@ def _rank(raw: RawTrace) -> _Ranked:
         row = t.rows[start : start + block.size]
         row[:, 0] = block["op"]
         _rank_objects(t, block, row)
-        _rank_keys(t, seen, block, row, start)
-        _rank_arguments(t, block, row, start)
+        _rank_keys(t, seen, block, row)
+        _rank_arguments(t, block, row)
         start += block.size
     return t
 
@@ -315,28 +340,14 @@ def _rank_objects(t: _Ranked, block: np.ndarray, row: np.ndarray) -> None:
         first[:] = np.searchsorted(t.maps, map_id)
 
 
-def _rank_keys(
-    t: _Ranked, seen: np.ndarray, block: np.ndarray, row: np.ndarray, first: int
-) -> None:
+def _rank_keys(t: _Ranked, seen: np.ndarray, block: np.ndarray, row: np.ndarray) -> None:
     """Key ranks of a block's keyed ops, and sanitize's hash analysis.
 
-    The block starts at record `first`. Each key's recorded hash is fixed
-    by the block that first names it; a key is unstable when a record
-    naming it differs from that hash.
+    Each key's recorded hash is fixed by the block that first names it; a
+    key is unstable when a record naming it differs from that hash.
     """
-    op, key_id = block["op"], block["key_id"]
-    keyed = _KEYED_OPS[op]
-    wrong = np.flatnonzero(keyed == (key_id == ABSENT_U64))
-    if wrong.size:
-        i = int(wrong[0])
-        kind = RawOpKind(op[i]).name
-        raise TraceFormatError(
-            f"{kind} record has no key id" if keyed[i]
-            else f"{kind} record names key {key_id[i]} but takes no key",
-            offset=_field_offset(first + i, "key_id"),
-        )
-    at = np.flatnonzero(keyed)
-    key = np.searchsorted(t.keys, key_id[at]).astype(np.int32)
+    at = np.flatnonzero(_KEYED_OPS[block["op"]])
+    key = np.searchsorted(t.keys, block["key_id"][at]).astype(np.int32)
     hashes = block["hash"][at]
     fresh = ~seen[key]
     if fresh.any():
@@ -346,35 +357,21 @@ def _rank_keys(
     row[at, 2] = key
 
 
-def _refuse_above_i32(values: np.ndarray, at: np.ndarray, first: int, what: str) -> None:
-    """Refuse the first of a block's aux `values` above 2^31-1; `at` holds
-    each value's record in the block, which starts at record `first`."""
-    over = np.flatnonzero(values > _I32_MAX)
-    if over.size:
-        raise TraceFormatError(
-            f"{what} {values[over[0]]} overflows i32",
-            offset=_field_offset(first + int(at[over[0]]), "aux"),
-        )
-
-
-def _rank_arguments(t: _Ranked, block: np.ndarray, row: np.ndarray, first: int) -> None:
-    """The word flags and argument operands of a block's records, which
-    start at record `first`, and each owner their IterNews give: a later
-    IterNew, in this block or a later one, overwrites an earlier one."""
+def _rank_arguments(t: _Ranked, block: np.ndarray, row: np.ndarray) -> None:
+    """The word flags and argument operands of a block's records, and each
+    owner their IterNews give: a later IterNew, in this block or a later
+    one, overwrites an earlier one."""
     op, aux, outcome = block["op"], block["aux"], block["outcome"]
     words, second = row[:, 0], row[:, 2]
     words[_OUTCOME_OPS[op] & _YIELDED[outcome]] |= OUTCOME_BIT
     count = np.bincount(op, minlength=256)
     if count[_OP.ITER_ADVANCE]:
         advances = np.flatnonzero(op == _OP.ITER_ADVANCE)
-        steps = aux[advances]
-        _refuse_above_i32(steps, advances, first, "IterAdvance step count")
         words[advances] |= outcome[advances].astype(np.int32) << _RAW_OUTCOME_SHIFT
-        second[advances] = steps
+        second[advances] = aux[advances]
     if count[_OP.CREATE]:
         creates = np.flatnonzero(op == _OP.CREATE)
         capacity, lf = unpack_create_aux(aux[creates])
-        _refuse_above_i32(capacity, creates, first, "Create capacity")
         words[creates] |= ((lf << LF_SHIFT) | SPREAD_BIT).astype(np.int32)
         second[creates] = capacity
     if count[_OP.ITER_NEW]:

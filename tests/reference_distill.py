@@ -50,9 +50,9 @@ The rules, stage by stage:
 
 Where this module and `postproc`'s code disagree, the documented rule
 decides. With several faults in one trace, this module refuses the first
-in stream order, and `process` may name another of the same class: it
-refuses a ranking block's key-id faults before its operand faults, and
-checks liveness a chunk of rows at a time.
+in stream order. So does `process` on reading, with the same
+TraceFormatError; of several later faults it may name another of the
+same class, since it checks liveness a chunk of rows at a time.
 """
 
 from __future__ import annotations

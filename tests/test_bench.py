@@ -6,6 +6,7 @@ import os
 import pickle
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from mapreplay.bench import (
 )
 from mapreplay.errors import ConfigError, MapReplayError
 from mapreplay.postproc import Characterization, process
-from mapreplay.replay import IMPLEMENTATIONS
+from mapreplay.refmap import RefMap
 from mapreplay.tracer import TraceSession
 from mapreplay.workloads import IntKey, WorkloadSpec, generate
 
@@ -398,13 +399,32 @@ def test_spawned_run_from_an_unguarded_script_fails_instead_of_hanging(tmp_path)
     assert "MapReplayError: benchmark child exited without a result (code 1)" in out.stderr
 
 
-def test_run_bench_custom_adapter_falls_back_in_process():
-    trace = tiny_trace()
+def test_run_bench_spawns_runs_of_an_adapter_class():
+    # The class goes to each child by reference, as a registry name would
+    # resolve to it there: no warning, no in-process fallback.
+    cfg = BenchConfig(runs=2, warmup_iters=0, measured_iters=2,
+                      iter_duration=0.003, use_processes=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_bench(tiny_trace(), [(RefMap, 16), (RefMap, 64)], cfg, label="spawned")
+    assert [len(v.samples) for v in report.variants] == [4, 4]
+
+
+def test_run_bench_refuses_an_adapter_class_a_child_cannot_import(monkeypatch):
+    from mapreplay import bench
+
+    class LocalMap(RefMap):
+        pass
+
+    def no_spawn(*args):
+        raise AssertionError("a run was spawned before the adapter was refused")
+
+    monkeypatch.setattr(bench, "_spawned_run", no_spawn)
     cfg = BenchConfig(runs=1, warmup_iters=0, measured_iters=2,
                       iter_duration=0.003, use_processes=True)
-    with pytest.warns(UserWarning, match="in-process"):
-        report = run_bench(trace, [(IMPLEMENTATIONS["refmap"], 16)], cfg, label="fallback")
-    assert len(report.variants[0].samples) == 2
+    with pytest.raises(MapReplayError, match="adapter LocalMap cannot be sent") as err:
+        run_bench(tiny_trace(), [(RefMap, 16), (LocalMap, 16)], cfg)
+    assert "use_processes=False" in str(err.value)
 
 
 def test_run_bench_builds_one_replay_session(monkeypatch):

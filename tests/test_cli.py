@@ -268,6 +268,10 @@ def test_bench_rejects_a_single_sample_before_timing(tmp_path, capsys, trace_of_
 _HEADER = b"format=mapreplay-bench-v1\nlabel=x\n"
 _CONFIG = (b"config.runs=2\nconfig.warmup_iters=0\nconfig.measured_iters=2\n"
            b"config.iter_duration=0.01\nconfig.seed=1\nconfig.level=0.99\nconfig.resamples=100\n")
+_VARIANT = (b"variant.0.label=a\nvariant.0.impl=refmap\nvariant.0.dic=16\nvariant.0.lf=750\n"
+            b"variant.0.excluded=0\nvariant.0.mean_ms=1.0\nvariant.0.half_width_ms=0.1\n"
+            b"variant.0.speedup=1.0\nvariant.0.diff_lo=0.0\nvariant.0.diff_hi=0.0\n"
+            b"variant.0.significant=0\nvariant.0.samples=1.0,1.0\n")
 
 
 @pytest.mark.parametrize("body, fault", [
@@ -278,7 +282,13 @@ _CONFIG = (b"config.runs=2\nconfig.warmup_iters=0\nconfig.measured_iters=2\n"
      b"variant.0.lf=750\nvariant.0.excluded=7\n", "bad variant.0.excluded='7'"),
     (_HEADER + _CONFIG.replace(b"runs=2", b"runs=0"),
      "r.txt: runs and measured_iters must be >= 1"),
-], ids=["missing-key", "bad-int", "not-utf8", "bad-bool", "refused-config"])
+    (_HEADER + b"baseline=a\n" + _CONFIG, "missing variant.0.label"),
+    (b"format=mapreplay-bench-v1\nbaseline=a\n" + _CONFIG + _VARIANT, "missing label"),
+    (_HEADER + _CONFIG + _VARIANT, "missing baseline"),
+    (_HEADER + b"baseline=b\n" + _CONFIG + _VARIANT,
+     "baseline='b' is not variant.0.label='a'"),
+], ids=["missing-key", "bad-int", "not-utf8", "bad-bool", "refused-config", "no-variant",
+        "no-label", "no-baseline", "baseline-not-variant-0"])
 def test_compare_names_what_is_wrong_with_a_report(body, fault, tmp_path, capsys):
     report = tmp_path / "r.txt"
     report.write_bytes(body)

@@ -44,14 +44,18 @@ def test_readme_package_names_resolve():
             obj = getattr(obj, part)
 
 
-def test_record_replay_demo_runs():
+#: What a demo must print, beyond exiting 0.
+_DEMO_OUTPUT = {"02_trace_record_replay.py": "digests identical across replays: True"}
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
     out = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / "02_trace_record_replay.py")],
-        capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=120,
     )
     assert out.returncode == 0, out.stderr
-    assert "digests identical across replays: True" in out.stdout
+    assert _DEMO_OUTPUT.get(demo.name, "") in out.stdout
 
 
 def test_readme_lists_every_workload_param_and_default():

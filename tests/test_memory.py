@@ -93,20 +93,28 @@ def test_generate_to_a_file_holds_a_fraction_of_it(tmp_path, name, bound):
 
 
 @pytest.mark.parametrize(
-    "name, scale, bound",
-    [("wordfreq", 1, 0.6), ("scan", 1, 0.9), ("churn", 2, 0.6)],
-    ids=["wordfreq", "scan", "churn"],
+    "spec, bound",
+    [
+        (WorkloadSpec("wordfreq", seed=1), 0.6),
+        (WorkloadSpec("scan", seed=1), 0.9),
+        (WorkloadSpec("churn", seed=1, scale=2), 0.6),
+        (WorkloadSpec("dedupe", seed=1, params={"universe": 200000, "ops": 100000}), 0.8),
+    ],
+    ids=["wordfreq", "scan", "churn", "dedupe-many-keys"],
 )
-def test_process_peak_is_a_fraction_of_the_raw_trace(tmp_path, name, scale, bound):
+def test_process_peak_is_a_fraction_of_the_raw_trace(tmp_path, spec, bound):
     # process() ranks a file-backed trace's records straight from the file,
     # a block at a time, into one int32 row buffer, 12 bytes an event plus
     # room for the frees, beside small per-object tables, and edits the
     # rows in place. The peak is a plan over the rows: sanitize's on
     # wordfreq (0.50x the file) and churn (0.52x), coalescing's on scan
     # (0.80x). Encode rewrites the rows a chunk at a time through per-rank
-    # tables and is the peak on none of them.
-    path = tmp_path / f"{name}.mrt"
-    generate(WorkloadSpec(name, seed=1, scale=scale), path)
+    # tables and is the peak on none of them. Dedupe over a wide universe
+    # (178,665 events, 0.72x) has the most keys an event: the worst case
+    # of the id tables, which hold every block's distinct key ids until
+    # their one sort.
+    path = tmp_path / f"{spec.name}.mrt"
+    generate(spec, path)
     process(read_raw_trace(path))  # first-use imports are no per-trace cost
     _, peak = _peak_traced(lambda: process(read_raw_trace(path)))
     assert peak <= bound * path.stat().st_size

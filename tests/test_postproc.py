@@ -670,6 +670,11 @@ _ITERATED = [(OP.CREATE, 1), (OP.PUT, 1, 5, 7, 0, 0), (OP.ITER_NEW, 1, None, Non
             TraceFormatError, _record_field(0, 29), "Create capacity 2147483648 overflows i32",
         ),
         (
+            [(OP.CREATE, 1, None, None, pack_create_aux(2**31, 750)), (OP.PUT, 1, 5, 7, 0, 0),
+             (OP.GET, 1, None, None, 0, 0)],
+            TraceFormatError, _record_field(0, 29), "Create capacity 2147483648 overflows i32",
+        ),
+        (
             [*_ITERATED, (OP.ITER_ADVANCE, _IT, None, None, 1, 1),
              (OP.ITER_ADVANCE, _IT, None, None, 2**31, 0)],
             TraceFormatError, _record_field(4, 29),
@@ -690,6 +695,7 @@ _ITERATED = [(OP.CREATE, 1), (OP.PUT, 1, 5, 7, 0, 0), (OP.ITER_NEW, 1, None, Non
         "keyed-op-without-key",
         "keyless-op-naming-a-key",
         "capacity-above-i32",
+        "capacity-above-i32-before-a-later-keyed-op-without-key",
         "exhausted-step-count-above-i32",
         "summed-step-count-above-i32",
         "create-with-spread-bit-clear",
@@ -697,9 +703,9 @@ _ITERATED = [(OP.CREATE, 1), (OP.PUT, 1, 5, 7, 0, 0), (OP.ITER_NEW, 1, None, Non
 )
 def test_distill_refuses_what_a_row_cannot_hold(rows, error, offset, message, raw_records):
     # A trace built from an array checks its records as one read from a
-    # file does, and ranking refuses operands that do not fit an int32 row,
-    # at the field's offset; process, the public chain and the reference
-    # refuse alike.
+    # file does, and ranking refuses the first record whose operands do not
+    # fit an int32 row, at the field's offset, whatever fault a later record
+    # has; process, the public chain and the reference refuse alike.
     records = raw_records(rows)
     if offset is not None:
         message = f"at offset {offset}: {message}"
